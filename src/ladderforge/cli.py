@@ -7,8 +7,8 @@ provenance (JSON artifacts get a ``config`` key, CSV artifacts a leading
 ``#`` comment line).
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 internal invariant
-violation.  ``LADDERFORGE_THREADS`` caps segment-level parallelism; results
-are always gathered in input order, so thread count never changes output.
+violation.  ``LADDERFORGE_THREADS`` caps the number of ``analyze`` workers;
+results are always gathered in input order, so it never changes output.
 """
 
 from __future__ import annotations
@@ -63,6 +63,8 @@ def _worker_count(n_tasks: int) -> int:
             raise ConfigError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
         if cap < 1:
             raise ConfigError(f"{THREADS_ENV} must be >= 1, got {cap}")
+    elif hasattr(os, "sched_getaffinity"):
+        cap = len(os.sched_getaffinity(0))
     else:
         cap = os.cpu_count() or 1
     return max(1, min(cap, n_tasks))
@@ -108,11 +110,16 @@ def _tau_flag(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _open_text(path: str):
+def _read_csv(path: str, reader, **kwargs):
+    """Run ``reader`` on the text file at ``path``; its data errors name the file."""
     try:
-        return open(path, "r", encoding="utf-8")
-    except OSError as exc:
+        with open(path, "r", encoding="utf-8") as handle:
+            return reader(handle, **kwargs)
+    except (OSError, UnicodeDecodeError) as exc:
         raise LadderforgeError(f"cannot read {path}: {exc}") from None
+    except LadderforgeError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 def _config_comment(config: RunConfig) -> str:
@@ -120,7 +127,7 @@ def _config_comment(config: RunConfig) -> str:
 
 
 def _write_json(path: Path, doc: dict) -> None:
-    path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    path.write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n", encoding="utf-8")
 
 
 def _safe_filename(segment_id: str) -> str:
@@ -247,8 +254,8 @@ def cmd_train(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     if not 0.0 <= args.holdout < 1.0:
         raise ConfigError(f"--holdout must be in [0, 1), got {args.holdout}")
-    with _open_text(args.training_csv) as handle:
-        records = forest.load_training_csv(handle, resolutions=config.resolutions)
+    records = _read_csv(args.training_csv, forest.load_training_csv,
+                        resolutions=config.resolutions)
     groups: dict[tuple[str, str], list[forest.TrainingRecord]] = {}
     for record in records:
         groups.setdefault((record.target_kind, record.vsr_tag), []).append(record)
@@ -300,15 +307,11 @@ def cmd_ladder(args) -> int:
         raise ladder_mod.ModelMismatch(
             f"model files do not carry vsr_tag {config.vsr_tag!r}"
         )
-    with _open_text(args.features_csv) as handle:
-        feature_rows = complexity.read_features_csv(handle)
-    pairing = None
-    if args.pairing:
-        with _open_text(args.pairing) as handle:
-            pairing = ladder_mod.load_pairing_csv(handle)
+    feature_rows = _read_csv(args.features_csv, complexity.read_features_csv)
+    pairing = _read_csv(args.pairing, ladder_mod.load_pairing_csv) if args.pairing else None
 
-    def job(item):
-        segment_id, features = item
+    ladders = []
+    for segment_id, features in feature_rows:
         grid = ladder_mod.predict_grid(
             quality_model, time_model, features, config.resolutions, config.bitrates_mbps
         )
@@ -317,20 +320,22 @@ def cmd_ladder(args) -> int:
         )
         if config.v_j is not None:
             built = ladder_mod.prune_jnd(built, config.v_j, config.v_t)
-        return segment_id, built
-
-    with ThreadPoolExecutor(max_workers=_worker_count(len(feature_rows))) as pool:
-        results = list(pool.map(job, feature_rows))
-    for segment_id, built in results:
-        manifest = ladder_mod.ladder_to_manifest(built, segment_id)
-        manifest["config"] = config.to_dict()
-        _write_json(out_dir / f"ladder_{_safe_filename(segment_id)}.json", manifest)
+        ladders.append((segment_id, built))
     if pairing is not None or args.emit_baseline:
         baseline = ladder_mod.default_hls_ladder(config.bitrates_mbps, pairing, config.vsr_tag)
-        manifest = ladder_mod.ladder_to_manifest(baseline, "baseline")
-        manifest["config"] = config.to_dict()
-        _write_json(out_dir / "ladder_baseline.json", manifest)
-    print(f"built {len(results)} ladder manifest(s) in {out_dir}")
+        ladders.append(("baseline", baseline))
+    # Distinct ids can share a file name; refuse that before writing anything.
+    manifests: dict[Path, dict] = {}
+    for segment_id, built in ladders:
+        path = out_dir / f"ladder_{_safe_filename(segment_id)}.json"
+        if path in manifests:
+            raise LadderforgeError(f"ladders {manifests[path]['segment_id']!r} and "
+                                   f"{segment_id!r} would both be written to {path}")
+        manifests[path] = ladder_mod.ladder_to_manifest(built, segment_id)
+        manifests[path]["config"] = config.to_dict()
+    for path, manifest in manifests.items():
+        _write_json(path, manifest)
+    print(f"built {len(feature_rows)} ladder manifest(s) in {out_dir}")
     return EXIT_OK
 
 
@@ -341,10 +346,8 @@ def cmd_evaluate(args) -> int:
     config = _load_config(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with _open_text(args.baseline_csv) as handle:
-        baseline_name, baseline = metrics.load_evaluation_csv(handle)
-    with _open_text(args.candidate_csv) as handle:
-        candidate_name, candidate = metrics.load_evaluation_csv(handle)
+    baseline_name, baseline = _read_csv(args.baseline_csv, metrics.load_evaluation_csv)
+    candidate_name, candidate = _read_csv(args.candidate_csv, metrics.load_evaluation_csv)
     report = metrics.compare_schemes(
         baseline,
         candidate,

@@ -19,7 +19,6 @@ A.T``), which is numerically the textbook DCT-II definition, just vectorised.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -29,6 +28,7 @@ import numpy as np
 
 from .errors import LadderforgeError
 from .media import LumaFrame, VideoSequence
+from .table import read_table
 
 __all__ = [
     "DEFAULT_BLOCK_SIZE",
@@ -267,33 +267,21 @@ def write_features_csv(
 def read_features_csv(source: Union[str, IO[str]]) -> list[tuple[str, SegmentFeatures]]:
     """Read a features CSV, preserving row order.
 
-    ``source`` is an open text stream or the CSV text itself.  Raises
-    ComplexityError on a missing/incorrect header or a bad row; the message
-    carries the offending line number.
+    ``source`` is an open text stream or the CSV text itself, read under the
+    :mod:`.table` conventions.  Raises ComplexityError on a missing or
+    incorrect header or a bad row; the message carries the line number.
     """
-    text = source if not isinstance(source, str) else io.StringIO(source)
-    numbered = [
-        (lineno, line)
-        for lineno, line in enumerate(text, start=1)
-        if line.strip() and not line.startswith("#")
-    ]
-    rows = list(csv.reader(line for _, line in numbered))
-    if not rows or tuple(rows[0]) != FEATURES_CSV_HEADER:
-        raise ComplexityError(
-            f"features CSV must start with header {','.join(FEATURES_CSV_HEADER)}"
-        )
     out: list[tuple[str, SegmentFeatures]] = []
     seen: set[str] = set()
-    for (lineno, _), row in zip(numbered[1:], rows[1:]):
-        if len(row) != 4:
-            raise ComplexityError(f"features CSV row {lineno}: expected 4 fields, got {len(row)}")
+    for lineno, row in read_table(source, FEATURES_CSV_HEADER, ComplexityError):
         segment_id = row[0]
         if segment_id in seen:
-            raise ComplexityError(f"features CSV row {lineno}: duplicate segment id {segment_id!r}")
+            raise ComplexityError(f"line {lineno}: duplicate segment id {segment_id!r}")
         seen.add(segment_id)
         try:
+            # SegmentFeatures rejects non-finite values itself.
             features = SegmentFeatures(float(row[1]), float(row[2]), float(row[3]))
         except ValueError as exc:
-            raise ComplexityError(f"features CSV row {lineno}: {exc}") from None
+            raise ComplexityError(f"line {lineno}: {exc}") from None
         out.append((segment_id, features))
     return out

@@ -27,7 +27,6 @@ so equal seeds yield byte-identical artifacts.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -38,6 +37,7 @@ import numpy as np
 from .complexity import SegmentFeatures
 from .errors import LadderforgeError
 from .rng import SplitMix64
+from .table import finite_float, read_table
 
 __all__ = [
     "TARGET_KINDS",
@@ -449,41 +449,24 @@ def load_training_csv(
     """Parse a training CSV into records, preserving row order.
 
     Expected header: ``segment_id,E_Y,h,L_Y,resolution,bitrate_mbps,
-    vsr_tag,target_kind,target``.  ``#``-prefixed lines are skipped.  When
-    ``resolutions`` is given, each row's resolution must be in that set.
-    Schema violations raise :class:`SchemaError` with the line number.
+    vsr_tag,target_kind,target``, read under the :mod:`.table` conventions.
+    When ``resolutions`` is given, each row's resolution must be in that
+    set.  Schema violations raise :class:`SchemaError` with the line number.
     """
-    numbered = [
-        (lineno, line)
-        for lineno, line in enumerate(source, start=1)
-        if line.strip() and not line.startswith("#")
-    ]
-    if not numbered:
-        raise SchemaError("training CSV is empty")
-    linenos = [n for n, _ in numbered]
-    rows = list(csv.reader(line for _, line in numbered))
-    if tuple(rows[0]) != TRAINING_CSV_HEADER:
-        raise SchemaError(
-            f"line {linenos[0]}: header must be {','.join(TRAINING_CSV_HEADER)}"
-        )
     records: list[TrainingRecord] = []
     allowed = set(resolutions) if resolutions is not None else None
-    for lineno, row in zip(linenos[1:], rows[1:]):
-        if len(row) != len(TRAINING_CSV_HEADER):
-            raise SchemaError(
-                f"line {lineno}: expected {len(TRAINING_CSV_HEADER)} fields, got {len(row)}"
-            )
+    for lineno, row in read_table(source, TRAINING_CSV_HEADER, SchemaError):
         try:
             resolution = int(row[4])
             record = TrainingRecord(
-                texture_energy=float(row[1]),
-                temporal_gradient=float(row[2]),
-                brightness=float(row[3]),
+                texture_energy=finite_float(row[1]),
+                temporal_gradient=finite_float(row[2]),
+                brightness=finite_float(row[3]),
                 resolution=resolution,
-                bitrate=float(row[5]),
+                bitrate=finite_float(row[5]),
                 vsr_tag=row[6],
                 target_kind=row[7],
-                target=float(row[8]),
+                target=finite_float(row[8]),
             )
         except (ValueError, InvalidRecord) as exc:
             raise SchemaError(f"line {lineno}: {exc}") from None

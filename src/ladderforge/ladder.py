@@ -14,7 +14,6 @@ as a kept rung reaches the perceptually-lossless cap.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -22,6 +21,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 from .complexity import SegmentFeatures
 from .errors import LadderforgeError
 from .forest import ForestModel, feature_vector, predict
+from .table import finite_float, read_table
 
 __all__ = [
     "DEFAULT_HLS_PAIRING",
@@ -321,22 +321,12 @@ def default_hls_ladder(
 
 
 def load_pairing_csv(source: Iterable[str]) -> tuple[tuple[float, int], ...]:
-    """Read a ``bitrate_mbps,resolution`` pairing file."""
-    numbered = [
-        (lineno, line)
-        for lineno, line in enumerate(source, start=1)
-        if line.strip() and not line.startswith("#")
-    ]
-    if not numbered:
-        raise PairingMissing("pairing CSV is empty")
-    rows = list(csv.reader(line for _, line in numbered))
-    if tuple(rows[0]) != ("bitrate_mbps", "resolution"):
-        raise PairingMissing("pairing CSV header must be bitrate_mbps,resolution")
+    """Read a ``bitrate_mbps,resolution`` pairing file (:mod:`.table` conventions)."""
     table = []
-    for (lineno, _), row in zip(numbered[1:], rows[1:]):
+    for lineno, row in read_table(source, ("bitrate_mbps", "resolution"), PairingMissing):
         try:
-            table.append((float(row[0]), int(row[1])))
-        except (ValueError, IndexError) as exc:
+            table.append((finite_float(row[0]), int(row[1])))
+        except ValueError as exc:
             raise PairingMissing(f"line {lineno}: {exc}") from None
     return tuple(table)
 

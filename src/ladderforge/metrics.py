@@ -19,7 +19,6 @@ is the bitrate sum times the segment duration, in megabits.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
@@ -28,6 +27,7 @@ import numpy as np
 
 from .errors import LadderforgeError
 from .ladder import EmptyLadder, Ladder
+from .table import finite_float, read_table
 
 __all__ = [
     "METRIC_KINDS",
@@ -377,71 +377,45 @@ def compare_schemes(
 
 
 def load_evaluation_csv(source: Iterable[str]) -> tuple[str, list[EvaluatedSegment]]:
-    """Read one scheme's evaluated ladders.
+    """Read one scheme's evaluated ladders (:mod:`.table` conventions).
 
     Rows with the same (segment, bitrate, resolution) describe one
     representation; each may contribute one quality metric and all must
     agree on the encode time.  The file must contain exactly one scheme
     label.  Returns (scheme name, segments in first-appearance order).
     """
-    numbered = [
-        (lineno, line)
-        for lineno, line in enumerate(source, start=1)
-        if line.strip() and not line.startswith("#")
-    ]
-    if not numbered:
-        raise SegmentMismatch("evaluation CSV is empty")
-    rows = list(csv.reader(line for _, line in numbered))
-    linenos = [n for n, _ in numbered]
-    if tuple(rows[0]) != EVALUATION_CSV_HEADER:
-        raise SegmentMismatch(
-            f"line {linenos[0]}: header must be {','.join(EVALUATION_CSV_HEADER)}"
-        )
     schemes: set[str] = set()
-    # segment -> rep key -> (time, {metric: quality})
-    segments: dict[str, dict[tuple[float, int], tuple[float, dict[str, float]]]] = {}
-    for lineno, row in zip(linenos[1:], rows[1:]):
-        if len(row) != len(EVALUATION_CSV_HEADER):
-            raise SegmentMismatch(
-                f"line {lineno}: expected {len(EVALUATION_CSV_HEADER)} fields, got {len(row)}"
-            )
+    # segment -> (bitrate, resolution) -> representation; later rows for the
+    # same representation add their quality metric to it
+    segments: dict[str, dict[tuple[float, int], EvaluatedRep]] = {}
+    for lineno, row in read_table(source, EVALUATION_CSV_HEADER, SegmentMismatch):
         segment_id, scheme, bitrate_s, resolution_s, metric, quality_s, time_s = row
         schemes.add(scheme)
         if metric not in METRIC_KINDS:
             raise MetricKindMismatch(f"line {lineno}: unknown quality metric {metric!r}")
         try:
-            bitrate = float(bitrate_s)
-            resolution = int(resolution_s)
-            quality = float(quality_s)
-            encode_time = float(time_s)
-        except ValueError as exc:
+            rep = EvaluatedRep(finite_float(bitrate_s), int(resolution_s),
+                               finite_float(time_s), {metric: finite_float(quality_s)})
+        except (ValueError, MetricsError) as exc:
             raise SegmentMismatch(f"line {lineno}: {exc}") from None
-        key = (bitrate, resolution)
         reps = segments.setdefault(segment_id, {})
-        if key in reps:
-            known_time, qualities = reps[key]
-            if known_time != encode_time:
-                raise SegmentMismatch(
-                    f"line {lineno}: encode time {encode_time} contradicts {known_time} "
-                    f"for the same representation"
-                )
-            if metric in qualities:
-                raise SegmentMismatch(
-                    f"line {lineno}: duplicate {metric} quality for one representation"
-                )
-            qualities[metric] = quality
-        else:
-            reps[key] = (encode_time, {metric: quality})
+        known = reps.setdefault((rep.bitrate, rep.resolution), rep)
+        if known is rep:
+            continue
+        if known.encode_time != rep.encode_time:
+            raise SegmentMismatch(
+                f"line {lineno}: encode time {rep.encode_time} contradicts "
+                f"{known.encode_time} for the same representation"
+            )
+        if metric in known.qualities:
+            raise SegmentMismatch(
+                f"line {lineno}: duplicate {metric} quality for one representation"
+            )
+        known.qualities[metric] = rep.qualities[metric]
     if len(schemes) != 1:
         raise SegmentMismatch(f"evaluation CSV must hold exactly one scheme, got {sorted(schemes)}")
     out = [
-        EvaluatedSegment(
-            segment_id=segment_id,
-            reps=tuple(
-                EvaluatedRep(bitrate=b, resolution=r, encode_time=t, qualities=q)
-                for (b, r), (t, q) in sorted(reps.items())
-            ),
-        )
+        EvaluatedSegment(segment_id=segment_id, reps=tuple(reps[key] for key in sorted(reps)))
         for segment_id, reps in segments.items()
     ]
     return schemes.pop(), out

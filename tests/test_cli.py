@@ -392,3 +392,69 @@ def test_duplicate_segment_ids_rejected(tmp_path):
         "synth:constant:4x4x1@30:id=same", "synth:constant:8x8x1@30:id=same",
         "--out", str(tmp_path),
     ) == 2
+
+
+# ------------------------------------------------------------ input errors
+
+
+def test_train_rejects_non_finite_feature_naming_file_and_line(tmp_path, capsys):
+    csv_path = tmp_path / "train.csv"
+    csv_path.write_text(TRAIN_HEADER + "r0,nan,0.1,120.0,720,1.6,none,quality,50\n")
+    out = tmp_path / "models"
+    assert run("train", str(csv_path), "--out", str(out)) == 2
+    assert f"{csv_path}: line 2: not a finite number: 'nan'" in capsys.readouterr().err
+    assert not list(out.iterdir())
+
+
+def test_evaluate_rejects_non_finite_time_and_writes_no_report(tmp_path, capsys):
+    base = _eval_csv(tmp_path / "base.csv", "default", 6)
+    cand = _eval_csv(tmp_path / "cand.csv", "tuned", 6)
+    lines = cand.read_text().splitlines(True)
+    lines[3] = lines[3].rsplit(",", 1)[0] + ",nan\n"
+    cand.write_text("".join(lines))
+    out = tmp_path / "report"
+    assert run("evaluate", str(base), str(cand), "--out", str(out)) == 2
+    assert f"{cand}: line 4" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+def test_write_json_refuses_non_finite_numbers(tmp_path):
+    with pytest.raises(ValueError):
+        cli._write_json(tmp_path / "x.json", {"delta": float("nan")})
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_oversized_field_and_undecodable_bytes_are_data_errors(tmp_path, capsys):
+    big = tmp_path / "big.csv"
+    big.write_text(TRAIN_HEADER + "x" * 200_000 + ",1,0.1,120.0,720,1.6,none,quality,50\n")
+    assert run("train", str(big), "--out", str(tmp_path / "m1")) == 2
+    assert f"{big}: line 2: field larger than field limit" in capsys.readouterr().err
+    binary = tmp_path / "binary.csv"
+    binary.write_bytes(TRAIN_HEADER.encode() + b"\xff\xfe,1,0.1,120.0,720,1.6,none,quality,50\n")
+    assert run("train", str(binary), "--out", str(tmp_path / "m2")) == 2
+    assert f"cannot read {binary}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ids, flag, clash", [
+    (("a/b", "a_b"), (), "'a/b' and 'a_b'"),
+    (("baseline",), ("--emit-baseline",), "'baseline' and 'baseline'"),
+])
+def test_ladder_refuses_colliding_manifest_names(tmp_path, capsys, ids, flag, clash):
+    features = tmp_path / "features.csv"
+    features.write_text("segment_id,E_Y,h,L_Y\n" + "".join(f"{sid},1.0,0.5,100.0\n" for sid in ids))
+    models = _write_models(tmp_path / "models")
+    out = tmp_path / "ladders"
+    assert run("ladder", str(features), "--models", str(models), "--out", str(out), *flag) == 2
+    assert f"ladders {clash} would both be written to" in capsys.readouterr().err
+    assert not list(out.iterdir())
+
+
+def test_worker_count_follows_cpu_affinity(monkeypatch):
+    monkeypatch.delenv(cli.THREADS_ENV, raising=False)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert cli._worker_count(4) == 1
+    monkeypatch.delattr(cli.os, "sched_getaffinity")
+    assert cli._worker_count(4) == 4
+    monkeypatch.setenv(cli.THREADS_ENV, "3")
+    assert cli._worker_count(4) == 3

@@ -323,6 +323,9 @@ def test_custom_pairing_overrides_defaults(tmp_path):
     assert [rep.resolution for rep in ladder.reps] == [720, 1080]
     with pytest.raises(PairingMissing):
         load_pairing_csv(["wrong,header\n"])
+    for bad_row in ("1.0,360,junk\n", "nan,360\n", "1.0\n"):
+        with pytest.raises(PairingMissing, match="line 2"):
+            load_pairing_csv(["bitrate_mbps,resolution\n", bad_row])
 
 
 # ----------------------------------------------------------------- manifest
