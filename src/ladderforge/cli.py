@@ -71,7 +71,7 @@ def _worker_count(n_tasks: int) -> int:
 
 
 def _load_config(args) -> RunConfig:
-    config = RunConfig.from_file(args.config) if args.config else RunConfig()
+    config = _read_text(args.config, RunConfig.from_file) if args.config else RunConfig()
     overrides = {
         "tau_l": args.tau_l,
         "v_j": args.vj,
@@ -110,8 +110,8 @@ def _tau_flag(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _read_csv(path: str, reader, **kwargs):
-    """Run ``reader`` on the text file at ``path``; its data errors name the file."""
+def _read_text(path: str | Path, reader, **kwargs):
+    """Run ``reader`` on the UTF-8 text file at ``path``; its data errors name the file."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return reader(handle, **kwargs)
@@ -124,6 +124,15 @@ def _read_csv(path: str, reader, **kwargs):
 
 def _config_comment(config: RunConfig) -> str:
     return "config " + json.dumps(config.to_dict(), separators=(",", ":"))
+
+
+def _out_dir(path: str) -> Path:
+    out_dir = Path(path)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise LadderforgeError(f"cannot create output directory {out_dir}: {exc}") from None
+    return out_dir
 
 
 def _write_json(path: Path, doc: dict) -> None:
@@ -210,8 +219,7 @@ def _load_input(token: str, index: int, args, config: RunConfig):
 
 def cmd_analyze(args) -> int:
     config = _load_config(args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out)
 
     def job(item):
         index, token = item
@@ -250,12 +258,11 @@ def _holdout_split(n: int, fraction: float, seed: int) -> tuple[list[int], list[
 
 def cmd_train(args) -> int:
     config = _load_config(args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out)
     if not 0.0 <= args.holdout < 1.0:
         raise ConfigError(f"--holdout must be in [0, 1), got {args.holdout}")
-    records = _read_csv(args.training_csv, forest.load_training_csv,
-                        resolutions=config.resolutions)
+    records = _read_text(args.training_csv, forest.load_training_csv,
+                         resolutions=config.resolutions)
     groups: dict[tuple[str, str], list[forest.TrainingRecord]] = {}
     for record in records:
         groups.setdefault((record.target_kind, record.vsr_tag), []).append(record)
@@ -293,13 +300,12 @@ def _load_model(models_dir: Path, target_kind: str, vsr_tag: str) -> forest.Fore
     path = models_dir / f"model_{target_kind}_{vsr_tag}.json"
     if not path.exists():
         raise MissingModel(f"model file not found: {path}")
-    return forest.deserialize_model(path.read_text(encoding="utf-8"))
+    return _read_text(path, lambda handle: forest.deserialize_model(handle.read()))
 
 
 def cmd_ladder(args) -> int:
     config = _load_config(args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out)
     models_dir = Path(args.models)
     quality_model = _load_model(models_dir, "quality", config.vsr_tag)
     time_model = _load_model(models_dir, "time", config.vsr_tag)
@@ -307,8 +313,8 @@ def cmd_ladder(args) -> int:
         raise ladder_mod.ModelMismatch(
             f"model files do not carry vsr_tag {config.vsr_tag!r}"
         )
-    feature_rows = _read_csv(args.features_csv, complexity.read_features_csv)
-    pairing = _read_csv(args.pairing, ladder_mod.load_pairing_csv) if args.pairing else None
+    feature_rows = _read_text(args.features_csv, complexity.read_features_csv)
+    pairing = _read_text(args.pairing, ladder_mod.load_pairing_csv) if args.pairing else None
 
     ladders = []
     for segment_id, features in feature_rows:
@@ -344,10 +350,9 @@ def cmd_ladder(args) -> int:
 
 def cmd_evaluate(args) -> int:
     config = _load_config(args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    baseline_name, baseline = _read_csv(args.baseline_csv, metrics.load_evaluation_csv)
-    candidate_name, candidate = _read_csv(args.candidate_csv, metrics.load_evaluation_csv)
+    out_dir = _out_dir(args.out)
+    baseline_name, baseline = _read_text(args.baseline_csv, metrics.load_evaluation_csv)
+    candidate_name, candidate = _read_text(args.candidate_csv, metrics.load_evaluation_csv)
     report = metrics.compare_schemes(
         baseline,
         candidate,

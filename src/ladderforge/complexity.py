@@ -22,7 +22,7 @@ import csv
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import IO, Iterable, Union
+from typing import IO, Iterable, Iterator, Union
 
 import numpy as np
 
@@ -67,9 +67,7 @@ class EmptySequence(ComplexityError):
 
 
 @dataclass(frozen=True)
-class FrameComplexity:
-    """Per-frame complexity: texture energy, temporal gradient, mean luma."""
-
+class _Complexity:
     texture_energy: float
     temporal_gradient: float
     brightness: float
@@ -84,24 +82,17 @@ class FrameComplexity:
 
 
 @dataclass(frozen=True)
-class SegmentFeatures:
+class FrameComplexity(_Complexity):
+    """Per-frame complexity: texture energy, temporal gradient, mean luma."""
+
+
+@dataclass(frozen=True)
+class SegmentFeatures(_Complexity):
     """Segment-level means of the per-frame complexity values.
 
     ``temporal_gradient`` is 0 for single-frame segments.  These three
     numbers are the model inputs everywhere downstream.
     """
-
-    texture_energy: float
-    temporal_gradient: float
-    brightness: float
-
-    def __post_init__(self):
-        for name in ("texture_energy", "temporal_gradient", "brightness"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value < 0:
-                raise ValueError(f"{name} must be finite and nonnegative, got {value}")
-        if self.brightness > 255:
-            raise ValueError(f"brightness must be <= 255, got {self.brightness}")
 
 
 @lru_cache(maxsize=8)
@@ -125,14 +116,6 @@ def _ac_weights(size: int) -> np.ndarray:
     return weights
 
 
-def _as_plane(frame: Union[LumaFrame, np.ndarray]) -> np.ndarray:
-    samples = frame.samples if isinstance(frame, LumaFrame) else frame
-    plane = np.asarray(samples, dtype=np.float64)
-    if plane.ndim != 2:
-        raise DimensionMismatch(f"expected a 2-D luma plane, got shape {plane.shape}")
-    return plane
-
-
 def block_texture_energy(block: np.ndarray, block_size: int | None = None) -> float:
     """Texture energy of one square luma tile.
 
@@ -145,13 +128,7 @@ def block_texture_energy(block: np.ndarray, block_size: int | None = None) -> fl
     size = tile.shape[0]
     if block_size is not None and size != block_size:
         raise BlockSizeMismatch(f"tile is {size}x{size}, expected {block_size}x{block_size}")
-    basis = _dct_basis(size)
-    # Removing the tile mean leaves the AC coefficients unchanged but keeps
-    # the excluded DC term from leaking rounding noise into them, so constant
-    # tiles score exactly zero.
-    tile = tile - tile.mean()
-    coeffs = basis @ tile @ basis.T
-    return float(np.sum(_ac_weights(size) * np.abs(coeffs)))
+    return float(_block_energies(tile, size)[0])
 
 
 def _block_energies(plane: np.ndarray, block_size: int) -> np.ndarray:
@@ -168,10 +145,37 @@ def _block_energies(plane: np.ndarray, block_size: int) -> np.ndarray:
         .swapaxes(1, 2)
         .reshape(by * bx, block_size, block_size)
     )
-    blocks = blocks - blocks.mean(axis=(1, 2), keepdims=True)  # see block_texture_energy
+    # Removing each block's mean leaves its AC coefficients unchanged but keeps
+    # the excluded DC term's rounding noise out of them: constant blocks score 0.
+    blocks = blocks - blocks.mean(axis=(1, 2), keepdims=True)
     basis = _dct_basis(block_size)
     coeffs = basis @ blocks @ basis.T
     return np.einsum("kij,ij->k", np.abs(coeffs), _ac_weights(block_size))
+
+
+def _frame_stats(
+    frames: Iterable[Union[LumaFrame, np.ndarray]], block_size: int
+) -> Iterator[tuple[float, float, float]]:
+    """(texture energy, temporal gradient, brightness) of each frame in turn.
+
+    The first frame's gradient is 0.  Only the previous frame's block
+    energies and shape are kept, never its plane.
+    """
+    prev_energies, prev_shape = None, None
+    for frame in frames:
+        samples = frame.samples if isinstance(frame, LumaFrame) else frame
+        plane = np.asarray(samples, dtype=np.float64)
+        if plane.ndim != 2:
+            raise DimensionMismatch(f"expected a 2-D luma plane, got shape {plane.shape}")
+        if prev_shape is not None and plane.shape != prev_shape:
+            raise DimensionMismatch(f"previous frame is {prev_shape}, current is {plane.shape}")
+        energies = _block_energies(plane, block_size)
+        denom = energies.size * block_size * block_size
+        gradient = 0.0
+        if prev_energies is not None:
+            gradient = float(np.sum(np.abs(energies - prev_energies)) / denom)
+        yield float(energies.sum() / denom), gradient, float(plane.mean())
+        prev_energies, prev_shape = energies, plane.shape
 
 
 def frame_complexity(
@@ -185,22 +189,9 @@ def frame_complexity(
     The temporal gradient is the normalised sum of absolute differences of
     co-located block energies; it is 0 when ``prev`` is absent.
     """
-    plane = _as_plane(frame)
-    energies = _block_energies(plane, block_size)
-    denom = energies.size * block_size * block_size
-    gradient = 0.0
-    if prev is not None:
-        prev_plane = _as_plane(prev)
-        if prev_plane.shape != plane.shape:
-            raise DimensionMismatch(
-                f"previous frame is {prev_plane.shape}, current is {plane.shape}"
-            )
-        gradient = float(np.sum(np.abs(energies - _block_energies(prev_plane, block_size))) / denom)
-    return FrameComplexity(
-        texture_energy=float(energies.sum() / denom),
-        temporal_gradient=gradient,
-        brightness=float(plane.mean()),
-    )
+    frames = [frame] if prev is None else [prev, frame]
+    *_, last = _frame_stats(frames, block_size)
+    return FrameComplexity(*last)
 
 
 def segment_features(
@@ -213,24 +204,12 @@ def segment_features(
     Block energies are computed once per frame and reused for the gradient
     of the following frame, so a segment costs one transform pass.
     """
-    frames = seq.frames if isinstance(seq, VideoSequence) else list(seq)
-    if not frames:
+    frames = seq.frames if isinstance(seq, VideoSequence) else seq
+    stats = list(_frame_stats(frames, block_size))
+    if not stats:
         raise EmptySequence("cannot compute features of an empty sequence")
-    textures: list[float] = []
-    gradients: list[float] = []
-    brightnesses: list[float] = []
-    prev_energies: np.ndarray | None = None
-    for frame in frames:
-        plane = _as_plane(frame)
-        energies = _block_energies(plane, block_size)
-        denom = energies.size * block_size * block_size
-        textures.append(float(energies.sum() / denom))
-        brightnesses.append(float(plane.mean()))
-        if prev_energies is not None:
-            if prev_energies.size != energies.size:
-                raise DimensionMismatch("all frames of a segment must share dimensions")
-            gradients.append(float(np.sum(np.abs(energies - prev_energies)) / denom))
-        prev_energies = energies
+    textures, gradients, brightnesses = zip(*stats)
+    gradients = gradients[1:]  # the first frame has no predecessor
     return SegmentFeatures(
         texture_energy=float(np.mean(textures)),
         temporal_gradient=float(np.mean(gradients)) if gradients else 0.0,

@@ -107,14 +107,10 @@ class RunConfig:
             raise ConfigError(str(exc)) from None
 
     @classmethod
-    def from_file(cls, source: Union[str, IO[str]]) -> "RunConfig":
+    def from_file(cls, source: IO[str]) -> "RunConfig":
         try:
-            if isinstance(source, str):
-                with open(source, "r", encoding="utf-8") as handle:
-                    doc = json.load(handle)
-            else:
-                doc = json.load(source)
-        except (OSError, json.JSONDecodeError) as exc:
+            doc = json.load(source)
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ConfigError(f"cannot read config: {exc}") from None
         if not isinstance(doc, dict):
             raise ConfigError("config file must hold a JSON object")

@@ -185,12 +185,9 @@ class ForestModel:
     target_kind: str
     vsr_tag: str
 
-    def predict(self, x: Sequence[float]) -> float:
-        return predict(self, x)
-
 
 def feature_vector(
-    features: SegmentFeatures,
+    features: Union[SegmentFeatures, TrainingRecord],
     resolution: Union[int, float],
     bitrate: float,
 ) -> np.ndarray:
@@ -211,16 +208,8 @@ def feature_vector(
 
 
 def _records_matrix(records: Sequence[TrainingRecord]) -> tuple[np.ndarray, np.ndarray]:
-    x = np.empty((len(records), N_FEATURES))
-    y = np.empty(len(records))
-    for i, rec in enumerate(records):
-        x[i, 0] = rec.texture_energy
-        x[i, 1] = rec.temporal_gradient
-        x[i, 2] = rec.brightness
-        x[i, 3] = math.log2(rec.resolution)
-        x[i, 4] = math.log2(rec.bitrate)
-        y[i] = rec.target
-    return x, y
+    x = np.array([feature_vector(rec, rec.resolution, rec.bitrate) for rec in records])
+    return x, np.array([rec.target for rec in records], dtype=np.float64)
 
 
 def _best_split_for_feature(
@@ -381,21 +370,28 @@ def serialize_model(model: ForestModel) -> bytes:
     return json.dumps(doc, separators=(",", ":"), allow_nan=False).encode("ascii")
 
 
-def _validate_node(node: object, path: str) -> None:
-    if not isinstance(node, dict):
-        raise CorruptModel(f"{path}: node must be an object")
-    if set(node) == {"v"}:
-        if not isinstance(node["v"], (int, float)) or not math.isfinite(node["v"]):
-            raise CorruptModel(f"{path}: leaf value must be a finite number")
-        return
-    if set(node) != {"f", "t", "l", "r"}:
-        raise CorruptModel(f"{path}: node keys must be exactly {{v}} or {{f,t,l,r}}")
-    if not isinstance(node["f"], int) or not 0 <= node["f"] < N_FEATURES:
-        raise CorruptModel(f"{path}: feature index out of range")
-    if not isinstance(node["t"], (int, float)) or not math.isfinite(node["t"]):
-        raise CorruptModel(f"{path}: threshold must be a finite number")
-    _validate_node(node["l"], path + ".l")
-    _validate_node(node["r"], path + ".r")
+def _validate_tree(root: object, name: str, max_depth: int) -> None:
+    """Check one tree's wire format without recursion; ``fit`` never splits
+    a node at depth ``max_depth``, so such a node marks a corrupt file."""
+    stack = [(root, name, 0)]
+    while stack:
+        node, path, depth = stack.pop()
+        if not isinstance(node, dict):
+            raise CorruptModel(f"{path}: node must be an object")
+        if set(node) == {"v"}:
+            if not isinstance(node["v"], (int, float)) or not math.isfinite(node["v"]):
+                raise CorruptModel(f"{path}: leaf value must be a finite number")
+            continue
+        if set(node) != {"f", "t", "l", "r"}:
+            raise CorruptModel(f"{path}: node keys must be exactly {{v}} or {{f,t,l,r}}")
+        if depth >= max_depth:
+            raise CorruptModel(f"{path}: tree is deeper than max_depth {max_depth}")
+        if not isinstance(node["f"], int) or not 0 <= node["f"] < N_FEATURES:
+            raise CorruptModel(f"{path}: feature index out of range")
+        if not isinstance(node["t"], (int, float)) or not math.isfinite(node["t"]):
+            raise CorruptModel(f"{path}: threshold must be a finite number")
+        stack.append((node["r"], path + ".r", depth + 1))
+        stack.append((node["l"], path + ".l", depth + 1))
 
 
 def deserialize_model(data: Union[bytes, str]) -> ForestModel:
@@ -408,6 +404,8 @@ def deserialize_model(data: Union[bytes, str]) -> ForestModel:
         doc = json.loads(data)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CorruptModel(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise CorruptModel("JSON is nested too deeply to be a model") from None
     if not isinstance(doc, dict):
         raise CorruptModel("model document must be a JSON object")
     version = doc.get("version")
@@ -431,7 +429,7 @@ def deserialize_model(data: Union[bytes, str]) -> ForestModel:
     if not isinstance(seed, int):
         raise CorruptModel("hyperparams.seed must be an integer")
     for i, tree in enumerate(trees):
-        _validate_node(tree, f"trees[{i}]")
+        _validate_tree(tree, f"trees[{i}]", hp.max_depth)
     return ForestModel(
         trees=tuple(trees),
         hyperparams=hp,

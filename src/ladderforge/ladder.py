@@ -63,9 +63,6 @@ DEFAULT_HLS_PAIRING: tuple[tuple[float, int], ...] = (
     (16.800, 2160),
 )
 
-_BITRATE_TOLERANCE = 1e-9
-
-
 class LadderError(LadderforgeError):
     pass
 
@@ -202,36 +199,23 @@ def predict_grid(
     return PredictionGrid(tuple(sorted(resolutions)), tuple(sorted(bitrates)), entries)
 
 
-def _canonical_bitrate(grid: PredictionGrid, bitrate: float) -> float:
-    for b in grid.bitrates:
-        if abs(b - bitrate) <= _BITRATE_TOLERANCE:
-            return b
-    raise UnknownBitrate(f"bitrate {bitrate} is not in the grid")
-
-
 def select_resolution(grid: PredictionGrid, bitrate: float, tau_l: float) -> ResolutionChoice:
     """Best-quality feasible resolution for one target bitrate.
 
     Feasible means predicted time <= ``tau_l``; quality ties break to the
     lower resolution.  If nothing is feasible the cheapest resolution is
-    returned flagged ``over_budget``.
+    returned flagged ``over_budget``.  ``bitrate`` must equal one of the
+    grid's bitrates exactly.
     """
-    bitrate = _canonical_bitrate(grid, bitrate)
+    if bitrate not in grid.bitrates:
+        raise UnknownBitrate(f"bitrate {bitrate} is not in the grid")
     if tau_l <= 0:
         raise LadderError(f"latency budget must be positive, got {tau_l}")
-    best_res: int | None = None
-    best_quality = -math.inf
-    cheapest_res = grid.resolutions[0]
-    cheapest_time = math.inf
-    for r in grid.resolutions:
-        quality, time = grid.entries[(r, bitrate)]
-        if time < cheapest_time:
-            cheapest_res, cheapest_time = r, time
-        if time <= tau_l and quality > best_quality:
-            best_res, best_quality = r, quality
-    if best_res is None:
-        return ResolutionChoice(cheapest_res, True)
-    return ResolutionChoice(best_res, False)
+    # max and min keep the first of equal keys, and resolutions ascend.
+    feasible = [r for r in grid.resolutions if grid.time(r, bitrate) <= tau_l]
+    if not feasible:
+        return ResolutionChoice(min(grid.resolutions, key=lambda r: grid.time(r, bitrate)), True)
+    return ResolutionChoice(max(feasible, key=lambda r: grid.quality(r, bitrate)), False)
 
 
 def build_ladder(
@@ -244,7 +228,6 @@ def build_ladder(
     targets = grid.bitrates if bitrates is None else tuple(sorted(bitrates))
     reps = []
     for b in targets:
-        b = _canonical_bitrate(grid, b)
         choice = select_resolution(grid, b, tau_l)
         quality, time = grid.entries[(choice.resolution, b)]
         reps.append(
@@ -274,28 +257,13 @@ def prune_jnd(ladder: Ladder, v_j: float, v_t: float) -> Ladder:
             raise MissingPrediction(
                 f"representation at {rep.bitrate} Mbps lacks a predicted quality"
             )
-    reps = ladder.reps
-    params = replace(ladder.params, v_j=v_j, v_t=v_t)
-    kept = [reps[0]]
-    last_kept = reps[0].predicted_vmaf
-    if last_kept >= v_t:
-        return Ladder(tuple(kept), params)
-    for rep in reps[1:]:
-        if rep.predicted_vmaf - last_kept >= v_j:
+    kept: list[Representation] = []
+    for rep in ladder.reps:
+        if not kept or rep.predicted_vmaf - kept[-1].predicted_vmaf >= v_j:
             kept.append(rep)
-            last_kept = rep.predicted_vmaf
-            if last_kept >= v_t:
+            if rep.predicted_vmaf >= v_t:
                 break
-    return Ladder(tuple(kept), params)
-
-
-def _lookup_pairing(
-    pairing: Iterable[tuple[float, int]], bitrate: float
-) -> int | None:
-    for b, r in pairing:
-        if abs(b - bitrate) <= _BITRATE_TOLERANCE:
-            return r
-    return None
+    return Ladder(tuple(kept), replace(ladder.params, v_j=v_j, v_t=v_t))
 
 
 def default_hls_ladder(
@@ -310,25 +278,33 @@ def default_hls_ladder(
     """
     if not bitrates:
         raise PairingMissing("no bitrates supplied")
-    table = tuple(pairing) if pairing is not None else DEFAULT_HLS_PAIRING
+    table = dict(DEFAULT_HLS_PAIRING if pairing is None else pairing)
     reps = []
     for b in sorted(bitrates):
-        resolution = _lookup_pairing(table, b)
-        if resolution is None:
+        if b not in table:
             raise PairingMissing(f"no resolution is paired with bitrate {b} Mbps")
-        reps.append(Representation(resolution=resolution, bitrate=b))
+        reps.append(Representation(resolution=table[b], bitrate=b))
     return Ladder(tuple(reps), LadderParams(vsr_tag=vsr_tag))
 
 
 def load_pairing_csv(source: Iterable[str]) -> tuple[tuple[float, int], ...]:
-    """Read a ``bitrate_mbps,resolution`` pairing file (:mod:`.table` conventions)."""
-    table = []
+    """Read a ``bitrate_mbps,resolution`` pairing file (:mod:`.table` conventions).
+
+    Both values must be positive and each bitrate may appear only once.
+    """
+    table: dict[float, int] = {}
     for lineno, row in read_table(source, ("bitrate_mbps", "resolution"), PairingMissing):
         try:
-            table.append((finite_float(row[0]), int(row[1])))
+            bitrate, resolution = finite_float(row[0]), int(row[1])
         except ValueError as exc:
             raise PairingMissing(f"line {lineno}: {exc}") from None
-    return tuple(table)
+        if bitrate <= 0 or resolution <= 0:
+            raise PairingMissing(f"line {lineno}: bitrate and resolution must be positive, "
+                                 f"got {bitrate}, {resolution}")
+        if bitrate in table:
+            raise PairingMissing(f"line {lineno}: duplicate bitrate {bitrate}")
+        table[bitrate] = resolution
+    return tuple(table.items())
 
 
 def ladder_to_manifest(ladder: Ladder, segment_id: str) -> dict:

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -458,3 +462,49 @@ def test_worker_count_follows_cpu_affinity(monkeypatch):
     assert cli._worker_count(4) == 4
     monkeypatch.setenv(cli.THREADS_ENV, "3")
     assert cli._worker_count(4) == 3
+
+
+# A model whose one tree nests 3,000 levels deep: too deep for json.loads.
+_DEEP_MODEL = serialize_model(
+    ForestModel(({"v": 1.0},), Hyperparams(n_trees=1), 0, "time", "none")
+).replace(b'{"v":1.0}', b'{"f":0,"t":0.0,"l":{"v":0.0},"r":' * 3000 + b'{"v":1.0}' + b"}" * 3000)
+
+
+@pytest.mark.parametrize("target, content", [
+    pytest.param("model", None, id="model-is-a-directory"),
+    pytest.param("model", b"\xff\xfe", id="model-not-utf8"),
+    pytest.param("model", b"{not json", id="model-not-json"),
+    pytest.param("model", _DEEP_MODEL, id="model-3000-levels"),
+    pytest.param("config", b"\xff\xfe", id="config-not-utf8"),
+    pytest.param("config", b"[" * 3000 + b"]" * 3000, id="config-3000-levels"),
+    pytest.param("out", b"", id="out-is-a-file"),
+])
+def test_unusable_input_files_are_data_errors_naming_the_path(tmp_path, capsys, target, content):
+    features = tmp_path / "features.csv"
+    features.write_text("segment_id,E_Y,h,L_Y\nseg,1.0,0.5,100.0\n")
+    models = _write_models(tmp_path / "models")
+    path = {
+        "model": models / "model_time_none.json",
+        "config": tmp_path / "config.json",
+        "out": tmp_path / "out",
+    }[target]
+    if target == "model":
+        path.unlink()
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    argv = ["ladder", str(features), "--models", str(models), "--out", str(tmp_path / "out")]
+    if target == "config":
+        argv += ["--config", str(path)]
+    assert run(*argv) == 2
+    assert str(path) in capsys.readouterr().err
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    result = subprocess.run([sys.executable, "-m", "ladderforge", "--help"], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("usage: ladderforge")

@@ -245,6 +245,15 @@ def test_deserialize_rejects_bad_payloads():
     doc["trees"] = [{"v": 1.0, "extra": 2}]
     with pytest.raises(CorruptModel):
         deserialize_model(json.dumps(doc))
+    # fit never splits a node at depth max_depth (12 here): a 13th split is corrupt.
+    tree = {"v": 1.0}
+    for _ in range(12):
+        tree = {"f": 0, "t": 0.0, "l": {"v": 0.0}, "r": tree}
+    doc["trees"] = [tree]
+    deserialize_model(json.dumps(doc))
+    doc["trees"] = [{"f": 0, "t": 0.0, "l": {"v": 0.0}, "r": tree}]
+    with pytest.raises(CorruptModel, match="deeper than max_depth 12"):
+        deserialize_model(json.dumps(doc))
 
 
 def test_deserialize_ignores_unknown_toplevel_keys():

@@ -155,8 +155,9 @@ def test_over_budget_fallback_returns_cheapest():
 
 def test_unknown_bitrate_rejected():
     entries = {(360, 1.0): (50.0, 1.0)}
-    with pytest.raises(UnknownBitrate):
-        select_resolution(_grid(entries), 2.0, tau_l=1.0)
+    for bitrate in (2.0, 1.0 + 1e-12):  # bitrates match exactly, not within a tolerance
+        with pytest.raises(UnknownBitrate):
+            select_resolution(_grid(entries), bitrate, tau_l=1.0)
 
 
 def test_selection_matches_exhaustive_oracle():
@@ -323,9 +324,12 @@ def test_custom_pairing_overrides_defaults(tmp_path):
     assert [rep.resolution for rep in ladder.reps] == [720, 1080]
     with pytest.raises(PairingMissing):
         load_pairing_csv(["wrong,header\n"])
-    for bad_row in ("1.0,360,junk\n", "nan,360\n", "1.0\n"):
-        with pytest.raises(PairingMissing, match="line 2"):
-            load_pairing_csv(["bitrate_mbps,resolution\n", bad_row])
+    # Each case's last line is the bad one.
+    for bad_rows in ("1.0,360,junk\n", "nan,360\n", "1.0\n", "0,360\n", "1.0,-5\n",
+                     "1.0,360\n2.0,720\n1.0,1080\n"):
+        lines = bad_rows.splitlines(True)
+        with pytest.raises(PairingMissing, match=f"line {1 + len(lines)}:"):
+            load_pairing_csv(["bitrate_mbps,resolution\n", *lines])
 
 
 # ----------------------------------------------------------------- manifest

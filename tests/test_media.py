@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 from conftest import write_reference_y4m
 from fractions import Fraction
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ladderforge.media import (
     InvalidSpec,
     LumaFrame,
     MalformedHeader,
+    MediaError,
     SyntheticSpec,
     TrailingData,
     TruncatedFrame,
@@ -195,3 +198,32 @@ def test_sequence_requires_uniform_dimensions():
         VideoSequence((a, b), Fraction(30))
     seq = VideoSequence((a, a), Fraction(30))
     assert seq.duration == pytest.approx(2 / 30)
+
+
+# Extra header tags, and a stream of raw bytes and frames whose planes fit
+# some colorspaces and not others, so arbitrary data also reaches the frame
+# loop, not only the header checks.
+_Y4M_TAGS = st.lists(st.sampled_from([b" Cmono", b" C444", b" C420p10", b" Ip", b" W0"]),
+                     max_size=2).map(b"".join)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    free=st.binary(max_size=200),
+    width=st.integers(1, 4),
+    height=st.integers(1, 4),
+    rate=st.tuples(st.integers(1, 60), st.integers(1, 2)),
+    tags=_Y4M_TAGS,
+    data=st.data(),
+)
+def test_parse_y4m_returns_a_sequence_or_raises_media_error(free, width, height, rate, tags, data):
+    header = b"YUV4MPEG2 W%d H%d F%d:%d" % (width, height, *rate)
+    plane = bytes(range(width * height))
+    frames = [b"FRAME\n" + plane, b"FRAME Ixyz\n" + plane * 3, b"FRAMEX\n", b"FRAME"]
+    piece = st.one_of(st.binary(max_size=8), st.sampled_from(frames))
+    stream = data.draw(st.lists(piece, min_size=1, max_size=6).map(b"".join))
+    for blob in (free, header + free, header + tags + b"\n" + stream):
+        try:
+            assert isinstance(parse_y4m(blob), VideoSequence)
+        except MediaError:
+            pass
