@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import io
 import json
 import os
 import sys
@@ -23,7 +22,7 @@ import traceback
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence, TextIO
 
 from . import complexity, forest, ladder as ladder_mod, metrics
 from .config import ConfigError, RunConfig, parse_tau
@@ -135,8 +134,21 @@ def _out_dir(path: str) -> Path:
     return out_dir
 
 
+def _write_file(path: Path, write: Callable[[TextIO], object]) -> None:
+    """Run ``write`` on a temp file beside ``path``, then rename it over ``path``,
+    so a failed write leaves any earlier file whole and no temp file behind."""
+    temp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(temp, "w", encoding="utf-8") as handle:
+            write(handle)
+        os.replace(temp, path)
+    finally:
+        temp.unlink(missing_ok=True)
+
+
 def _write_json(path: Path, doc: dict) -> None:
-    path.write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n", encoding="utf-8")
+    text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    _write_file(path, lambda handle: handle.write(text))
 
 
 def _safe_filename(segment_id: str) -> str:
@@ -240,9 +252,8 @@ def cmd_analyze(args) -> int:
     seen = {sid for sid, _ in rows}
     if len(seen) != len(rows):
         raise LadderforgeError("duplicate segment ids among inputs; use id= to disambiguate")
-    buffer = io.StringIO()
-    complexity.write_features_csv(rows, buffer, comment=_config_comment(config))
-    (out_dir / "features.csv").write_text(buffer.getvalue(), encoding="utf-8")
+    _write_file(out_dir / "features.csv", lambda handle: complexity.write_features_csv(
+        rows, handle, comment=_config_comment(config)))
     print(f"analyzed {len(rows)} segment(s) -> {out_dir / 'features.csv'}")
     return EXIT_DATA if failures else EXIT_OK
 
@@ -276,7 +287,8 @@ def cmd_train(args) -> int:
         doc = json.loads(forest.serialize_model(model))
         doc["config"] = config.to_dict()
         path = out_dir / f"model_{target_kind}_{vsr_tag}.json"
-        path.write_text(json.dumps(doc, separators=(",", ":")) + "\n", encoding="utf-8")
+        text = json.dumps(doc, separators=(",", ":")) + "\n"
+        _write_file(path, lambda handle: handle.write(text))
         if test_set:
             stats = forest.evaluate(model, test_set)
             print(

@@ -99,11 +99,11 @@ class RunConfig:
         if unknown:
             raise ConfigError(f"unknown config key(s): {sorted(unknown)}")
         values = dict(mapping)
-        if "tau_l" in values:
-            values["tau_l"] = parse_tau(values["tau_l"])
         try:
+            if "tau_l" in values:
+                values["tau_l"] = parse_tau(values["tau_l"])
             return cls(**values)
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from None
 
     @classmethod

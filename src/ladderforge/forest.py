@@ -29,7 +29,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -177,13 +178,18 @@ class EvaluationStats:
 
 @dataclass(frozen=True)
 class ForestModel:
-    """A bag of regression trees plus everything needed to reproduce it."""
+    """A bag of regression trees plus everything needed to reproduce it; building
+    one checks the trees (else :class:`CorruptModel`) and flattens them."""
 
     trees: tuple[dict, ...]
     hyperparams: Hyperparams
     seed: int
     target_kind: str
     vsr_tag: str
+    _flat: tuple = field(init=False, repr=False, compare=False)  # what _compile returns
+
+    def __post_init__(self):
+        object.__setattr__(self, "_flat", _compile(self.trees, self.hyperparams.max_depth))
 
 
 def feature_vector(
@@ -314,24 +320,23 @@ def fit(
     )
 
 
-def _tree_predict(node: dict, x: np.ndarray) -> float:
-    while "v" not in node:
-        node = node["l"] if x[node["f"]] <= node["t"] else node["r"]
-    return node["v"]
-
-
-def predict(model: ForestModel, x: Sequence[float]) -> float:
-    """Mean of tree outputs, clamped to the target's valid range."""
-    vec = np.asarray(x, dtype=np.float64)
-    if vec.shape != (N_FEATURES,):
-        raise InvalidRecord(f"feature vector must have {N_FEATURES} entries, got shape {vec.shape}")
-    total = 0.0
-    for tree in model.trees:
-        total += _tree_predict(tree, vec)
-    value = total / len(model.trees)
-    if model.target_kind == "quality":
-        return min(100.0, max(0.0, value))
-    return max(0.0, value)
+def predict(model: ForestModel, x: Sequence[float]) -> Union[float, np.ndarray]:
+    """Mean of tree outputs, clamped to the target's valid range: a float for
+    one feature vector, n values for an ``(n, 5)`` matrix.  Outputs are added
+    in tree order, so a row's value does not depend on the batch it is in."""
+    rows = np.asarray(x, dtype=np.float64)
+    if rows.shape[-1:] != (N_FEATURES,) or rows.ndim > 2:
+        raise InvalidRecord(f"feature vector must have {N_FEATURES} entries, got shape {rows.shape}")
+    feature, threshold, left, right, value, roots, depth = model._flat
+    cells = rows.ravel()  # row-major: row i's feature f is cell N_FEATURES * i + f
+    starts = np.arange(0, cells.size, N_FEATURES)
+    at = np.repeat(roots[:, None], starts.size, axis=1)  # (trees, rows) node indices
+    for _ in range(depth):
+        at = np.where(cells[starts + feature[at]] <= threshold[at], left[at], right[at])
+    total = sum(value[at])  # one add per tree, in tree order (np.sum would add pairwise)
+    upper = 100.0 if model.target_kind == "quality" else math.inf
+    values = np.minimum(upper, np.maximum(0.0, total / len(roots)))
+    return float(values[0]) if rows.ndim == 1 else values
 
 
 def evaluate(model: ForestModel, records: Sequence[TrainingRecord]) -> EvaluationStats:
@@ -346,7 +351,7 @@ def evaluate(model: ForestModel, records: Sequence[TrainingRecord]) -> Evaluatio
             f"({model.target_kind}, {model.vsr_tag})"
         )
     x, y = _records_matrix(records)
-    errors = np.array([abs(predict(model, row) - target) for row, target in zip(x, y)])
+    errors = np.abs(predict(model, x) - y)
     return EvaluationStats(mae=float(errors.mean()), sd=float(errors.std()))
 
 
@@ -370,28 +375,66 @@ def serialize_model(model: ForestModel) -> bytes:
     return json.dumps(doc, separators=(",", ":"), allow_nan=False).encode("ascii")
 
 
-def _validate_tree(root: object, name: str, max_depth: int) -> None:
-    """Check one tree's wire format without recursion; ``fit`` never splits
-    a node at depth ``max_depth``, so such a node marks a corrupt file."""
-    stack = [(root, name, 0)]
-    while stack:
-        node, path, depth = stack.pop()
-        if not isinstance(node, dict):
-            raise CorruptModel(f"{path}: node must be an object")
-        if set(node) == {"v"}:
-            if not isinstance(node["v"], (int, float)) or not math.isfinite(node["v"]):
-                raise CorruptModel(f"{path}: leaf value must be a finite number")
-            continue
-        if set(node) != {"f", "t", "l", "r"}:
-            raise CorruptModel(f"{path}: node keys must be exactly {{v}} or {{f,t,l,r}}")
-        if depth >= max_depth:
-            raise CorruptModel(f"{path}: tree is deeper than max_depth {max_depth}")
-        if not isinstance(node["f"], int) or not 0 <= node["f"] < N_FEATURES:
-            raise CorruptModel(f"{path}: feature index out of range")
-        if not isinstance(node["t"], (int, float)) or not math.isfinite(node["t"]):
-            raise CorruptModel(f"{path}: threshold must be a finite number")
-        stack.append((node["r"], path + ".r", depth + 1))
-        stack.append((node["l"], path + ".l", depth + 1))
+_LEAF_KEYS = frozenset({"v"})
+_SPLIT_KEYS = frozenset({"f", "t", "l", "r"})
+
+
+def _compile(trees: Sequence[object], max_depth: int) -> tuple:
+    """Check the trees' wire format and flatten them, without recursion, into
+    preorder ``(feature, threshold, left, right, value)`` arrays in which a
+    leaf links to itself, plus each tree's root and the deepest leaf's depth.
+    ``fit`` never splits a node at depth ``max_depth``, so such a node marks
+    a corrupt file."""
+    feature, threshold, right, roots = array("b"), array("d"), array("i"), array("i")
+    deepest = 0
+    for i, tree in enumerate(trees):
+        root = len(feature)
+        roots.append(root)
+        stack = [(tree, -1, 0)]  # (node, index of the split it is right of, depth)
+        try:
+            while stack:
+                node, right_of, depth = stack.pop()
+                index = len(feature)
+                if right_of >= 0:
+                    right[right_of] = index
+                if not isinstance(node, dict):
+                    raise CorruptModel("node must be an object")
+                keys = node.keys()
+                if keys == _LEAF_KEYS:
+                    f, t, r = 0, node["v"], index
+                    if type(t) is not float and type(t) is not int or not math.isfinite(t):
+                        raise CorruptModel("leaf value must be a finite number")
+                    if depth > deepest:
+                        deepest = depth
+                elif keys != _SPLIT_KEYS:
+                    raise CorruptModel("node keys must be exactly {v} or {f,t,l,r}")
+                elif depth >= max_depth:
+                    raise CorruptModel(f"tree is deeper than max_depth {max_depth}")
+                else:
+                    f, t, r = node["f"], node["t"], -1
+                    if type(f) is not int or not 0 <= f < N_FEATURES:
+                        raise CorruptModel("feature index out of range")
+                    if type(t) is not float and type(t) is not int or not math.isfinite(t):
+                        raise CorruptModel("threshold must be a finite number")
+                    stack.append((node["r"], index, depth + 1))
+                    stack.append((node["l"], -1, depth + 1))
+                feature.append(f)
+                threshold.append(t)
+                right.append(r)
+        except (CorruptModel, OverflowError) as exc:  # OverflowError: a huge integer
+            path = ""  # from the links so far: in preorder a split's left child
+            while index != root:  # follows it, and a right child follows a leaf
+                parent = index - 1 if right[index - 1] != index - 1 else right.index(index)
+                path, index = (".l" if parent + 1 == index else ".r") + path, parent
+            raise CorruptModel(f"trees[{i}]{path}: {exc}") from None
+    # Leaves keep their value in threshold and left links are derived, so the walk appends less.
+    # Numpy gathers index with pointer-sized integers; converting once saves a copy per step.
+    feature, right, roots = (np.array(a, np.intp) for a in (feature, right, roots))
+    nodes = np.arange(right.size)
+    leaf = right == nodes
+    threshold = np.array(threshold)
+    return (feature, threshold, np.where(leaf, nodes, nodes + 1), right,
+            np.where(leaf, threshold, 0.0), roots, deepest)
 
 
 def deserialize_model(data: Union[bytes, str]) -> ForestModel:
@@ -428,8 +471,6 @@ def deserialize_model(data: Union[bytes, str]) -> ForestModel:
         raise CorruptModel("model must carry a nonempty tree list")
     if not isinstance(seed, int):
         raise CorruptModel("hyperparams.seed must be an integer")
-    for i, tree in enumerate(trees):
-        _validate_tree(tree, f"trees[{i}]", hp.max_depth)
     return ForestModel(
         trees=tuple(trees),
         hyperparams=hp,

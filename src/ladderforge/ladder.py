@@ -18,9 +18,11 @@ import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
+import numpy as np
+
 from .complexity import SegmentFeatures
 from .errors import LadderforgeError
-from .forest import ForestModel, feature_vector, predict
+from .forest import N_FEATURES, ForestModel, feature_vector, predict
 from .table import finite_float, read_table
 
 __all__ = [
@@ -191,11 +193,10 @@ def predict_grid(
             f"expected (quality, time) models, got "
             f"({quality_model.target_kind!r}, {time_model.target_kind!r})"
         )
-    entries = {}
-    for r in resolutions:
-        for b in bitrates:
-            x = feature_vector(features, r, b)
-            entries[(r, b)] = (predict(quality_model, x), predict(time_model, x))
+    cells = [(r, b) for r in resolutions for b in bitrates]
+    x = np.array([feature_vector(features, r, b) for r, b in cells]).reshape(-1, N_FEATURES)
+    quality, time = predict(quality_model, x).tolist(), predict(time_model, x).tolist()
+    entries = dict(zip(cells, zip(quality, time)))
     return PredictionGrid(tuple(sorted(resolutions)), tuple(sorted(bitrates)), entries)
 
 

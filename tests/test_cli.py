@@ -428,6 +428,24 @@ def test_write_json_refuses_non_finite_numbers(tmp_path):
     assert not (tmp_path / "x.json").exists()
 
 
+def test_failed_write_keeps_the_old_file_and_leaves_no_temp_file(tmp_path):
+    path = tmp_path / "report.json"
+    path.write_text("old\n")
+
+    def write_half(handle):
+        handle.write("new, but only half of it")
+        handle.flush()
+        raise OSError(28, "No space left on device")
+
+    with pytest.raises(OSError, match="No space left"):
+        cli._write_file(path, write_half)
+    assert path.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+    cli._write_json(path, {"delta": 1.5})
+    assert json.loads(path.read_text()) == {"delta": 1.5}
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
 def test_oversized_field_and_undecodable_bytes_are_data_errors(tmp_path, capsys):
     big = tmp_path / "big.csv"
     big.write_text(TRAIN_HEADER + "x" * 200_000 + ",1,0.1,120.0,720,1.6,none,quality,50\n")
@@ -468,6 +486,9 @@ def test_worker_count_follows_cpu_affinity(monkeypatch):
 _DEEP_MODEL = serialize_model(
     ForestModel(({"v": 1.0},), Hyperparams(n_trees=1), 0, "time", "none")
 ).replace(b'{"v":1.0}', b'{"f":0,"t":0.0,"l":{"v":0.0},"r":' * 3000 + b'{"v":1.0}' + b"}" * 3000)
+# JSON booleans where the wire format wants numbers.
+_STUMP = serialize_model(ForestModel(
+    ({"f": 0, "t": 1.0, "l": {"v": 0.5}, "r": {"v": 2.0}},), Hyperparams(n_trees=1), 0, "time", "none"))
 
 
 @pytest.mark.parametrize("target, content", [
@@ -475,8 +496,13 @@ _DEEP_MODEL = serialize_model(
     pytest.param("model", b"\xff\xfe", id="model-not-utf8"),
     pytest.param("model", b"{not json", id="model-not-json"),
     pytest.param("model", _DEEP_MODEL, id="model-3000-levels"),
+    pytest.param("model", _STUMP.replace(b'"f":0', b'"f":true'), id="model-boolean-feature"),
+    pytest.param("model", _STUMP.replace(b'"t":1.0', b'"t":true'), id="model-boolean-threshold"),
+    pytest.param("model", _STUMP.replace(b'"v":0.5', b'"v":false'), id="model-boolean-leaf"),
     pytest.param("config", b"\xff\xfe", id="config-not-utf8"),
     pytest.param("config", b"[" * 3000 + b"]" * 3000, id="config-3000-levels"),
+    pytest.param("config", b'{"bitrates_mbps": ["x"]}', id="config-bitrate-not-a-number"),
+    pytest.param("config", b'{"tau_l": null}', id="config-tau-null"),
     pytest.param("out", b"", id="out-is-a-file"),
 ])
 def test_unusable_input_files_are_data_errors_naming_the_path(tmp_path, capsys, target, content):

@@ -245,6 +245,9 @@ def test_deserialize_rejects_bad_payloads():
     doc["trees"] = [{"v": 1.0, "extra": 2}]
     with pytest.raises(CorruptModel):
         deserialize_model(json.dumps(doc))
+    doc["trees"] = []
+    with pytest.raises(CorruptModel, match="nonempty tree list"):
+        deserialize_model(json.dumps(doc))
     # fit never splits a node at depth max_depth (12 here): a 13th split is corrupt.
     tree = {"v": 1.0}
     for _ in range(12):
@@ -254,6 +257,85 @@ def test_deserialize_rejects_bad_payloads():
     doc["trees"] = [{"f": 0, "t": 0.0, "l": {"v": 0.0}, "r": tree}]
     with pytest.raises(CorruptModel, match="deeper than max_depth 12"):
         deserialize_model(json.dumps(doc))
+
+
+def _walk_one_row(model, x):
+    """Reference predictor: each tree walked as nested dicts, outputs summed in tree order."""
+    total = 0.0
+    for node in model.trees:
+        while "v" not in node:
+            node = node["l"] if x[node["f"]] <= node["t"] else node["r"]
+        total += node["v"]
+    upper = 100.0 if model.target_kind == "quality" else math.inf
+    return min(upper, max(0.0, total / len(model.trees)))
+
+
+def _splits(node):
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if "v" not in node:
+            yield node["f"], node["t"]
+            stack += [node["l"], node["r"]]
+
+
+@pytest.mark.parametrize("kind", ["quality", "time"])
+def test_batched_predict_equals_per_row_bit_for_bit(kind):
+    rng = np.random.default_rng(21)
+    scale = 1.0 if kind == "quality" else 0.01
+    records = _random_records(rng, 150, kind=kind,
+                              target_fn=lambda e, h, l, r, b: scale * (5 + e * 10 + h * r / 100))
+    model = fit(records, Hyperparams(n_trees=7, max_depth=8), seed=9)
+    rows = [rng.uniform(-1, 12, 5) for _ in range(100)]
+    # x == t goes left, so rows exactly on a split's threshold probe both sides.
+    for tree in model.trees:
+        for f, t in _splits(tree):
+            row = rng.uniform(-1, 12, 5)
+            row[f] = t
+            rows.append(row)
+    rows += [np.full(5, 1e300), np.full(5, -1e300), np.zeros(5)]
+    x = np.array(rows)
+    batch = predict(model, x)
+    assert batch.shape == (len(rows),)
+    for i, row in enumerate(x):
+        one = predict(model, row)
+        assert type(one) is float
+        assert one == batch[i] == _walk_one_row(model, row)
+    assert predict(model, x[:0]).shape == (0,)
+    with pytest.raises(InvalidRecord):
+        predict(model, np.zeros((2, 4)))
+
+
+@pytest.mark.parametrize("tree, message", [
+    ([1.0], r"trees\[0\]: node must be an object"),
+    ({"v": True}, r"trees\[0\]: leaf value must be a finite number"),
+    ({"v": math.inf}, r"trees\[0\]: leaf value must be a finite number"),
+    ({"f": 0, "t": 1.0, "l": {"v": 1.0}}, r"trees\[0\]: node keys must be exactly"),
+    ({"f": True, "t": 1.0, "l": {"v": 1.0}, "r": {"v": 2.0}}, r"trees\[0\]: feature index"),
+    ({"f": 5, "t": 1.0, "l": {"v": 1.0}, "r": {"v": 2.0}}, r"trees\[0\]: feature index"),
+    ({"f": 0, "t": False, "l": {"v": 1.0}, "r": {"v": 2.0}}, r"trees\[0\]: threshold must be"),
+    ({"f": 0, "t": 10**400, "l": {"v": 1.0}, "r": {"v": 2.0}}, r"trees\[0\]: int too large"),
+    ({"f": 0, "t": 1.0, "l": {"v": 1.0}, "r": {"f": 1, "t": 0.5, "l": {"v": 1}, "r": {"v": "x"}}},
+     r"trees\[0\]\.r\.r: leaf value"),
+    ({"f": 0, "t": 1.0, "l": {"f": 1, "t": 0.5, "l": None, "r": {"v": 1}}, "r": {"v": 2.0}},
+     r"trees\[0\]\.l\.l: node must be an object"),
+], ids=["list-node", "bool-leaf", "inf-leaf", "missing-key", "bool-feature", "feature-5",
+        "bool-threshold", "huge-threshold", "nested-bad-leaf", "nested-null"])
+def test_constructing_a_model_checks_its_trees(tree, message):
+    with pytest.raises(CorruptModel, match=message):
+        ForestModel((tree,), Hyperparams(n_trees=1), 0, "quality", "none")
+
+
+def test_too_deep_tree_error_names_its_full_path():
+    deep = {"v": 1.0}
+    for _ in range(4):
+        deep = {"f": 2, "t": 0.5, "l": {"f": 1, "t": 0.0, "l": {"v": 0.0}, "r": {"v": 3.0}}, "r": deep}
+    trees = ({"v": 1.0}, {"f": 0, "t": 0.0, "l": {"v": 0.0}, "r": deep})
+    with pytest.raises(CorruptModel) as excinfo:
+        ForestModel(trees, Hyperparams(n_trees=2, max_depth=4), 0, "time", "none")
+    assert str(excinfo.value) == "trees[1].r.r.r.l: tree is deeper than max_depth 4"
+    model = ForestModel(trees, Hyperparams(n_trees=2, max_depth=9), 0, "time", "none")
+    assert predict(model, (1.0, 1.0, 0.0, 0.0, 0.0)) == 2.0
 
 
 def test_deserialize_ignores_unknown_toplevel_keys():
