@@ -18,9 +18,6 @@ from .complexity import (
 from .config import (
     DEFAULT_BITRATES_MBPS,
     DEFAULT_RESOLUTIONS,
-    JND_STEPS,
-    LATENCY_TIERS_S,
-    QUALITY_CAPS,
     RunConfig,
 )
 from .errors import LadderforgeError
@@ -80,9 +77,6 @@ __all__ = [
     "DEFAULT_BITRATES_MBPS",
     "DEFAULT_HLS_PAIRING",
     "DEFAULT_RESOLUTIONS",
-    "JND_STEPS",
-    "LATENCY_TIERS_S",
-    "QUALITY_CAPS",
     "EvaluatedRep",
     "EvaluatedSegment",
     "ForestModel",

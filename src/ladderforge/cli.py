@@ -283,11 +283,12 @@ def cmd_train(args) -> int:
         train_idx, test_idx = _holdout_split(len(group), args.holdout, config.seed)
         train_set = [group[i] for i in train_idx]
         test_set = [group[i] for i in test_idx]
-        model = forest.fit(train_set, config.hyperparams(), seed=config.seed)
-        doc = json.loads(forest.serialize_model(model))
-        doc["config"] = config.to_dict()
+        try:
+            model = forest.fit(train_set, config.hyperparams(), seed=config.seed)
+        except forest.InvalidRecord as exc:
+            raise forest.InvalidRecord(f"{args.training_csv}: {exc}") from None
         path = out_dir / f"model_{target_kind}_{vsr_tag}.json"
-        text = json.dumps(doc, separators=(",", ":")) + "\n"
+        text = forest.serialize_model(model, {"config": config.to_dict()}).decode("ascii") + "\n"
         _write_file(path, lambda handle: handle.write(text))
         if test_set:
             stats = forest.evaluate(model, test_set)

@@ -3,8 +3,8 @@
 Defaults mirror the standard evaluation setup: four encode resolutions, the
 twelve-rung bitrate set, a 2-second latency budget, a 6-point noticeable
 difference paired with a 94-point lossless cap, and 4-second segments.  The
-canonical latency tiers are 1, 2, 4 and 8 seconds plus unbounded, and the
-supported (step, cap) pruning pairs are (2, 98), (4, 96) and (6, 94).
+paper's latency tiers are 1, 2, 4 and 8 seconds plus unbounded, and its
+(step, cap) pruning pairs are (2, 98), (4, 96) and (6, 94).
 
 A config file is a flat JSON object over the :class:`RunConfig` field names;
 CLI flags override file values, which override the defaults.  ``tau_l``
@@ -25,9 +25,6 @@ from .forest import VSR_TAGS, Hyperparams
 __all__ = [
     "DEFAULT_RESOLUTIONS",
     "DEFAULT_BITRATES_MBPS",
-    "LATENCY_TIERS_S",
-    "JND_STEPS",
-    "QUALITY_CAPS",
     "ConfigError",
     "RunConfig",
     "parse_tau",
@@ -38,9 +35,6 @@ DEFAULT_BITRATES_MBPS: tuple[float, ...] = (
     0.145, 0.300, 0.600, 0.900, 1.600, 2.400,
     3.400, 4.500, 5.800, 8.100, 11.600, 16.800,
 )
-LATENCY_TIERS_S: tuple[float, ...] = (1.0, 2.0, 4.0, 8.0, math.inf)
-JND_STEPS: tuple[float, ...] = (2.0, 4.0, 6.0)
-QUALITY_CAPS: tuple[float, ...] = (98.0, 96.0, 94.0)
 
 
 class ConfigError(LadderforgeError):

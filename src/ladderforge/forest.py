@@ -17,7 +17,10 @@ tree order.  Splits minimise the summed child squared error (equivalently,
 maximise variance reduction) over the midpoints of sorted unique values of
 each candidate feature; ties go to the lowest feature index, then the lowest
 threshold.  Growth stops at ``max_depth``, ``min_samples_leaf`` or zero
-target variance.
+target variance.  Each tree sorts every feature once, over its bootstrap
+sample, and each split partitions those orders stably (the presorted CART of
+SLIQ), so a node scores all its candidate features in one 2-D pass without
+sorting.  ``fit`` refuses targets whose squared sums would overflow.
 
 Trees are stored in their wire format: internal nodes
 ``{"f": idx, "t": thr, "l": ..., "r": ...}`` (x[f] <= thr goes left) and
@@ -27,11 +30,12 @@ so equal seeds yield byte-identical artifacts.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from array import array
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -218,78 +222,59 @@ def _records_matrix(records: Sequence[TrainingRecord]) -> tuple[np.ndarray, np.n
     return x, np.array([rec.target for rec in records], dtype=np.float64)
 
 
-def _best_split_for_feature(
-    xv: np.ndarray, yv: np.ndarray, min_samples_leaf: int
-) -> tuple[float, float] | None:
-    """Lowest-SSE threshold for one feature, or None if nothing is splittable.
-
-    Candidate thresholds are the midpoints between consecutive distinct
-    sorted values; both children must keep at least ``min_samples_leaf``
-    samples.  Returns (summed child SSE, threshold).
-    """
-    n = xv.size
-    order = np.argsort(xv, kind="stable")
-    xs = xv[order]
-    ys = yv[order]
-    cuts = np.nonzero(xs[:-1] < xs[1:])[0]
-    if cuts.size:
-        left_n = cuts + 1
-        keep = (left_n >= min_samples_leaf) & (n - left_n >= min_samples_leaf)
-        cuts = cuts[keep]
-    if not cuts.size:
-        return None
-    csum = np.cumsum(ys)
-    csum2 = np.cumsum(ys * ys)
-    left_n = (cuts + 1).astype(np.float64)
-    right_n = n - left_n
-    left_sum = csum[cuts]
-    left_sum2 = csum2[cuts]
-    sse = (
-        (left_sum2 - left_sum * left_sum / left_n)
-        + ((csum2[-1] - left_sum2) - (csum[-1] - left_sum) ** 2 / right_n)
-    )
-    best = int(np.argmin(sse))  # first minimum -> lowest threshold
-    cut = cuts[best]
-    threshold = (xs[cut] + xs[cut + 1]) / 2.0
-    return float(sse[best]), float(threshold)
-
-
-def _build_node(
-    x: np.ndarray,
-    y: np.ndarray,
-    idx: np.ndarray,
-    depth: int,
-    hp: Hyperparams,
-    rng: SplitMix64,
-) -> dict:
-    yv = y[idx]
-    if (
-        depth >= hp.max_depth
-        or idx.size < 2 * hp.min_samples_leaf
-        or yv.min() == yv.max()
-    ):
-        return {"v": float(yv.mean())}
-    best: tuple[float, int, float] | None = None
-    for f in sorted(rng.subset(hp.features_per_split, N_FEATURES)):
-        found = _best_split_for_feature(x[idx, f], yv, hp.min_samples_leaf)
-        if found is not None and (best is None or found[0] < best[0]):
-            best = (found[0], f, found[1])
-    if best is None:
-        return {"v": float(yv.mean())}
-    _, feature, threshold = best
-    go_left = x[idx, feature] <= threshold
-    left = _build_node(x, y, idx[go_left], depth + 1, hp, rng)
-    right = _build_node(x, y, idx[~go_left], depth + 1, hp, rng)
-    return {"f": feature, "t": threshold, "l": left, "r": right}
-
-
 def _grow_tree(x: np.ndarray, y: np.ndarray, hp: Hyperparams, rng: SplitMix64) -> dict:
-    n = x.shape[0]
-    if hp.bootstrap:
-        idx = rng.integers_below(n, n)
-    else:
-        idx = np.arange(n, dtype=np.intp)
-    return _build_node(x, y, idx, 0, hp, rng)
+    """Grow one tree on a bootstrap sample of n positions, presorted as in SLIQ
+    (Mehta et al., EDBT 1996).  A node is a ``(N_FEATURES + 1, m)`` matrix of
+    its positions: row f sorted by feature f with ties in bootstrap order, the
+    last row in bootstrap order.  A split partitions every row stably, so the
+    children stay sorted and no node sorts anything."""
+    n, k = x.shape[0], hp.features_per_split
+    idx = rng.integers_below(n, n) if hp.bootstrap else np.arange(n, dtype=np.intp)
+    xb, yb = x[idx].T, y[idx]
+    table = np.concatenate([xb.ravel(), yb, yb * yb])  # n values each
+    # Table offsets of a sorted feature subset's values, then of y and y * y.
+    offsets = {fs: np.array([[f * n for f in fs], [N_FEATURES * n] * k,
+                             [(N_FEATURES + 1) * n] * k])[:, :, None]
+               for fs in itertools.combinations(range(N_FEATURES), k)}
+    counts = np.arange(1.0, n + 1.0)  # counts[c] = c + 1, as float64 like the sums
+    goes_left = np.empty(n, dtype=bool)
+
+    def grow(rows: np.ndarray, depth: int) -> dict:
+        yv = yb[rows[-1]]
+        m = yv.size
+        if depth >= hp.max_depth or m < 2 * hp.min_samples_leaf or yv.min() == yv.max():
+            return {"v": float(yv.sum() / m)}  # equals yv.mean(), without its overhead
+        features = tuple(sorted(rng.subset(k, N_FEATURES)))
+        order = rows[features, :]
+        gathered = table[order + offsets[features]]
+        xs = gathered[0]
+        csum, csum2 = gathered[1:].cumsum(axis=2)
+        # Cut c sends the c + 1 lowest positions left; each side keeps min_samples_leaf.
+        lo, hi = hp.min_samples_leaf - 1, m - hp.min_samples_leaf
+        left_n, right_n = counts[lo:hi], counts[m - hi - 1:m - lo - 1][::-1]
+        left_sum, left_sum2 = csum[:, lo:hi], csum2[:, lo:hi]
+        sse = (
+            (left_sum2 - left_sum * left_sum / left_n)
+            + ((csum2[:, -1:] - left_sum2) - (csum[:, -1:] - left_sum) ** 2 / right_n)
+        )
+        # Only cuts between distinct values count.  The first minimum in row-major
+        # order is the lowest feature, then the lowest threshold, among equal SSEs.
+        sse = np.where(xs[:, lo:hi] < xs[:, lo + 1:hi + 1], sse, np.inf)
+        j, cut = divmod(int(sse.argmin()), hi - lo)
+        if sse[j, cut] == np.inf:
+            return {"v": float(yv.sum() / m)}
+        cut += lo
+        threshold = float((xs[j, cut] + xs[j, cut + 1]) / 2.0)
+        # The midpoint can round up to the upper value, so x <= threshold decides.
+        n_left = int(xs[j].searchsorted(threshold, "right"))
+        goes_left[order[j, :n_left]] = True
+        goes_left[order[j, n_left:]] = False
+        left = goes_left[rows]  # a mask's entries keep each row's order
+        return {"f": features[j], "t": threshold,
+                "l": grow(rows[left].reshape(N_FEATURES + 1, n_left), depth + 1),
+                "r": grow(rows[~left].reshape(N_FEATURES + 1, m - n_left), depth + 1)}
+
+    return grow(np.vstack([np.argsort(xb, axis=1, kind="stable"), np.arange(n)]), 0)
 
 
 def fit(
@@ -308,6 +293,11 @@ def fit(
             f"records mix target kinds {sorted(kinds)} / vsr tags {sorted(tags)}"
         )
     x, y = _records_matrix(records)
+    # Every sum and square the split search forms is at most (n * max|y|)**2.
+    top = float(np.abs(y).max())
+    reach = len(y) * top
+    if not math.isfinite(reach * reach):
+        raise InvalidRecord(f"targets up to {top:g} overflow the split search over {len(y)} records")
     master = SplitMix64(seed)
     tree_seeds = [master.next_u64() for _ in range(hp.n_trees)]
     trees = tuple(_grow_tree(x, y, hp, SplitMix64(s)) for s in tree_seeds)
@@ -355,8 +345,9 @@ def evaluate(model: ForestModel, records: Sequence[TrainingRecord]) -> Evaluatio
     return EvaluationStats(mae=float(errors.mean()), sd=float(errors.std()))
 
 
-def serialize_model(model: ForestModel) -> bytes:
-    """Canonical versioned JSON; byte-stable for identical training runs."""
+def serialize_model(model: ForestModel, provenance: Mapping[str, object] | None = None) -> bytes:
+    """Canonical versioned JSON; byte-stable for identical training runs.
+    ``provenance`` adds top-level keys after ``trees``, which loading ignores."""
     hp = model.hyperparams
     doc = {
         "version": MODEL_FORMAT_VERSION,
@@ -371,6 +362,7 @@ def serialize_model(model: ForestModel) -> bytes:
             "seed": model.seed,
         },
         "trees": list(model.trees),
+        **(provenance or {}),
     }
     return json.dumps(doc, separators=(",", ":"), allow_nan=False).encode("ascii")
 
@@ -469,6 +461,8 @@ def deserialize_model(data: Union[bytes, str]) -> ForestModel:
         raise CorruptModel(f"unknown target_kind/vsr_tag: {target_kind!r}/{vsr_tag!r}")
     if not isinstance(trees, list) or not trees:
         raise CorruptModel("model must carry a nonempty tree list")
+    if len(trees) != hp.n_trees:
+        raise CorruptModel(f"hyperparams.n_trees is {hp.n_trees} but the model has {len(trees)} trees")
     if not isinstance(seed, int):
         raise CorruptModel("hyperparams.seed must be an integer")
     return ForestModel(

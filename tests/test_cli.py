@@ -410,6 +410,16 @@ def test_train_rejects_non_finite_feature_naming_file_and_line(tmp_path, capsys)
     assert not list(out.iterdir())
 
 
+def test_train_rejects_overflowing_targets_naming_the_file(tmp_path, capsys):
+    csv_path = tmp_path / "train.csv"
+    csv_path.write_text(TRAIN_HEADER + "".join(
+        f"r{i},{i}.0,0.1,120.0,720,1.6,none,time,{1e200 * (i + 1)!r}\n" for i in range(5)))
+    out = tmp_path / "models"
+    assert run("train", str(csv_path), "--out", str(out)) == 2
+    assert f"{csv_path}: targets up to 5e+200 overflow" in capsys.readouterr().err
+    assert not list(out.iterdir())
+
+
 def test_evaluate_rejects_non_finite_time_and_writes_no_report(tmp_path, capsys):
     base = _eval_csv(tmp_path / "base.csv", "default", 6)
     cand = _eval_csv(tmp_path / "cand.csv", "tuned", 6)
@@ -499,6 +509,7 @@ _STUMP = serialize_model(ForestModel(
     pytest.param("model", _STUMP.replace(b'"f":0', b'"f":true'), id="model-boolean-feature"),
     pytest.param("model", _STUMP.replace(b'"t":1.0', b'"t":true'), id="model-boolean-threshold"),
     pytest.param("model", _STUMP.replace(b'"v":0.5', b'"v":false'), id="model-boolean-leaf"),
+    pytest.param("model", _STUMP.replace(b'"n_trees":1', b'"n_trees":7'), id="model-tree-count-mismatch"),
     pytest.param("config", b"\xff\xfe", id="config-not-utf8"),
     pytest.param("config", b"[" * 3000 + b"]" * 3000, id="config-3000-levels"),
     pytest.param("config", b'{"bitrates_mbps": ["x"]}', id="config-bitrate-not-a-number"),

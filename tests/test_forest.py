@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ladderforge.complexity import SegmentFeatures
 from ladderforge.forest import (
@@ -24,6 +26,7 @@ from ladderforge.forest import (
     predict,
     serialize_model,
 )
+from ladderforge.rng import SplitMix64
 
 
 def _record(e=1.0, h=0.5, l=128.0, r=1080, b=2.4, target=50.0, kind="quality", vsr="none"):
@@ -248,6 +251,11 @@ def test_deserialize_rejects_bad_payloads():
     doc["trees"] = []
     with pytest.raises(CorruptModel, match="nonempty tree list"):
         deserialize_model(json.dumps(doc))
+    doc["trees"] = [{"v": 1.0}]
+    doc["hyperparams"]["n_trees"] = 7
+    with pytest.raises(CorruptModel, match="n_trees is 7 but the model has 1 trees"):
+        deserialize_model(json.dumps(doc))
+    doc["hyperparams"]["n_trees"] = 1
     # fit never splits a node at depth max_depth (12 here): a 13th split is corrupt.
     tree = {"v": 1.0}
     for _ in range(12):
@@ -344,6 +352,13 @@ def test_deserialize_ignores_unknown_toplevel_keys():
     doc["config"] = {"anything": True}
     clone = deserialize_model(json.dumps(doc))
     assert predict(clone, (0,) * 5) == 7.0
+    # serialize_model writes such keys itself, after the trees, in one pass.
+    provenance = {"config": {"tau_l": "inf", "bitrates_mbps": [0.145, 16.8], "v_j": None}}
+    doc.update(provenance)
+    blob = serialize_model(model, provenance)
+    assert blob == json.dumps(doc, separators=(",", ":")).encode()
+    assert list(json.loads(blob))[-2:] == ["trees", "config"]
+    assert predict(deserialize_model(blob), (0,) * 5) == 7.0
 
 
 TRAIN_CSV = """segment_id,E_Y,h,L_Y,resolution,bitrate_mbps,vsr_tag,target_kind,target
@@ -368,3 +383,134 @@ def test_load_training_csv_reports_line_numbers():
         load_training_csv(["a,b\n", "1,2\n"])
     with pytest.raises(SchemaError, match="line 3"):
         load_training_csv(TRAIN_CSV.splitlines(True), resolutions=(1080, 2160))
+
+
+def test_fit_refuses_targets_whose_squared_sums_overflow():
+    with pytest.raises(InvalidRecord, match="overflow"):
+        fit([_record(e=float(i), target=1e200, kind="time") for i in range(4)])
+    # n * sum(y * y) is finite here (1.47e308), but a bootstrap that draws the
+    # large target twice sums to 1.4e154, whose square overflows.
+    records = [_record(e=float(i), target=t, kind="time") for i, t in enumerate((7e153, 1.0, 1.0))]
+    with pytest.raises(InvalidRecord, match="overflow"):
+        fit(records)
+    # Just inside the bound the split search stays finite throughout.
+    top = 0.9 * math.sqrt(np.finfo(float).max) / 40
+    records = [_record(e=float(i), h=float(i % 3), target=top * (1 + i % 5) / 5, kind="time")
+               for i in range(40)]
+    with np.errstate(over="raise", invalid="raise"):
+        model = fit(records, Hyperparams(n_trees=3, min_samples_leaf=1), seed=2)
+    assert all(0 < v <= top for v in predict(model, np.array([feature_vector(r, r.resolution, r.bitrate)
+                                                              for r in records])))
+
+
+# The per-feature recursive builder that fit used before it presorted, kept
+# as the reference its models must equal byte for byte.
+
+def _reference_best_split(xv, yv, min_samples_leaf):
+    n = xv.size
+    order = np.argsort(xv, kind="stable")
+    xs = xv[order]
+    ys = yv[order]
+    cuts = np.nonzero(xs[:-1] < xs[1:])[0]
+    if cuts.size:
+        left_n = cuts + 1
+        keep = (left_n >= min_samples_leaf) & (n - left_n >= min_samples_leaf)
+        cuts = cuts[keep]
+    if not cuts.size:
+        return None
+    csum = np.cumsum(ys)
+    csum2 = np.cumsum(ys * ys)
+    left_n = (cuts + 1).astype(np.float64)
+    right_n = n - left_n
+    left_sum = csum[cuts]
+    left_sum2 = csum2[cuts]
+    sse = (
+        (left_sum2 - left_sum * left_sum / left_n)
+        + ((csum2[-1] - left_sum2) - (csum[-1] - left_sum) ** 2 / right_n)
+    )
+    best = int(np.argmin(sse))
+    cut = cuts[best]
+    return float(sse[best]), float((xs[cut] + xs[cut + 1]) / 2.0)
+
+
+def _reference_node(x, y, idx, depth, hp, rng):
+    yv = y[idx]
+    if depth >= hp.max_depth or idx.size < 2 * hp.min_samples_leaf or yv.min() == yv.max():
+        return {"v": float(yv.mean())}
+    best = None
+    for f in sorted(rng.subset(hp.features_per_split, 5)):
+        found = _reference_best_split(x[idx, f], yv, hp.min_samples_leaf)
+        if found is not None and (best is None or found[0] < best[0]):
+            best = (found[0], f, found[1])
+    if best is None:
+        return {"v": float(yv.mean())}
+    _, feature, threshold = best
+    go_left = x[idx, feature] <= threshold
+    return {"f": feature, "t": threshold,
+            "l": _reference_node(x, y, idx[go_left], depth + 1, hp, rng),
+            "r": _reference_node(x, y, idx[~go_left], depth + 1, hp, rng)}
+
+
+def _reference_fit_bytes(records, hp, seed):
+    x = np.array([feature_vector(r, r.resolution, r.bitrate) for r in records])
+    y = np.array([r.target for r in records])
+    master = SplitMix64(seed)
+    trees = []
+    for tree_seed in [master.next_u64() for _ in range(hp.n_trees)]:
+        rng = SplitMix64(tree_seed)
+        idx = rng.integers_below(len(records), len(records)) if hp.bootstrap else np.arange(len(records))
+        trees.append(_reference_node(x, y, idx, 0, hp, rng))
+    rec = records[0]
+    return serialize_model(ForestModel(tuple(trees), hp, seed, rec.target_kind, rec.vsr_tag))
+
+
+def _outcome(train):
+    """The model bytes, or the error class if training fails."""
+    try:
+        return train()
+    except (InvalidRecord, CorruptModel) as exc:
+        return type(exc)
+
+
+@st.composite
+def _training_sets(draw):
+    n = draw(st.integers(2, 40))
+
+    def column(values):
+        # A one-value pool makes a constant column; a small pool, many ties;
+        # a value and its float neighbour, a midpoint that rounds.
+        pool = draw(st.one_of(
+            st.lists(values, min_size=1, max_size=draw(st.sampled_from([1, 3, 40]))),
+            values.map(lambda v: [v, math.nextafter(v, math.inf)]),
+        ))
+        return draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+
+    kind = draw(st.sampled_from(["quality", "time"]))
+    e = column(st.floats(0, 70))
+    h = e if draw(st.booleans()) else column(st.floats(0, 15))  # a duplicated column
+    l = column(st.floats(16, 235))
+    r = column(st.sampled_from([360, 720, 1080, 2160]))
+    b = column(st.floats(0.145, 16.8))
+    t = column(st.floats(0, 100) if kind == "quality" else st.floats(1e-3, 1e3))
+    return [_record(*row, kind=kind) for row in zip(e, h, l, r, b, t)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    records=_training_sets(),
+    n_trees=st.integers(1, 3),
+    max_depth=st.integers(1, 8),
+    min_samples_leaf=st.integers(1, 3),
+    features_per_split=st.integers(1, 5),
+    bootstrap=st.booleans(),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_presorted_fit_equals_the_per_feature_builder(
+    records, n_trees, max_depth, min_samples_leaf, features_per_split, bootstrap, seed
+):
+    hp = Hyperparams(n_trees, max_depth, min_samples_leaf, features_per_split, bootstrap)
+    # A midpoint that rounds up to the upper value can leave a child empty; its
+    # leaf value is then nan and both builders fail with CorruptModel.
+    with np.errstate(all="ignore"):
+        expected = _outcome(lambda: _reference_fit_bytes(records, hp, seed))
+        assert _outcome(lambda: serialize_model(fit(records, hp, seed))) == expected
