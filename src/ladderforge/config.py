@@ -8,7 +8,8 @@ paper's latency tiers are 1, 2, 4 and 8 seconds plus unbounded, and its
 
 A config file is a flat JSON object over the :class:`RunConfig` field names;
 CLI flags override file values, which override the defaults.  ``tau_l``
-accepts the string ``"inf"`` for an unbounded budget.
+accepts the string ``"inf"`` for an unbounded budget; every other number
+must be finite.
 """
 
 from __future__ import annotations
@@ -65,22 +66,20 @@ class RunConfig:
             raise ConfigError("resolutions must be a nonempty ascending set")
         if not bitrates or list(bitrates) != sorted(set(bitrates)):
             raise ConfigError("bitrates_mbps must be a nonempty ascending set")
-        if any(r <= 0 for r in resolutions) or any(b <= 0 for b in bitrates):
-            raise ConfigError("resolutions and bitrates must be positive")
-        if self.tau_l <= 0:
+        if any(r <= 0 for r in resolutions) or not all(0 < b < math.inf for b in bitrates):
+            raise ConfigError("resolutions and bitrates must be positive, bitrates finite")
+        if not self.tau_l > 0:  # inf is a valid budget, nan is not
             raise ConfigError(f"tau_l must be positive, got {self.tau_l}")
-        if self.v_j is not None and self.v_j <= 0:
-            raise ConfigError(f"v_j must be positive, got {self.v_j}")
+        for name in ("v_j", "block_size", "kappa", "segment_duration_s"):
+            value = getattr(self, name)
+            if value is not None and not 0 < value < math.inf:
+                raise ConfigError(f"{name} must be positive and finite, got {value}")
+        if self.v_t is not None and not math.isfinite(self.v_t):
+            raise ConfigError(f"v_t must be finite, got {self.v_t}")
         if self.v_j is not None and self.v_t is None:
             raise ConfigError("pruning needs both v_j and v_t; v_t is unset")
         if self.vsr_tag not in VSR_TAGS:
             raise ConfigError(f"vsr_tag must be one of {VSR_TAGS}, got {self.vsr_tag!r}")
-        if self.block_size <= 0:
-            raise ConfigError(f"block_size must be positive, got {self.block_size}")
-        if self.kappa <= 0:
-            raise ConfigError(f"kappa must be positive, got {self.kappa}")
-        if self.segment_duration_s <= 0:
-            raise ConfigError(f"segment_duration_s must be positive, got {self.segment_duration_s}")
         object.__setattr__(self, "resolutions", resolutions)
         object.__setattr__(self, "bitrates_mbps", bitrates)
         # Hyperparameter bounds are enforced by the forest module.
@@ -97,7 +96,7 @@ class RunConfig:
             if "tau_l" in values:
                 values["tau_l"] = parse_tau(values["tau_l"])
             return cls(**values)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(str(exc)) from None
 
     @classmethod

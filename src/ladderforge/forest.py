@@ -30,7 +30,6 @@ so equal seeds yield byte-identical artifacts.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from array import array
@@ -231,11 +230,6 @@ def _grow_tree(x: np.ndarray, y: np.ndarray, hp: Hyperparams, rng: SplitMix64) -
     n, k = x.shape[0], hp.features_per_split
     idx = rng.integers_below(n, n) if hp.bootstrap else np.arange(n, dtype=np.intp)
     xb, yb = x[idx].T, y[idx]
-    table = np.concatenate([xb.ravel(), yb, yb * yb])  # n values each
-    # Table offsets of a sorted feature subset's values, then of y and y * y.
-    offsets = {fs: np.array([[f * n for f in fs], [N_FEATURES * n] * k,
-                             [(N_FEATURES + 1) * n] * k])[:, :, None]
-               for fs in itertools.combinations(range(N_FEATURES), k)}
     counts = np.arange(1.0, n + 1.0)  # counts[c] = c + 1, as float64 like the sums
     goes_left = np.empty(n, dtype=bool)
 
@@ -244,11 +238,11 @@ def _grow_tree(x: np.ndarray, y: np.ndarray, hp: Hyperparams, rng: SplitMix64) -
         m = yv.size
         if depth >= hp.max_depth or m < 2 * hp.min_samples_leaf or yv.min() == yv.max():
             return {"v": float(yv.sum() / m)}  # equals yv.mean(), without its overhead
-        features = tuple(sorted(rng.subset(k, N_FEATURES)))
+        features = sorted(rng.subset(k, N_FEATURES))
         order = rows[features, :]
-        gathered = table[order + offsets[features]]
-        xs = gathered[0]
-        csum, csum2 = gathered[1:].cumsum(axis=2)
+        xs = xb[np.array(features)[:, None], order]
+        ys = yb[order]
+        csum, csum2 = ys.cumsum(1), (ys * ys).cumsum(1)
         # Cut c sends the c + 1 lowest positions left; each side keeps min_samples_leaf.
         lo, hi = hp.min_samples_leaf - 1, m - hp.min_samples_leaf
         left_n, right_n = counts[lo:hi], counts[m - hi - 1:m - lo - 1][::-1]

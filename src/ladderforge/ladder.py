@@ -22,7 +22,7 @@ import numpy as np
 
 from .complexity import SegmentFeatures
 from .errors import LadderforgeError
-from .forest import N_FEATURES, ForestModel, InvalidRecord, predict
+from .forest import N_FEATURES, ForestModel, feature_vector, predict
 from .table import finite_float, read_table
 
 __all__ = [
@@ -193,16 +193,9 @@ def predict_grid(
             f"expected (quality, time) models, got "
             f"({quality_model.target_kind!r}, {time_model.target_kind!r})"
         )
-    if any(v <= 0 for v in (*resolutions, *bitrates)):
-        raise InvalidRecord(f"resolutions and bitrates must be positive, got {resolutions}, {bitrates}")
-    # Rows equal feature_vector's, cell by cell, resolution-major.
-    x = np.empty((len(resolutions), len(bitrates), N_FEATURES))
-    x[:, :, :3] = (features.texture_energy, features.temporal_gradient, features.brightness)
-    x[:, :, 3] = [[math.log2(r)] for r in resolutions]
-    x[:, :, 4] = [math.log2(b) for b in bitrates]
-    x = x.reshape(-1, N_FEATURES)
-    quality, time = predict(quality_model, x).tolist(), predict(time_model, x).tolist()
     cells = [(r, b) for r in resolutions for b in bitrates]
+    x = np.array([feature_vector(features, r, b) for r, b in cells]).reshape(-1, N_FEATURES)
+    quality, time = predict(quality_model, x).tolist(), predict(time_model, x).tolist()
     entries = dict(zip(cells, zip(quality, time)))
     return PredictionGrid(tuple(sorted(resolutions)), tuple(sorted(bitrates)), entries)
 

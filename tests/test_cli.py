@@ -420,6 +420,20 @@ def test_train_rejects_overflowing_targets_naming_the_file(tmp_path, capsys):
     assert not list(out.iterdir())
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--kappa", "inf"], "kappa must be positive and finite, got inf"),
+    (["--vt", "nan"], "v_t must be finite, got nan"),
+    (["--vj", "nan"], "v_j must be positive and finite, got nan"),
+    (["--segment-duration", "1e999"], "segment_duration_s must be positive and finite, got inf"),
+    (["--tau", "nan"], "tau_l must be positive, got nan"),
+])
+def test_train_rejects_non_finite_config_values(tmp_path, capsys, flags, message):
+    out = tmp_path / "models"
+    assert run("train", str(_training_csv(tmp_path / "train.csv")), "--out", str(out), *flags) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists() or not list(out.iterdir())
+
+
 def test_evaluate_rejects_non_finite_time_and_writes_no_report(tmp_path, capsys):
     base = _eval_csv(tmp_path / "base.csv", "default", 6)
     cand = _eval_csv(tmp_path / "cand.csv", "tuned", 6)
@@ -513,6 +527,10 @@ _STUMP = serialize_model(ForestModel(
     pytest.param("config", b"\xff\xfe", id="config-not-utf8"),
     pytest.param("config", b"[" * 3000 + b"]" * 3000, id="config-3000-levels"),
     pytest.param("config", b'{"bitrates_mbps": ["x"]}', id="config-bitrate-not-a-number"),
+    pytest.param("config", b'{"kappa": 1e999}', id="config-infinite-kappa"),
+    pytest.param("config", b'{"v_t": NaN}', id="config-nan-cap"),
+    pytest.param("config", b'{"bitrates_mbps": [1.0, 1e999]}', id="config-infinite-bitrate"),
+    pytest.param("config", b'{"resolutions": [360, 1e999]}', id="config-infinite-resolution"),
     pytest.param("config", b'{"tau_l": null}', id="config-tau-null"),
     pytest.param("out", b"", id="out-is-a-file"),
 ])

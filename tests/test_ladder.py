@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 from conftest import prune_oracle, select_oracle
 
-from ladderforge import ladder as ladder_mod
 from ladderforge.complexity import SegmentFeatures
 from ladderforge.config import DEFAULT_BITRATES_MBPS, DEFAULT_RESOLUTIONS
-from ladderforge.forest import ForestModel, Hyperparams, InvalidRecord, feature_vector, predict
+from ladderforge.forest import ForestModel, Hyperparams, feature_vector, predict
 from ladderforge.ladder import (
     DEFAULT_HLS_PAIRING,
     EmptyLadder,
@@ -87,38 +86,6 @@ def test_grid_entries_equal_elementwise_prediction():
             x = feature_vector(features, r, b)
             assert grid.quality(r, b) == predict(quality, x)
             assert grid.time(r, b) == predict(time, x)
-
-
-def _grid_rows(monkeypatch, features, resolutions, bitrates):
-    """The feature matrix predict_grid hands to predict."""
-    seen = []
-    monkeypatch.setattr(ladder_mod, "predict", lambda model, x: seen.append(x) or np.zeros(len(x)))
-    predict_grid(_leaf_model(70, "quality"), _leaf_model(1, "time"), features, resolutions, bitrates)
-    assert seen[0] is seen[1]
-    return seen[0]
-
-
-def test_grid_rows_equal_feature_vector_per_cell_bit_for_bit(monkeypatch):
-    rng = np.random.default_rng(8)
-    resolutions = (*DEFAULT_RESOLUTIONS, 1, 3, 1081, 4320)
-    bitrates = (*DEFAULT_BITRATES_MBPS, 0.1 + 0.2, 1e-300, 3.0, 7e5)
-    for features in (SegmentFeatures(1.0, 0.2, 100.0),
-                     SegmentFeatures(*(float(v) for v in rng.uniform(0, 70, 3))),
-                     SegmentFeatures(np.float64(68.1), np.float64(1e-9), np.float64(235.0))):
-        rows = _grid_rows(monkeypatch, features, resolutions, bitrates)
-        cells = [(r, b) for r in resolutions for b in bitrates]
-        assert rows.shape == (len(cells), 5)
-        for row, (r, b) in zip(rows, cells):
-            assert row.tobytes() == feature_vector(features, r, b).tobytes()
-
-
-def test_grid_rejects_non_positive_resolutions_and_bitrates():
-    features = SegmentFeatures(1.0, 0.0, 50.0)
-    quality, time = _leaf_model(70, "quality"), _leaf_model(1, "time")
-    with pytest.raises(InvalidRecord, match="must be positive"):
-        predict_grid(quality, time, features, (360, 0), (1.0,))
-    with pytest.raises(InvalidRecord, match="must be positive"):
-        predict_grid(quality, time, features, (360,), (1.0, -1.5))
 
 
 def test_grid_rejects_mismatched_models():
