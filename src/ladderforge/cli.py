@@ -70,36 +70,21 @@ def _worker_count(n_tasks: int) -> int:
 
 
 def _load_config(args) -> RunConfig:
+    """The config file's values (or the defaults), overridden by each flag given;
+    a flag's ``dest`` is the name of the field it sets."""
     config = _read_text(args.config, RunConfig.from_file) if args.config else RunConfig()
-    overrides = {
-        "tau_l": args.tau_l,
-        "v_j": args.vj,
-        "v_t": args.vt,
-        "vsr_tag": args.vsr,
-        "seed": args.seed,
-        "block_size": args.block_size,
-        "kappa": args.kappa,
-        "segment_duration_s": args.segment_duration,
-        "n_trees": args.n_trees,
-        "max_depth": args.max_depth,
-        "min_samples_leaf": args.min_samples_leaf,
-        "features_per_split": args.features_per_split,
-    }
-    if args.vj is not None and args.vj.strip().lower() == "none":
-        config = config.merged(**{k: v for k, v in overrides.items() if k not in ("v_j", "v_t")})
-        return _without_pruning(config, args.vt)
-    if overrides["v_j"] is not None:
+    overrides = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(RunConfig)}
+    if args.v_j is not None and args.v_j.strip().lower() == "none":
+        if args.v_t is not None:
+            raise ConfigError("--vt has no effect when --vj none disables pruning")
+        config = dataclasses.replace(config, v_j=None, v_t=None)
+        overrides["v_j"] = None
+    elif args.v_j is not None:
         try:
-            overrides["v_j"] = float(overrides["v_j"])
+            overrides["v_j"] = float(args.v_j)
         except ValueError:
-            raise ConfigError(f"--vj must be a number or 'none', got {args.vj!r}") from None
+            raise ConfigError(f"--vj must be a number or 'none', got {args.v_j!r}") from None
     return config.merged(**overrides)
-
-
-def _without_pruning(config: RunConfig, vt_flag) -> RunConfig:
-    if vt_flag is not None:
-        raise ConfigError("--vt has no effect when --vj none disables pruning")
-    return dataclasses.replace(config, v_j=None, v_t=None)
 
 
 def _tau_flag(text: str) -> float:
@@ -344,6 +329,7 @@ def cmd_ladder(args) -> int:
         baseline = ladder_mod.default_hls_ladder(config.bitrates_mbps, pairing, config.vsr_tag)
         ladders.append(("baseline", baseline))
     # Distinct ids can share a file name; refuse that before writing anything.
+    config_doc = config.to_dict()
     manifests: dict[Path, dict] = {}
     for segment_id, built in ladders:
         path = out_dir / f"ladder_{_safe_filename(segment_id)}.json"
@@ -351,7 +337,7 @@ def cmd_ladder(args) -> int:
             raise LadderforgeError(f"ladders {manifests[path]['segment_id']!r} and "
                                    f"{segment_id!r} would both be written to {path}")
         manifests[path] = ladder_mod.ladder_to_manifest(built, segment_id)
-        manifests[path]["config"] = config.to_dict()
+        manifests[path]["config"] = config_doc
     for path, manifest in manifests.items():
         _write_json(path, manifest)
     print(f"built {len(feature_rows)} ladder manifest(s) in {out_dir}")
@@ -404,14 +390,15 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, help="master seed")
     parser.add_argument("--tau-l", dest="tau_l", type=_tau_flag, metavar="SECONDS",
                         help="max acceptable encode latency per rung, or 'inf'")
-    parser.add_argument("--vj", metavar="POINTS",
+    parser.add_argument("--vj", dest="v_j", metavar="POINTS",
                         help="quality step treated as noticeable; 'none' disables pruning")
-    parser.add_argument("--vt", type=float, metavar="POINTS",
+    parser.add_argument("--vt", dest="v_t", type=float, metavar="POINTS",
                         help="quality treated as perceptually lossless")
-    parser.add_argument("--vsr", choices=list(forest.VSR_TAGS), help="client upscaler context")
+    parser.add_argument("--vsr", dest="vsr_tag", choices=list(forest.VSR_TAGS),
+                        help="client upscaler context")
     parser.add_argument("--block-size", dest="block_size", type=int, help="analysis block size")
     parser.add_argument("--kappa", type=float, help="joules per encoding second")
-    parser.add_argument("--segment-duration", dest="segment_duration", type=float,
+    parser.add_argument("--segment-duration", dest="segment_duration_s", type=float,
                         metavar="SECONDS", help="segment duration for storage accounting")
     parser.add_argument("--n-trees", dest="n_trees", type=int, help=argparse.SUPPRESS)
     parser.add_argument("--max-depth", dest="max_depth", type=int, help=argparse.SUPPRESS)

@@ -9,7 +9,8 @@ paper's latency tiers are 1, 2, 4 and 8 seconds plus unbounded, and its
 A config file is a flat JSON object over the :class:`RunConfig` field names;
 CLI flags override file values, which override the defaults.  ``tau_l``
 accepts the string ``"inf"`` for an unbounded budget; every other number
-must be finite.
+must be finite.  A field whose default is an integer, and each resolution,
+must be an integer (not a float or a boolean).
 """
 
 from __future__ import annotations
@@ -60,8 +61,13 @@ class RunConfig:
     segment_duration_s: float = 4.0
 
     def __post_init__(self):
-        resolutions = tuple(int(r) for r in self.resolutions)
+        resolutions = tuple(self.resolutions)
         bitrates = tuple(float(b) for b in self.bitrates_mbps)
+        for f in dataclasses.fields(self):
+            if type(f.default) is int and type(getattr(self, f.name)) is not int:
+                raise ConfigError(f"{f.name} must be an integer, got {getattr(self, f.name)!r}")
+        if any(type(r) is not int for r in resolutions):
+            raise ConfigError(f"resolutions must be integers, got {list(resolutions)}")
         if not resolutions or list(resolutions) != sorted(set(resolutions)):
             raise ConfigError("resolutions must be a nonempty ascending set")
         if not bitrates or list(bitrates) != sorted(set(bitrates)):
@@ -111,40 +117,24 @@ class RunConfig:
 
     def merged(self, **overrides) -> "RunConfig":
         """New config with the non-None overrides applied."""
-        changes = {k: v for k, v in overrides.items() if v is not None}
-        if "tau_l" in changes:
-            changes["tau_l"] = parse_tau(changes["tau_l"])
-        return dataclasses.replace(self, **changes)
+        return dataclasses.replace(self, **{k: v for k, v in overrides.items() if v is not None})
 
     def hyperparams(self) -> Hyperparams:
+        """The forest hyperparameters this config sets, defaults for the rest."""
+        names = {f.name for f in dataclasses.fields(self)}
         try:
-            return Hyperparams(
-                n_trees=self.n_trees,
-                max_depth=self.max_depth,
-                min_samples_leaf=self.min_samples_leaf,
-                features_per_split=self.features_per_split,
-            )
+            return Hyperparams(**{f.name: getattr(self, f.name)
+                                  for f in dataclasses.fields(Hyperparams) if f.name in names})
         except LadderforgeError as exc:
             raise ConfigError(str(exc)) from None
 
     def to_dict(self) -> dict:
-        """JSON-safe provenance dict; infinity serialises as ``"inf"``."""
-        return {
-            "resolutions": list(self.resolutions),
-            "bitrates_mbps": list(self.bitrates_mbps),
-            "tau_l": "inf" if math.isinf(self.tau_l) else self.tau_l,
-            "v_j": self.v_j,
-            "v_t": self.v_t,
-            "vsr_tag": self.vsr_tag,
-            "seed": self.seed,
-            "block_size": self.block_size,
-            "n_trees": self.n_trees,
-            "max_depth": self.max_depth,
-            "min_samples_leaf": self.min_samples_leaf,
-            "features_per_split": self.features_per_split,
-            "kappa": self.kappa,
-            "segment_duration_s": self.segment_duration_s,
-        }
+        """JSON-safe provenance dict in field order; infinity serialises as ``"inf"``."""
+        doc = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        doc["resolutions"], doc["bitrates_mbps"] = list(self.resolutions), list(self.bitrates_mbps)
+        if math.isinf(self.tau_l):
+            doc["tau_l"] = "inf"
+        return doc
 
 
 def parse_tau(value: Union[str, float, int]) -> float:

@@ -33,7 +33,7 @@ from __future__ import annotations
 import json
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
@@ -342,19 +342,11 @@ def evaluate(model: ForestModel, records: Sequence[TrainingRecord]) -> Evaluatio
 def serialize_model(model: ForestModel, provenance: Mapping[str, object] | None = None) -> bytes:
     """Canonical versioned JSON; byte-stable for identical training runs.
     ``provenance`` adds top-level keys after ``trees``, which loading ignores."""
-    hp = model.hyperparams
     doc = {
         "version": MODEL_FORMAT_VERSION,
         "target_kind": model.target_kind,
         "vsr_tag": model.vsr_tag,
-        "hyperparams": {
-            "n_trees": hp.n_trees,
-            "max_depth": hp.max_depth,
-            "min_samples_leaf": hp.min_samples_leaf,
-            "features_per_split": hp.features_per_split,
-            "bootstrap": hp.bootstrap,
-            "seed": model.seed,
-        },
+        "hyperparams": {**asdict(model.hyperparams), "seed": model.seed},
         "trees": list(model.trees),
         **(provenance or {}),
     }

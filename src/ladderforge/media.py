@@ -374,8 +374,10 @@ class SyntheticSpec:
             raise InvalidSpec(f"level must be in [0, 255], got {self.level}")
         if self.period <= 0:
             raise InvalidSpec(f"period must be positive, got {self.period}")
-        if self.sigma < 0:
-            raise InvalidSpec(f"sigma must be nonnegative, got {self.sigma}")
+        if not 0 <= self.sigma < math.inf:
+            raise InvalidSpec(f"sigma must be nonnegative and finite, got {self.sigma}")
+        if not math.isfinite(self.velocity):
+            raise InvalidSpec(f"velocity must be finite, got {self.velocity}")
 
 
 def generate_synthetic(spec: SyntheticSpec) -> VideoSequence:

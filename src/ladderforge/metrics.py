@@ -20,7 +20,7 @@ is the bitrate sum times the segment duration, in megabits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -281,16 +281,9 @@ class SchemeReport:
     segments: tuple[dict, ...] = ()
 
     def to_dict(self) -> dict:
-        return {
-            "bd_rate_psnr": self.bd_rate_psnr,
-            "bd_rate_vmaf": self.bd_rate_vmaf,
-            "bd_psnr": self.bd_psnr,
-            "bd_vmaf": self.bd_vmaf,
-            "delta_energy_pct": self.delta_energy_pct,
-            "delta_storage_pct": self.delta_storage_pct,
-            "mean_segment_time_s": self.mean_segment_time_s,
-            "segments": list(self.segments),
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc["segments"] = list(self.segments)
+        return doc
 
 
 def _by_id(segments: Iterable[EvaluatedSegment], label: str) -> dict[str, EvaluatedSegment]:

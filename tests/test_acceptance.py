@@ -230,7 +230,8 @@ def test_criterion_6_end_to_end_pipeline(tmp_path, criterion):
         ) == 0
         from ladderforge.complexity import read_features_csv
 
-        rows = read_features_csv(open(feature_dir / "features.csv"))
+        with open(feature_dir / "features.csv") as handle:
+            rows = read_features_csv(handle)
         assert [sid for sid, _ in rows] == [sid for sid, _ in segment_specs]
 
         # Synthesize measured targets from a smooth ground truth + seeded noise.

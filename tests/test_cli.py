@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -10,7 +11,7 @@ import pytest
 
 from ladderforge import cli
 from ladderforge.complexity import read_features_csv, segment_features
-from ladderforge.config import DEFAULT_BITRATES_MBPS
+from ladderforge.config import DEFAULT_BITRATES_MBPS, RunConfig
 from ladderforge.forest import ForestModel, Hyperparams, serialize_model
 from ladderforge.media import SyntheticSpec, generate_synthetic
 
@@ -57,7 +58,8 @@ def test_analyze_synth_segments_match_library(tmp_path):
         "--out", str(out), "--seed", "1",
     )
     assert code == 0
-    rows = read_features_csv(open(out / "features.csv"))
+    with open(out / "features.csv") as handle:
+        rows = read_features_csv(handle)
     assert [sid for sid, _ in rows] == ["checker", "noisy"]
     expected = segment_features(
         generate_synthetic(SyntheticSpec(64, 64, 4, 30, "checkerboard"))
@@ -77,7 +79,8 @@ def test_analyze_ten_segments_match_direct_library_calls(tmp_path):
         specs.append(f"synth:{pattern}:32x32x3@30:seed={i}:id=s{i}")
     out = tmp_path / "out"
     assert run("analyze", *specs, "--out", str(out)) == 0
-    rows = read_features_csv(open(out / "features.csv"))
+    with open(out / "features.csv") as handle:
+        rows = read_features_csv(handle)
     assert len(rows) == 10
     for i, (sid, features) in enumerate(rows):
         assert sid == f"s{i}"
@@ -108,7 +111,8 @@ def test_analyze_continues_past_bad_files(tmp_path, capsys):
     code = run("analyze", str(bad), "synth:constant:16x16x1@30", "--out", str(out))
     assert code == 2
     assert "bad.y4m" in capsys.readouterr().err
-    rows = read_features_csv(open(out / "features.csv"))
+    with open(out / "features.csv") as handle:
+        rows = read_features_csv(handle)
     assert len(rows) == 1
 
 
@@ -127,7 +131,8 @@ def test_analyze_reads_y4m_and_raw_files(tmp_path):
         "--out", str(out),
     )
     assert code == 0
-    rows = read_features_csv(open(out / "features.csv"))
+    with open(out / "features.csv") as handle:
+        rows = read_features_csv(handle)
     assert rows[0][1] == rows[1][1]  # same pixels, same features
 
 
@@ -372,6 +377,39 @@ def test_unknown_config_key_rejected(tmp_path):
     assert run("analyze", "synth:constant:4x4x1@30", "--config", str(config)) == 2
 
 
+@pytest.mark.parametrize("config", [
+    pytest.param(RunConfig(), id="default"),
+    pytest.param(RunConfig(tau_l=math.inf), id="unbounded-latency"),
+    pytest.param(RunConfig(v_j=None, v_t=None), id="no-pruning"),
+])
+def test_config_dict_follows_the_fields_and_round_trips(config):
+    assert list(config.to_dict()) == [f.name for f in dataclasses.fields(RunConfig)]
+    assert RunConfig.from_mapping(json.loads(json.dumps(config.to_dict()))) == config
+
+
+_FLAG_CHANGES = [
+    (["--seed", "7"], {"seed": 7}),
+    (["--tau-l", "inf"], {"tau_l": math.inf}),
+    (["--vj", "4"], {"v_j": 4.0}),
+    (["--vj", "none"], {"v_j": None, "v_t": None}),
+    (["--vt", "96"], {"v_t": 96.0}),
+    (["--vsr", "fsrcnn"], {"vsr_tag": "fsrcnn"}),
+    (["--block-size", "16"], {"block_size": 16}),
+    (["--kappa", "2.5"], {"kappa": 2.5}),
+    (["--segment-duration", "6"], {"segment_duration_s": 6.0}),
+    (["--n-trees", "7"], {"n_trees": 7}),
+    (["--max-depth", "5"], {"max_depth": 5}),
+    (["--min-samples-leaf", "3"], {"min_samples_leaf": 3}),
+    (["--features-per-split", "2"], {"features_per_split": 2}),
+]
+
+
+@pytest.mark.parametrize("flags, changes", _FLAG_CHANGES, ids=[" ".join(f) for f, _ in _FLAG_CHANGES])
+def test_each_common_flag_sets_the_field_it_names(flags, changes):
+    args = cli.build_parser().parse_args(["evaluate", "a.csv", "b.csv", *flags])
+    assert cli._load_config(args) == dataclasses.replace(RunConfig(), **changes)
+
+
 def test_thread_env_validation(tmp_path, monkeypatch):
     monkeypatch.setenv(cli.THREADS_ENV, "zero")
     assert run("analyze", "synth:constant:4x4x1@30", "--out", str(tmp_path)) == 2
@@ -532,6 +570,11 @@ _STUMP = serialize_model(ForestModel(
     pytest.param("config", b'{"bitrates_mbps": [1.0, 1e999]}', id="config-infinite-bitrate"),
     pytest.param("config", b'{"resolutions": [360, 1e999]}', id="config-infinite-resolution"),
     pytest.param("config", b'{"tau_l": null}', id="config-tau-null"),
+    pytest.param("config", b'{"seed": 1.5}', id="config-fractional-seed"),
+    pytest.param("config", b'{"block_size": 32.5}', id="config-fractional-block-size"),
+    pytest.param("config", b'{"n_trees": 1e999}', id="config-infinite-tree-count"),
+    pytest.param("config", b'{"resolutions": [360.5, 720]}', id="config-fractional-resolution"),
+    pytest.param("config", b'{"seed": true}', id="config-boolean-seed"),
     pytest.param("out", b"", id="out-is-a-file"),
 ])
 def test_unusable_input_files_are_data_errors_naming_the_path(tmp_path, capsys, target, content):

@@ -1,3 +1,4 @@
+import math
 import numpy as np
 import pytest
 from conftest import write_reference_y4m
@@ -173,6 +174,9 @@ def test_moving_gradient_moves():
         dict(width=4, height=4, frames=1, pattern="plasma"),
         dict(width=4, height=4, frames=1, level=300),
         dict(width=4, height=4, frames=1, sigma=-1.0),
+        dict(width=4, height=4, frames=1, sigma=math.nan),
+        dict(width=4, height=4, frames=1, velocity=math.nan),
+        dict(width=4, height=4, frames=1, velocity=math.inf),
     ],
 )
 def test_invalid_synthetic_specs(kwargs):
