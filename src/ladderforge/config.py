@@ -10,7 +10,8 @@ A config file is a flat JSON object over the :class:`RunConfig` field names;
 CLI flags override file values, which override the defaults.  ``tau_l``
 accepts the string ``"inf"`` for an unbounded budget; every other number
 must be finite.  A field whose default is an integer, and each resolution,
-must be an integer (not a float or a boolean).
+must be an integer (not a float or a boolean); a field whose default is a
+float, and each bitrate, must be a number (not a boolean or a string).
 """
 
 from __future__ import annotations
@@ -39,6 +40,9 @@ DEFAULT_BITRATES_MBPS: tuple[float, ...] = (
 )
 
 
+_INFINITY = ("inf", "infinity")
+
+
 class ConfigError(LadderforgeError):
     pass
 
@@ -62,12 +66,20 @@ class RunConfig:
 
     def __post_init__(self):
         resolutions = tuple(self.resolutions)
-        bitrates = tuple(float(b) for b in self.bitrates_mbps)
+        bitrates = tuple(self.bitrates_mbps)
         for f in dataclasses.fields(self):
-            if type(f.default) is int and type(getattr(self, f.name)) is not int:
-                raise ConfigError(f"{f.name} must be an integer, got {getattr(self, f.name)!r}")
+            value = getattr(self, f.name)
+            if type(f.default) is int and type(value) is not int:
+                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+            # None switches pruning off; JSON true/false would pass as 1/0.
+            if (type(f.default) is float and type(value) not in (int, float)
+                    and not (value is None and f.name in ("v_j", "v_t"))):
+                raise ConfigError(f"{f.name} must be a number, got {value!r}")
         if any(type(r) is not int for r in resolutions):
             raise ConfigError(f"resolutions must be integers, got {list(resolutions)}")
+        if any(type(b) not in (int, float) for b in bitrates):
+            raise ConfigError(f"bitrates_mbps must be numbers, got {list(bitrates)}")
+        bitrates = tuple(float(b) for b in bitrates)
         if not resolutions or list(resolutions) != sorted(set(resolutions)):
             raise ConfigError("resolutions must be a nonempty ascending set")
         if not bitrates or list(bitrates) != sorted(set(bitrates)):
@@ -99,8 +111,11 @@ class RunConfig:
             raise ConfigError(f"unknown config key(s): {sorted(unknown)}")
         values = dict(mapping)
         try:
-            if "tau_l" in values:
-                values["tau_l"] = parse_tau(values["tau_l"])
+            tau = values.get("tau_l")
+            # The --tau-l conversion, for an integer or the word for infinity
+            # (JSON has none); any other non-number fails the type check.
+            if type(tau) is int or isinstance(tau, str) and tau.strip().lower() in _INFINITY:
+                values["tau_l"] = parse_tau(tau)
             return cls(**values)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(str(exc)) from None
@@ -141,7 +156,7 @@ def parse_tau(value: Union[str, float, int]) -> float:
     """Latency budget from config/CLI: a positive number or ``"inf"``."""
     if isinstance(value, str):
         text = value.strip().lower()
-        if text in ("inf", "infinity"):
+        if text in _INFINITY:
             return math.inf
         try:
             value = float(text)

@@ -575,6 +575,14 @@ _STUMP = serialize_model(ForestModel(
     pytest.param("config", b'{"n_trees": 1e999}', id="config-infinite-tree-count"),
     pytest.param("config", b'{"resolutions": [360.5, 720]}', id="config-fractional-resolution"),
     pytest.param("config", b'{"seed": true}', id="config-boolean-seed"),
+    pytest.param("config", b'{"v_j": true}', id="config-boolean-step"),
+    pytest.param("config", b'{"kappa": true}', id="config-boolean-kappa"),
+    pytest.param("config", b'{"segment_duration_s": true}', id="config-boolean-duration"),
+    pytest.param("config", b'{"tau_l": true}', id="config-boolean-tau"),
+    pytest.param("config", b'{"bitrates_mbps": [true, 2.0]}', id="config-boolean-bitrate"),
+    pytest.param("config", b'{"bitrates_mbps": ["0.5", "1.5"]}', id="config-bitrate-strings"),
+    pytest.param("config", b'{"tau_l": "2.0"}', id="config-tau-string"),
+    pytest.param("config", b'{"kappa": null}', id="config-kappa-null"),
     pytest.param("out", b"", id="out-is-a-file"),
 ])
 def test_unusable_input_files_are_data_errors_naming_the_path(tmp_path, capsys, target, content):

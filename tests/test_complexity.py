@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import block_energy_direct, dct2_direct, frame_energy_direct
@@ -8,7 +10,10 @@ from ladderforge.complexity import (
     DimensionMismatch,
     EmptySequence,
     SegmentFeatures,
+    _ac_weights,
+    _block_energies,
     _dct_basis,
+    _frame_stats,
     block_texture_energy,
     frame_complexity,
     read_features_csv,
@@ -205,3 +210,76 @@ def test_features_csv_rejects_bad_header_and_duplicates():
         read_features_csv("segment,E_Y,h,L_Y\n")
     with pytest.raises(ComplexityError):
         read_features_csv("segment_id,E_Y,h,L_Y\na,1,1,1\na,2,2,2\n")
+
+
+def _one_shot_energies(plane, block_size):
+    """Reference: zero-pad the whole plane and transform all its blocks in one batch."""
+    plane = np.asarray(plane, dtype=np.float64)
+    h, w = plane.shape
+    by, bx = -(-h // block_size), -(-w // block_size)
+    padded = np.zeros((by * block_size, bx * block_size))
+    padded[:h, :w] = plane
+    blocks = (
+        padded.reshape(by, block_size, bx, block_size)
+        .swapaxes(1, 2)
+        .reshape(by * bx, block_size, block_size)
+    )
+    blocks = blocks - blocks.mean(axis=(1, 2), keepdims=True)
+    basis = _dct_basis(block_size)
+    return np.einsum("kij,ij->k", np.abs(basis @ blocks @ basis.T), _ac_weights(block_size))
+
+
+def _one_shot_stats(planes, block_size):
+    out, prev = [], None
+    for plane in planes:
+        energies = _one_shot_energies(plane, block_size)
+        denom = energies.size * block_size * block_size
+        gradient = 0.0 if prev is None else float(np.sum(np.abs(energies - prev)) / denom)
+        out.append((float(energies.sum() / denom), gradient,
+                    float(np.asarray(plane, dtype=np.float64).mean())))
+        prev = energies
+    return out
+
+
+def _plane_shapes():
+    for size in (4, 8, 16, 32, 64):
+        for h, w in [
+            (2 * size, 3 * size),  # whole blocks
+            (2 * size + 1, 3 * size - 1),  # partial right and bottom blocks
+            (size - 1, max(size // 2, 1)),  # smaller than one block
+            (3 * size + 1, size - 1),  # one column of blocks, each partial
+            (2 * size - 3, 257 * size + 5),  # wider than 256 blocks
+        ]:
+            yield pytest.param(size, h, w, id=f"w{size}-{h}x{w}")
+
+
+@pytest.mark.parametrize("block_size, h, w", _plane_shapes())
+def test_block_rows_match_the_one_shot_transform(block_size, h, w):
+    rng = np.random.default_rng(h * 1000 + w)
+    planes = rng.integers(0, 256, (2, h, w), dtype=np.uint8)
+    expected = _one_shot_stats(planes, block_size)
+    # Integer-valued samples sum exactly in any order: the bytes must agree.
+    for plane in (planes[0], planes[0].astype(np.float64)):
+        assert _block_energies(plane, block_size).tobytes() == (
+            _one_shot_energies(plane, block_size).tobytes())
+    assert list(_frame_stats(planes, block_size)) == expected
+    assert list(_frame_stats(list(planes.astype(np.float64)), block_size)) == expected
+    # Fractional samples: numpy's block means may sum in another order.
+    fractional = rng.uniform(0, 255, (2, h, w))
+    np.testing.assert_allclose(_block_energies(fractional[0], block_size),
+                               _one_shot_energies(fractional[0], block_size), rtol=1e-12, atol=0)
+    np.testing.assert_allclose(list(_frame_stats(fractional, block_size)),
+                               _one_shot_stats(fractional, block_size), rtol=1e-12, atol=0)
+
+
+def test_uhd_frames_never_hold_a_frame_sized_float_copy():
+    # A 2160p float64 plane alone is 63 MiB; the one-shot transform peaked
+    # at about 318 MiB over these two frames.
+    frames = np.random.default_rng(5).integers(0, 256, (2, 2160, 3840), dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        list(_frame_stats(frames, 32))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20

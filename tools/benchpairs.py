@@ -1,0 +1,146 @@
+"""Paired parent/change perfbench runs, collated into a ``BENCH_<n>.json`` file.
+
+Each side is a checkout of its own (the parent commit and the change), so the
+two sides run identical benchmark code with only ``src/`` differing::
+
+    python3 tools/benchpairs.py run --parent PARENT --change CHANGE \\
+        --workload ingest-uhd --seeds 201-210 --seconds 15 --log runs.jsonl
+    python3 tools/benchpairs.py collate --parent PARENT --change CHANGE \\
+        --log runs.jsonl --hash-seeds 1-3 --out BENCH_8.json \\
+        --title "what changed" --host "the machine" --method "how it was run"
+
+``run`` runs one parent and one change run per seed, alternating which side
+goes first, and appends each run's result line to the log.  ``collate``
+reports, for each workload and trace mode, each side's median and inclusive
+quartiles per metric, the change/parent ratio of the medians, the pairs the
+change won (its figure lower), the failed share, and every run's figure.  It
+then compares the input and artifact sha256 that each checkout's
+``perfbench/out/records`` hold for the hash seeds.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+SIDES = ("parent", "change")
+
+
+def seed_range(text: str) -> list[int]:
+    first, _, last = text.partition("-")
+    return list(range(int(first), int(last or first) + 1))
+
+
+def run(args) -> None:
+    for i, seed in enumerate(args.seeds):
+        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+            argv = [sys.executable, "perfbench/run.py", "--workload", args.workload,
+                    "--seed", str(seed), "--seconds", str(args.seconds), "--trace", str(args.trace)]
+            done = subprocess.run(argv, cwd=getattr(args, side), capture_output=True, text=True)
+            lines = done.stdout.strip().splitlines()
+            if done.returncode or not lines:
+                sys.exit(f"{side} seed {seed} exited {done.returncode}:\n{done.stderr}")
+            entry = {"side": side, "workload": args.workload, "seed": seed, "trace": args.trace,
+                     "first": i % 2 == SIDES.index(side), "result": json.loads(lines[-1])}
+            with open(args.log, "a", encoding="utf-8") as log:
+                log.write(json.dumps(entry) + "\n")
+            print(side, args.workload, seed, json.dumps(entry["result"]["metrics"])[:200])
+
+
+def summary(values: list[float]) -> dict:
+    if len(values) < 2:
+        return {"median": values[0]}
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def collate_runs(entries: list[dict]) -> dict:
+    groups: dict[str, dict] = {}
+    for e in entries:
+        key = e["workload"] if e["trace"] == 0 else f"{e['workload']} (traced)"
+        groups.setdefault(key, {})[(e["side"], e["seed"])] = e["result"]
+    out = {}
+    for key, runs in sorted(groups.items()):
+        seeds = sorted({seed for side, seed in runs if (SIDES[1 - SIDES.index(side)], seed) in runs})
+        pairs = [(runs["parent", s], runs["change", s]) for s in seeds]
+        metrics = {}
+        for name, first in pairs[0][0]["metrics"].items():
+            sides = {side: [pair[i]["metrics"][name]["value"] for pair in pairs]
+                     for i, side in enumerate(SIDES)}
+            parent, change = summary(sides["parent"]), summary(sides["change"])
+            metrics[name] = {
+                "unit": first["unit"], "parent": parent, "change": change,
+                "change_over_parent": (change["median"] / parent["median"]
+                                       if parent["median"] else None),
+                "change_wins": sum(c < p for p, c in zip(sides["parent"], sides["change"])),
+                "parent_runs": sides["parent"], "change_runs": sides["change"],
+            }
+        out[key] = {
+            "seeds": seeds, "pairs": len(pairs),
+            "failed": {side: [sum(pair[i][k] for pair in pairs) for k in ("failed", "attempted")]
+                       for i, side in enumerate(SIDES)},
+            "all_correct": all(pair[i]["correct"] for pair in pairs for i in range(2)),
+            "metrics": metrics,
+        }
+    return out
+
+
+def hashes(root: Path, workload: str, seed: int, trace: int) -> dict:
+    path = root / "perfbench" / "out" / "records" / f"{workload}-seed{seed}-trace{trace}.json"
+    record = json.loads(path.read_text(encoding="utf-8"))
+    return {**{f"inputs/{k}": v for k, v in record["inputs"].items()},
+            **{f"artifacts/{k}": v for k, v in record["artifacts"].items()}}
+
+
+def byte_identity(args, workloads: list[str]) -> dict:
+    out: dict = {"seeds": args.hash_seeds, "workloads": workloads}
+    for trace in (0, 1):
+        compared = equal = 0
+        for workload in workloads:
+            for seed in args.hash_seeds:
+                parent = hashes(args.parent, workload, seed, 0)
+                change = hashes(args.change, workload, seed, trace)
+                compared += len(parent.keys() | change.keys())
+                equal += sum(parent.get(k) == change.get(k) for k in parent)
+        out[f"parent_trace0_vs_change_trace{trace}"] = {"compared": compared, "equal": equal}
+    return out
+
+
+def collate(args) -> None:
+    with open(args.log, encoding="utf-8") as log:
+        entries = [json.loads(line) for line in log if line.strip()]
+    workloads = sorted({e["workload"] for e in entries}, key=[e["workload"] for e in entries].index)
+    doc = {"change": args.title, "host": args.host, "method": args.method,
+           "workloads": collate_runs(entries), "byte_identity": byte_identity(args, workloads)}
+    args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    commands = parser.add_subparsers(dest="command", required=True)
+    run_parser, collate_parser = commands.add_parser("run"), commands.add_parser("collate")
+    for sub in (run_parser, collate_parser):
+        sub.add_argument("--parent", type=Path, required=True)
+        sub.add_argument("--change", type=Path, required=True)
+        sub.add_argument("--log", type=Path, required=True)
+    run_parser.add_argument("--workload", required=True)
+    run_parser.add_argument("--seeds", type=seed_range, required=True)
+    run_parser.add_argument("--seconds", type=float, required=True)
+    run_parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    collate_parser.add_argument("--hash-seeds", type=seed_range, required=True)
+    collate_parser.add_argument("--out", type=Path, required=True)
+    for name in ("--title", "--host", "--method"):
+        collate_parser.add_argument(name, required=True)
+    args = parser.parse_args()
+    if args.command == "run":
+        run(args)
+    else:
+        collate(args)
+
+
+if __name__ == "__main__":
+    main()
