@@ -7,8 +7,10 @@ provenance (JSON artifacts get a ``config`` key, CSV artifacts a leading
 ``#`` comment line).
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 internal invariant
-violation.  ``LADDERFORGE_THREADS`` caps the number of ``analyze`` workers;
-results are always gathered in input order, so it never changes output.
+violation.  ``LADDERFORGE_THREADS`` caps the number of ``analyze`` threads
+and of ``train`` worker processes (default: the CPUs this process may run
+on); features are gathered in input order and trees in seed order, so it
+never changes output.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ import json
 import os
 import sys
 import traceback
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from contextlib import nullcontext
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Sequence, TextIO
@@ -262,28 +265,32 @@ def cmd_train(args) -> int:
     groups: dict[tuple[str, str], list[forest.TrainingRecord]] = {}
     for record in records:
         groups.setdefault((record.target_kind, record.vsr_tag), []).append(record)
-    # Bootstrap indexes rows, so the same rows in a different order are a
-    # different (still deterministic) training run.
-    for (target_kind, vsr_tag), group in sorted(groups.items()):
-        train_idx, test_idx = _holdout_split(len(group), args.holdout, config.seed)
-        train_set = [group[i] for i in train_idx]
-        test_set = [group[i] for i in test_idx]
-        try:
-            model = forest.fit(train_set, config.hyperparams(), seed=config.seed)
-        except forest.InvalidRecord as exc:
-            raise forest.InvalidRecord(f"{args.training_csv}: {exc}") from None
-        path = out_dir / f"model_{target_kind}_{vsr_tag}.json"
-        text = forest.serialize_model(model, {"config": config.to_dict()}).decode("ascii") + "\n"
-        _write_file(path, lambda handle: handle.write(text))
-        if test_set:
-            stats = forest.evaluate(model, test_set)
-            print(
-                f"{target_kind}/{vsr_tag}: trained on {len(train_set)}, "
-                f"held-out MAE {stats.mae:.4f} SD {stats.sd:.4f} ({len(test_set)} records) "
-                f"-> {path}"
-            )
-        else:
-            print(f"{target_kind}/{vsr_tag}: trained on {len(train_set)}, no holdout -> {path}")
+    # Trees grow in worker processes, since their split search holds the GIL.
+    workers = _worker_count(config.n_trees)
+    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        # Bootstrap indexes rows, so the same rows in a different order are a
+        # different (still deterministic) training run.
+        for (target_kind, vsr_tag), group in sorted(groups.items()):
+            train_idx, test_idx = _holdout_split(len(group), args.holdout, config.seed)
+            train_set = [group[i] for i in train_idx]
+            test_set = [group[i] for i in test_idx]
+            try:
+                model = forest.fit(train_set, config.hyperparams(), seed=config.seed,
+                                   map=pool.map if pool else map)
+            except forest.InvalidRecord as exc:
+                raise forest.InvalidRecord(f"{args.training_csv}: {exc}") from None
+            path = out_dir / f"model_{target_kind}_{vsr_tag}.json"
+            text = forest.serialize_model(model, {"config": config.to_dict()}).decode("ascii") + "\n"
+            _write_file(path, lambda handle: handle.write(text))
+            if test_set:
+                stats = forest.evaluate(model, test_set)
+                print(
+                    f"{target_kind}/{vsr_tag}: trained on {len(train_set)}, "
+                    f"held-out MAE {stats.mae:.4f} SD {stats.sd:.4f} ({len(test_set)} records) "
+                    f"-> {path}"
+                )
+            else:
+                print(f"{target_kind}/{vsr_tag}: trained on {len(train_set)}, no holdout -> {path}")
     return EXIT_OK
 
 

@@ -12,6 +12,8 @@ accepts the string ``"inf"`` for an unbounded budget; every other number
 must be finite.  A field whose default is an integer, and each resolution,
 must be an integer (not a float or a boolean); a field whose default is a
 float, and each bitrate, must be a number (not a boolean or a string).
+``block_size`` is at most 256 pixels, since the block transform's basis
+alone holds ``block_size ** 2`` floats.
 """
 
 from __future__ import annotations
@@ -92,6 +94,8 @@ class RunConfig:
             value = getattr(self, name)
             if value is not None and not 0 < value < math.inf:
                 raise ConfigError(f"{name} must be positive and finite, got {value}")
+        if self.block_size > 256:
+            raise ConfigError(f"block_size must be at most 256, got {self.block_size}")
         if self.v_t is not None and not math.isfinite(self.v_t):
             raise ConfigError(f"v_t must be finite, got {self.v_t}")
         if self.v_j is not None and self.v_t is None:

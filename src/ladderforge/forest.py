@@ -13,14 +13,18 @@ with the log2 substitutions applied at the model boundary by
 Training is fully deterministic for a fixed (record order, hyperparams,
 seed): every tree gets a bootstrap sample (u64 mod n draws) and per-node
 feature subsets from its own splitmix stream, seeded from a master stream in
-tree order.  Splits minimise the summed child squared error (equivalently,
-maximise variance reduction) over the midpoints of sorted unique values of
-each candidate feature; ties go to the lowest feature index, then the lowest
-threshold.  Growth stops at ``max_depth``, ``min_samples_leaf`` or zero
-target variance.  Each tree sorts every feature once, over its bootstrap
-sample, and each split partitions those orders stably (the presorted CART of
-SLIQ), so a node scores all its candidate features in one 2-D pass without
-sorting.  ``fit`` refuses targets whose squared sums would overflow.
+tree order.  A tree depends on nothing else, so ``fit`` may grow the trees
+in worker processes (``train`` uses up to ``LADDERFORGE_THREADS`` of them)
+and the model bytes never depend on how many.  Splits minimise the summed
+child squared error (equivalently, maximise variance reduction) over the
+midpoints of sorted unique values of each candidate feature, or the lower
+value where the midpoint would round up to the upper one or overflow; ties
+go to the lowest feature index, then the lowest threshold.  Growth stops at
+``max_depth``, ``min_samples_leaf`` or zero target variance.  Each tree
+sorts every feature once, over its bootstrap sample, and each split
+partitions those orders stably (the presorted CART of SLIQ), so a node
+scores all its candidate features in one 2-D pass without sorting.
+``fit`` refuses targets whose squared sums would overflow.
 
 Trees are stored in their wire format: internal nodes
 ``{"f": idx, "t": thr, "l": ..., "r": ...}`` (x[f] <= thr goes left) and
@@ -34,6 +38,7 @@ import json
 import math
 from array import array
 from dataclasses import asdict, dataclass, field
+from itertools import repeat
 from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
@@ -221,13 +226,14 @@ def _records_matrix(records: Sequence[TrainingRecord]) -> tuple[np.ndarray, np.n
     return x, np.array([rec.target for rec in records], dtype=np.float64)
 
 
-def _grow_tree(x: np.ndarray, y: np.ndarray, hp: Hyperparams, rng: SplitMix64) -> dict:
-    """Grow one tree on a bootstrap sample of n positions, presorted as in SLIQ
-    (Mehta et al., EDBT 1996).  A node is a ``(N_FEATURES + 1, m)`` matrix of
-    its positions: row f sorted by feature f with ties in bootstrap order, the
-    last row in bootstrap order.  A split partitions every row stably, so the
-    children stay sorted and no node sorts anything."""
-    n, k = x.shape[0], hp.features_per_split
+def _grow_tree(x: np.ndarray, y: np.ndarray, hp: Hyperparams, seed: int) -> dict:
+    """Grow one tree, drawing from the stream of its own seed, on a bootstrap
+    sample of n positions, presorted as in SLIQ (Mehta et al., EDBT 1996).  A
+    node is a ``(N_FEATURES + 1, m)`` matrix of its positions: row f sorted by
+    feature f with ties in bootstrap order, the last row in bootstrap order.
+    A split partitions every row stably, so the children stay sorted and no
+    node sorts anything.  A module-level function, so a process pool can run it."""
+    n, k, rng = x.shape[0], hp.features_per_split, SplitMix64(seed)
     idx = rng.integers_below(n, n) if hp.bootstrap else np.arange(n, dtype=np.intp)
     xb, yb = x[idx].T, y[idx]
     counts = np.arange(1.0, n + 1.0)  # counts[c] = c + 1, as float64 like the sums
@@ -257,10 +263,10 @@ def _grow_tree(x: np.ndarray, y: np.ndarray, hp: Hyperparams, rng: SplitMix64) -
         j, cut = divmod(int(sse.argmin()), hi - lo)
         if sse[j, cut] == np.inf:
             return {"v": float(yv.sum() / m)}
-        cut += lo
-        threshold = float((xs[j, cut] + xs[j, cut + 1]) / 2.0)
-        # The midpoint can round up to the upper value, so x <= threshold decides.
-        n_left = int(xs[j].searchsorted(threshold, "right"))
+        n_left = lo + cut + 1  # the positions sorted below the cut go left
+        a, b = float(xs[j, n_left - 1]), float(xs[j, n_left])
+        mid = (a + b) / 2.0
+        threshold = mid if a <= mid < b else a  # a where the midpoint rounds up or overflows
         goes_left[order[j, :n_left]] = True
         goes_left[order[j, n_left:]] = False
         left = goes_left[rows]  # a mask's entries keep each row's order
@@ -275,8 +281,13 @@ def fit(
     records: Sequence[TrainingRecord],
     hyperparams: Hyperparams | None = None,
     seed: int = 0,
+    map=map,
 ) -> ForestModel:
-    """Train a forest; deterministic in (record order, hyperparams, seed)."""
+    """Train a forest; deterministic in (record order, hyperparams, seed).
+
+    ``map`` grows the trees, one call per tree seed, and must yield them in
+    seed order, as the built-in and ``Executor.map`` do; a process pool's
+    ``map`` grows them in parallel, to the same bytes."""
     hp = hyperparams if hyperparams is not None else Hyperparams()
     if len(records) < 2:
         raise EmptyDataset(f"training needs at least 2 records, got {len(records)}")
@@ -294,7 +305,7 @@ def fit(
         raise InvalidRecord(f"targets up to {top:g} overflow the split search over {len(y)} records")
     master = SplitMix64(seed)
     tree_seeds = [master.next_u64() for _ in range(hp.n_trees)]
-    trees = tuple(_grow_tree(x, y, hp, SplitMix64(s)) for s in tree_seeds)
+    trees = tuple(map(_grow_tree, repeat(x), repeat(y), repeat(hp), tree_seeds))
     return ForestModel(
         trees=trees,
         hyperparams=hp,

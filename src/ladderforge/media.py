@@ -376,8 +376,8 @@ class SyntheticSpec:
             raise InvalidSpec(f"period must be positive, got {self.period}")
         if not 0 <= self.sigma < math.inf:
             raise InvalidSpec(f"sigma must be nonnegative and finite, got {self.sigma}")
-        if not math.isfinite(self.velocity):
-            raise InvalidSpec(f"velocity must be finite, got {self.velocity}")
+        if not math.isfinite(self.velocity * (self.frames - 1)):
+            raise InvalidSpec(f"velocity must keep the last frame's shift finite, got {self.velocity}")
 
 
 def generate_synthetic(spec: SyntheticSpec) -> VideoSequence:
@@ -388,8 +388,9 @@ def generate_synthetic(spec: SyntheticSpec) -> VideoSequence:
         plane = np.full((h, w), spec.level, dtype=np.uint8)
         planes = [plane] * spec.frames
     elif spec.pattern == "checkerboard":
-        rows = np.arange(h)[:, None] // spec.period
-        cols = np.arange(w)[None, :] // spec.period
+        period = min(spec.period, max(w, h))  # a longer period draws the same one tile
+        rows = np.arange(h)[:, None] // period
+        cols = np.arange(w)[None, :] // period
         plane = np.where((rows + cols) % 2 == 0, 235, 16).astype(np.uint8)
         planes = [plane] * spec.frames
     elif spec.pattern == "noise":
@@ -401,7 +402,7 @@ def generate_synthetic(spec: SyntheticSpec) -> VideoSequence:
     else:  # moving_gradient
         base = np.arange(h)[:, None] + np.arange(w)[None, :]
         for t in range(spec.frames):
-            shift = int(round(spec.velocity * t))
+            shift = int(round(spec.velocity * t)) % 256
             planes.append(((base + shift) % 256).astype(np.uint8))
     frames = tuple(LumaFrame(w, h, plane) for plane in planes)
     return VideoSequence(frames, Fraction(spec.framerate))

@@ -163,6 +163,17 @@ def test_train_is_deterministic(tmp_path):
     ).read_bytes()
 
 
+def test_train_bytes_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):
+    csv_path = _training_csv(tmp_path / "train.csv")
+    models = {}
+    for workers in ("1", "2"):
+        monkeypatch.setenv(cli.THREADS_ENV, workers)
+        out = tmp_path / workers
+        assert run("train", str(csv_path), "--out", str(out), "--seed", "5", "--n-trees", "6") == 0
+        models[workers] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert len(models["1"]) == 2 and models["1"] == models["2"]
+
+
 def test_train_row_order_sensitivity_is_itself_deterministic(tmp_path):
     # Bootstrap indexes rows: reordering the rows is a different training
     # run, but each ordering reproduces bit-for-bit.
@@ -413,8 +424,34 @@ def test_each_common_flag_sets_the_field_it_names(flags, changes):
 def test_thread_env_validation(tmp_path, monkeypatch):
     monkeypatch.setenv(cli.THREADS_ENV, "zero")
     assert run("analyze", "synth:constant:4x4x1@30", "--out", str(tmp_path)) == 2
+    csv_path = _training_csv(tmp_path / "train.csv")
+    assert run("train", str(csv_path), "--out", str(tmp_path / "models")) == 2
+    assert not (tmp_path / "models" / "model_quality_none.json").exists()
     monkeypatch.setenv(cli.THREADS_ENV, "2")
     assert run("analyze", "synth:constant:4x4x1@30", "--out", str(tmp_path)) == 0
+
+
+@pytest.mark.parametrize("size", ["257", "100000"])  # 100000's transform basis needs 74.5 GiB
+def test_block_size_above_256_is_refused_before_any_allocation(tmp_path, capsys, size):
+    assert run("analyze", "synth:constant:4x4x1@30", "--out", str(tmp_path),
+               "--block-size", size) == 2
+    assert f"block_size must be at most 256, got {size}" in capsys.readouterr().err
+    assert not (tmp_path / "features.csv").exists()
+
+
+def test_block_size_256_is_accepted(tmp_path):
+    assert run("analyze", "synth:constant:4x4x1@30", "--out", str(tmp_path),
+               "--block-size", "256") == 0
+
+
+@pytest.mark.parametrize("spec, code", [
+    ("synth:moving_gradient:4x4x2@30:velocity=1e308", 0),
+    ("synth:moving_gradient:4x4x3@30:velocity=1e19", 0),
+    ("synth:checkerboard:4x4x1@30:period=99999999999999999999999", 0),
+    ("synth:moving_gradient:4x4x3@30:velocity=1e308", 2),  # 2e308 overflows
+])
+def test_extreme_synthetic_parameters_are_drawn_or_refused(tmp_path, spec, code):
+    assert run("analyze", spec, "--out", str(tmp_path)) == code
 
 
 def test_vj_none_conflicts_with_vt(tmp_path):

@@ -166,6 +166,21 @@ def test_moving_gradient_moves():
     )
 
 
+@pytest.mark.parametrize("velocity, frames", [(1e308, 2), (1e19, 3), (-1e19, 3), (2.5, 4)])
+def test_moving_gradient_shift_wraps_without_overflow(velocity, frames):
+    seq = generate_synthetic(SyntheticSpec(4, 4, frames, 30, "moving_gradient", velocity=velocity))
+    for t, frame in enumerate(seq.frames):
+        shift = int(round(velocity * t))  # a Python int, exact at any size
+        expected = [[(i + j + shift) % 256 for j in range(4)] for i in range(4)]
+        assert frame.samples.tolist() == expected
+
+
+def test_checkerboard_period_beyond_the_frame_is_one_tile():
+    huge = generate_synthetic(SyntheticSpec(4, 6, 1, 30, "checkerboard", period=10**23))
+    assert (huge.frames[0].samples == 235).all()
+    assert huge == generate_synthetic(SyntheticSpec(4, 6, 1, 30, "checkerboard", period=6))
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [
@@ -177,6 +192,7 @@ def test_moving_gradient_moves():
         dict(width=4, height=4, frames=1, sigma=math.nan),
         dict(width=4, height=4, frames=1, velocity=math.nan),
         dict(width=4, height=4, frames=1, velocity=math.inf),
+        dict(width=4, height=4, frames=3, velocity=1e308),  # the last shift, 2e308, is inf
     ],
 )
 def test_invalid_synthetic_specs(kwargs):

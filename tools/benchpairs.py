@@ -16,15 +16,32 @@ quartiles per metric, the change/parent ratio of the medians, the pairs the
 change won (its figure lower), the failed share, and every run's figure.  It
 then compares the input and artifact sha256 that each checkout's
 ``perfbench/out/records`` hold for the hash seeds.
+
+perfbench's ``cpu_p50_s`` counts the benchmark process alone, so the CPU time
+of ``train``'s worker processes does not show in it.  ``tree-cpu`` measures
+that apart: fresh ``python -m ladderforge train`` runs on the train-forest
+inputs, each timed on the wall clock and in the CPU time of its whole process
+tree (``RUSAGE_CHILDREN`` counts every descendant that was waited for), one
+parent and one change run per seed, alternating::
+
+    python3 tools/benchpairs.py tree-cpu --parent PARENT --change CHANGE \
+        --seeds 331-346 --log tree.jsonl --scratch /tmp/tree-cpu
+
+and ``collate --tree-cpu-log tree.jsonl`` reports those runs under
+``process_tree``.  A pair counts as correct when both sides wrote the same
+model bytes.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import resource
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 SIDES = ("parent", "change")
@@ -49,6 +66,36 @@ def run(args) -> None:
             with open(args.log, "a", encoding="utf-8") as log:
                 log.write(json.dumps(entry) + "\n")
             print(side, args.workload, seed, json.dumps(entry["result"]["metrics"])[:200])
+
+
+def tree_cpu(args) -> None:
+    for i, seed in enumerate(args.seeds):
+        inputs = args.scratch / f"train-forest-seed{seed}"
+        subprocess.run([sys.executable, "perfbench/inputs.py", "--workload", "train-forest",
+                        "--seed", str(seed), "--out", str(inputs)],
+                       cwd=args.change, check=True, capture_output=True)
+        figures, models = {}, {}
+        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+            out = inputs / side
+            argv = [sys.executable, "-m", "ladderforge", "train", str(inputs / "train.csv"),
+                    "--out", str(out), "--seed", str(seed), "--n-trees", "20"]  # as train-forest
+            env = {**os.environ, "PYTHONPATH": str(getattr(args, side) / "src")}
+            env.pop("LADDERFORGE_THREADS", None)  # the default worker count, as perfbench uses
+            before, start = resource.getrusage(resource.RUSAGE_CHILDREN), time.perf_counter()
+            subprocess.run(argv, env=env, check=True, capture_output=True)
+            wall, after = time.perf_counter() - start, resource.getrusage(resource.RUSAGE_CHILDREN)
+            cpu = after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
+            figures[side] = {"wall_s": {"value": wall, "unit": "s"},
+                             "tree_cpu_s": {"value": cpu, "unit": "s"}}
+            models[side] = {p.name: p.read_bytes() for p in sorted(out.glob("model_*.json"))}
+        with open(args.log, "a", encoding="utf-8") as log:
+            for side in SIDES:
+                result = {"correct": models["parent"] == models["change"], "attempted": 1,
+                          "failed": 0, "metrics": figures[side]}
+                log.write(json.dumps({"side": side, "workload": "train (fresh process tree)",
+                                      "seed": seed, "trace": 0, "result": result}) + "\n")
+        print(seed, {side: {k: round(v["value"], 3) for k, v in f.items()}
+                     for side, f in figures.items()})
 
 
 def summary(values: list[float]) -> dict:
@@ -116,6 +163,9 @@ def collate(args) -> None:
     workloads = sorted({e["workload"] for e in entries}, key=[e["workload"] for e in entries].index)
     doc = {"change": args.title, "host": args.host, "method": args.method,
            "workloads": collate_runs(entries), "byte_identity": byte_identity(args, workloads)}
+    if args.tree_cpu_log:
+        with open(args.tree_cpu_log, encoding="utf-8") as log:
+            doc["process_tree"] = collate_runs([json.loads(line) for line in log if line.strip()])
     args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
 
 
@@ -123,23 +173,25 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     commands = parser.add_subparsers(dest="command", required=True)
     run_parser, collate_parser = commands.add_parser("run"), commands.add_parser("collate")
-    for sub in (run_parser, collate_parser):
+    tree_parser = commands.add_parser("tree-cpu")
+    for sub in (run_parser, collate_parser, tree_parser):
         sub.add_argument("--parent", type=Path, required=True)
         sub.add_argument("--change", type=Path, required=True)
         sub.add_argument("--log", type=Path, required=True)
+    for sub in (run_parser, tree_parser):
+        sub.add_argument("--seeds", type=seed_range, required=True)
     run_parser.add_argument("--workload", required=True)
-    run_parser.add_argument("--seeds", type=seed_range, required=True)
     run_parser.add_argument("--seconds", type=float, required=True)
     run_parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    tree_parser.add_argument("--scratch", type=Path, required=True,
+                             help="directory for the inputs and the models")
     collate_parser.add_argument("--hash-seeds", type=seed_range, required=True)
     collate_parser.add_argument("--out", type=Path, required=True)
+    collate_parser.add_argument("--tree-cpu-log", type=Path)
     for name in ("--title", "--host", "--method"):
         collate_parser.add_argument(name, required=True)
     args = parser.parse_args()
-    if args.command == "run":
-        run(args)
-    else:
-        collate(args)
+    {"run": run, "collate": collate, "tree-cpu": tree_cpu}[args.command](args)
 
 
 if __name__ == "__main__":
