@@ -18,10 +18,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import mmap
 import os
 import sys
 import traceback
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from fractions import Fraction
 from pathlib import Path
@@ -203,7 +204,11 @@ def _load_input(token: str, index: int, args, config: RunConfig):
         return segment_id, generate_synthetic(spec)
     path = Path(token)
     try:
-        data = path.read_bytes()
+        with open(path, "rb") as handle:
+            try:  # frames become views of the file, paged in as they are read
+                data = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
+            except (OSError, ValueError):  # an empty file, a pipe
+                data = handle.read()
     except OSError as exc:
         raise LadderforgeError(f"cannot read {token}: {exc}") from None
     if path.suffix.lower() in (".yuv", ".raw"):
@@ -267,6 +272,8 @@ def cmd_train(args) -> int:
         groups.setdefault((record.target_kind, record.vsr_tag), []).append(record)
     # Trees grow in worker processes, since their split search holds the GIL.
     workers = _worker_count(config.n_trees)
+    if workers > 1:  # only here, so that other commands do not load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         # Bootstrap indexes rows, so the same rows in a different order are a
         # different (still deterministic) training run.

@@ -218,8 +218,7 @@ def segment_features(
     Block energies are computed once per frame and reused for the gradient
     of the following frame, so a segment costs one transform pass.
     """
-    frames = seq.frames if isinstance(seq, VideoSequence) else seq
-    stats = list(_frame_stats(frames, block_size))
+    stats = list(_frame_stats(seq, block_size))
     if not stats:
         raise EmptySequence("cannot compute features of an empty sequence")
     textures, gradients, brightnesses = zip(*stats)

@@ -1,9 +1,12 @@
 """Raw-video ingestion: Y4M parsing, raw-luma reading, synthetic sequences.
 
-Only the 8-bit luma plane is ever kept.  Chroma planes are consumed so that
-stream framing stays correct, but their bytes are never stored; all
-downstream analysis is luma-only.  Higher bit depths are rejected outright
-rather than rescaled.
+Only the 8-bit luma plane is ever kept; chroma is skipped, never read, and
+all downstream analysis is luma-only.  Higher bit depths are rejected
+outright rather than rescaled.  ``analyze`` maps its inputs, and a buffer
+(``bytes``, ``bytearray``, ``mmap``) is parsed in place, never copied: each
+frame is an ``np.frombuffer`` view.  Iterating a mapped sequence hands each
+frame's pages back (``MADV_DONTNEED``) as it moves on.  Truncating a mapped
+file from outside can kill the process (``SIGBUS``).
 
 Y4M grammar accepted here (one LF-terminated header, then frames)::
 
@@ -21,9 +24,10 @@ raises :class:`UnsupportedColorspace`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import mmap
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import IO, Union
+from typing import IO, Callable, Iterator, Union
 
 import numpy as np
 
@@ -142,6 +146,7 @@ class VideoSequence:
 
     frames: tuple[LumaFrame, ...]
     framerate: Fraction
+    _release: Callable[[int], None] = field(default=lambda index: None, repr=False, compare=False)
 
     def __post_init__(self):
         frames = tuple(self.frames)
@@ -175,16 +180,29 @@ class VideoSequence:
     def __len__(self) -> int:
         return len(self.frames)
 
+    def __iter__(self) -> Iterator[LumaFrame]:
+        for index, frame in enumerate(self.frames):
+            yield frame
+            self._release(index)  # hands back the pages of a mapped frame just passed
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, VideoSequence):
             return NotImplemented
         return self.framerate == other.framerate and self.frames == other.frames
 
 
-def _as_bytes(stream: Union[bytes, bytearray, memoryview, IO[bytes]]) -> bytes:
-    if hasattr(stream, "read"):
-        return stream.read()
-    return bytes(stream)
+def _as_buffer(stream) -> Union[bytes, bytearray, mmap.mmap]:
+    """A searchable buffer as it is (an mmap's ``read`` would copy it); a file read whole."""
+    if isinstance(stream, (bytes, bytearray, mmap.mmap)):
+        return stream
+    return stream.read() if hasattr(stream, "read") else bytes(stream)
+
+
+def _release_pages(data, start: int, end: int) -> None:
+    """Hand the pages of bytes [start, end) of a map back to the kernel."""
+    if isinstance(data, mmap.mmap) and hasattr(mmap, "MADV_DONTNEED"):
+        start -= start % mmap.PAGESIZE
+        data.madvise(mmap.MADV_DONTNEED, start, end - start)
 
 
 def _parse_positive_int(raw: bytes, tag: str) -> int:
@@ -219,7 +237,7 @@ def _chroma_bytes_per_frame(colorspace: str, width: int, height: int) -> int:
 
 
 def parse_y4m(
-    stream: Union[bytes, bytearray, memoryview, IO[bytes]],
+    stream: Union[bytes, bytearray, memoryview, mmap.mmap, IO[bytes]],
     *,
     allow_trailing: bool = False,
 ) -> VideoSequence:
@@ -237,14 +255,13 @@ def parse_y4m(
         ZeroFrames: a valid header followed by no frames.
         TrailingData: unparseable residue after the last complete frame.
     """
-    data = _as_bytes(stream)
+    data = _as_buffer(stream)
+    if data[:len(_MAGIC)] != _MAGIC:
+        raise MalformedHeader("stream does not start with YUV4MPEG2")
     header_end = data.find(b"\n")
     if header_end < 0:
         raise MalformedHeader("stream header is not LF-terminated")
-    header = data[:header_end]
-    if not header.startswith(_MAGIC):
-        raise MalformedHeader("stream does not start with YUV4MPEG2")
-    rest = header[len(_MAGIC):]
+    rest = data[len(_MAGIC):header_end]
     if rest and not rest.startswith(b" "):
         raise MalformedHeader("magic must be followed by a space or LF")
 
@@ -274,10 +291,11 @@ def parse_y4m(
     luma_size = width * height
     chroma_size = _chroma_bytes_per_frame(colorspace, width, height)
     frames: list[LumaFrame] = []
+    offsets: list[int] = []
     pos = header_end + 1
     total = len(data)
     while pos < total:
-        if not data.startswith(b"FRAME", pos):
+        if data[pos:pos + 5] != b"FRAME":
             if allow_trailing:
                 break
             raise TrailingData(f"{total - pos} unparseable byte(s) after frame {len(frames)}")
@@ -287,15 +305,19 @@ def parse_y4m(
         if marker_end > pos + 5 and data[pos + 5: pos + 6] != b" ":
             raise MalformedHeader(f"corrupt FRAME marker before frame {len(frames)}")
         plane_start = marker_end + 1
+        # Reading a marker can map a whole large page-cache folio (2 MiB).
+        _release_pages(data, offsets[-1] if offsets else 0, plane_start)
         plane_end = plane_start + luma_size + chroma_size
         if plane_end > total:
             raise TruncatedFrame(f"stream ends inside frame {len(frames)}")
         luma = np.frombuffer(data, dtype=np.uint8, count=luma_size, offset=plane_start)
         frames.append(LumaFrame(width, height, luma.reshape(height, width)))
+        offsets.append(plane_start)
         pos = plane_end
     if not frames:
         raise ZeroFrames("header was valid but the stream contains no FRAME")
-    return VideoSequence(tuple(frames), framerate)
+    bounds = [*offsets, total]  # frame i's pages: its luma up to the next frame's
+    return VideoSequence(tuple(frames), framerate, lambda i: _release_pages(data, *bounds[i:i + 2]))
 
 
 def serialize_y4m(seq: VideoSequence) -> bytes:
@@ -312,7 +334,7 @@ def serialize_y4m(seq: VideoSequence) -> bytes:
 
 
 def read_raw_luma(
-    stream: Union[bytes, bytearray, memoryview, IO[bytes]],
+    stream: Union[bytes, bytearray, memoryview, mmap.mmap, IO[bytes]],
     width: int,
     height: int,
     framerate: Union[Fraction, int],
@@ -320,7 +342,7 @@ def read_raw_luma(
     """Read headerless luma frames stored as consecutive width*height blocks."""
     if width <= 0 or height <= 0:
         raise InvalidSpec(f"dimensions must be positive, got {width}x{height}")
-    data = _as_bytes(stream)
+    data = _as_buffer(stream)
     frame_size = width * height
     n_frames, residue = divmod(len(data), frame_size)
     if residue:
@@ -329,7 +351,8 @@ def read_raw_luma(
         raise ZeroFrames("stream holds no complete frame")
     planes = np.frombuffer(data, dtype=np.uint8).reshape(n_frames, height, width)
     frames = tuple(LumaFrame(width, height, plane) for plane in planes)
-    return VideoSequence(frames, Fraction(framerate))
+    return VideoSequence(frames, Fraction(framerate),
+                         lambda i: _release_pages(data, i * frame_size, (i + 1) * frame_size))
 
 
 @dataclass(frozen=True)

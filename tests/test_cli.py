@@ -1,19 +1,22 @@
 import dataclasses
 import json
 import math
+import mmap
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import write_reference_y4m
 
 from ladderforge import cli
 from ladderforge.complexity import read_features_csv, segment_features
 from ladderforge.config import DEFAULT_BITRATES_MBPS, RunConfig
 from ladderforge.forest import ForestModel, Hyperparams, serialize_model
-from ladderforge.media import SyntheticSpec, generate_synthetic
+from ladderforge.media import SyntheticSpec, generate_synthetic, serialize_y4m
 
 
 def run(*argv):
@@ -134,6 +137,62 @@ def test_analyze_reads_y4m_and_raw_files(tmp_path):
     with open(out / "features.csv") as handle:
         rows = read_features_csv(handle)
     assert rows[0][1] == rows[1][1]  # same pixels, same features
+
+
+@pytest.mark.parametrize("name", ["empty.y4m", "empty.yuv"])
+def test_empty_input_files_are_data_errors_naming_the_file(tmp_path, capsys, name):
+    path = tmp_path / name
+    path.write_bytes(b"")  # a file that mmap refuses, so it is read instead
+    code = run("analyze", str(path), "--raw-width", "16", "--raw-height", "16",
+               "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert f"error: {path}:" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs POSIX named pipes")
+def test_a_fifo_input_is_read_whole_and_analyzed(tmp_path):
+    seq = generate_synthetic(SyntheticSpec(16, 16, 3, 30, "noise", seed=5))
+    fifo = tmp_path / "pipe.y4m"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(serialize_y4m(seq),), daemon=True)
+    writer.start()
+    out = tmp_path / "out"
+    assert run("analyze", str(fifo), "--out", str(out)) == 0
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    with open(out / "features.csv") as handle:
+        assert read_features_csv(handle) == [("pipe", segment_features(seq))]
+
+
+@pytest.mark.skipif(not (sys.platform.startswith("linux") and hasattr(mmap, "MADV_DONTNEED")),
+                    reason="needs MADV_DONTNEED and /proc/self/status (Linux)")
+def test_analyze_holds_a_frame_of_a_mapped_input_not_the_file(tmp_path):
+    rng = np.random.default_rng(8)
+    clip = tmp_path / "clip.y4m"
+    clip.write_bytes(write_reference_y4m(
+        [rng.integers(0, 256, (1080, 1920), dtype=np.uint8) for _ in range(8)]))
+    # The child's own peak RSS: its ru_maxrss would start from this process's
+    # peak, which exec carries over, so it reads VmHWM (KiB) instead.
+    script = (
+        "import sys\n"
+        "from ladderforge import cli\n"
+        "def peak():\n"
+        "    with open('/proc/self/status') as status:\n"
+        "        return next(int(line.split()[1]) for line in status if line.startswith('VmHWM:'))\n"
+        "before = peak()\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "print(code, (peak() - before) * 1024)\n"
+    )
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    result = subprocess.run(
+        [sys.executable, "-c", script, "analyze", str(clip), "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120)
+    code, grown = result.stdout.split()[-2:]
+    assert code == "0", result.stderr
+    # About 25 MB of input: reading it whole, or keeping every frame's pages, grows
+    # the peak by more than half of it; releasing each frame's pages, by about a frame.
+    assert int(grown) < clip.stat().st_size / 2
 
 
 # ------------------------------------------------------------------- train

@@ -1,4 +1,8 @@
 import math
+import mmap
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from conftest import write_reference_y4m
@@ -6,6 +10,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ladderforge.complexity import segment_features
 from ladderforge.media import (
     InvalidSpec,
     LumaFrame,
@@ -242,8 +247,54 @@ def test_parse_y4m_returns_a_sequence_or_raises_media_error(free, width, height,
     frames = [b"FRAME\n" + plane, b"FRAME Ixyz\n" + plane * 3, b"FRAMEX\n", b"FRAME"]
     piece = st.one_of(st.binary(max_size=8), st.sampled_from(frames))
     stream = data.draw(st.lists(piece, min_size=1, max_size=6).map(b"".join))
-    for blob in (free, header + free, header + tags + b"\n" + stream):
-        try:
-            assert isinstance(parse_y4m(blob), VideoSequence)
-        except MediaError:
-            pass
+    with tempfile.TemporaryDirectory() as directory:
+        for i, blob in enumerate((free, header + free, header + tags + b"\n" + stream)):
+            outcome = _parse_outcome(blob)
+            assert isinstance(outcome, VideoSequence) or issubclass(outcome, MediaError)
+            if blob:  # an empty file cannot be mapped
+                assert _parse_outcome(_map_bytes(blob, Path(directory) / f"{i}.y4m")) == outcome
+
+
+def _parse_outcome(stream):
+    """The parsed sequence, or the class of the MediaError raised."""
+    try:
+        return parse_y4m(stream)
+    except MediaError as exc:
+        return type(exc)
+
+
+def _map_bytes(blob: bytes, path: Path) -> mmap.mmap:
+    path.write_bytes(blob)
+    with open(path, "rb") as handle:
+        return mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
+
+
+@pytest.mark.parametrize("colorspace", ["420", "mono"])
+def test_parsers_read_a_map_in_place_like_bytes(tmp_path, colorspace):
+    rng = np.random.default_rng(21)
+    planes = [rng.integers(0, 256, (48, 100), dtype=np.uint8) for _ in range(5)]
+    blob = write_reference_y4m(planes, colorspace=colorspace)
+    mapped = parse_y4m(_map_bytes(blob, tmp_path / "clip.y4m"))
+    assert mapped == parse_y4m(blob) == parse_y4m(bytearray(blob))
+    assert not any(frame.samples.flags.owndata for frame in mapped.frames)  # views, not copies
+    raw = b"".join(plane.tobytes() for plane in planes)
+    mapped = read_raw_luma(_map_bytes(raw, tmp_path / "clip.yuv"), 100, 48, 30)
+    assert mapped == read_raw_luma(raw, 100, 48, 30)
+    assert not any(frame.samples.flags.owndata for frame in mapped.frames)
+
+
+def test_a_mapped_sequence_reads_the_same_after_its_pages_are_released(tmp_path):
+    rng = np.random.default_rng(22)
+    planes = [rng.integers(0, 256, (96, 160), dtype=np.uint8) for _ in range(6)]  # ~4 pages each
+    blob = write_reference_y4m(planes)
+    seq = parse_y4m(_map_bytes(blob, tmp_path / "clip.y4m"))
+    expected = segment_features(parse_y4m(blob), block_size=16)
+    for _ in range(2):  # each pass releases every frame it moves past
+        assert [frame.tobytes() for frame in seq] == [plane.tobytes() for plane in planes]
+        assert segment_features(seq, block_size=16) == expected
+
+
+def test_a_stream_without_the_magic_is_refused_before_the_header_is_searched():
+    # No LF anywhere: the magic check, not a scan for the header's end, refuses it.
+    with pytest.raises(MalformedHeader, match="does not start with YUV4MPEG2"):
+        parse_y4m(b"\x00\x00\x00\x18ftypmp42" + bytes(64))
