@@ -131,8 +131,9 @@ def _write_file(path: Path, write: Callable[[TextIO], object]) -> None:
         with open(temp, "w", encoding="utf-8") as handle:
             write(handle)
         os.replace(temp, path)
-    finally:
+    except BaseException:
         temp.unlink(missing_ok=True)
+        raise
 
 
 def _write_json(path: Path, doc: dict) -> None:
@@ -380,8 +381,8 @@ def cmd_evaluate(args) -> int:
     }
     _write_json(out_dir / "report.json", doc)
 
-    def show(label, value, unit=""):
-        text = "n/a" if value is None else f"{value:+.2f}{unit}"
+    def show(label, value, unit="", spec="+.2f"):
+        text = "n/a" if value is None else f"{value:{spec}}{unit}"
         print(f"  {label:<18} {text}")
 
     print(f"{candidate_name} vs {baseline_name} over {len(report.segments)} segment(s):")
@@ -391,7 +392,7 @@ def cmd_evaluate(args) -> int:
     show("BD-VMAF", report.bd_vmaf)
     show("energy delta", report.delta_energy_pct, "%")
     show("storage delta", report.delta_storage_pct, "%")
-    print(f"  {'mean segment time':<18} {report.mean_segment_time_s:.3f} s")
+    show("mean segment time", report.mean_segment_time_s, " s", ".3f")
     return EXIT_OK
 
 

@@ -7,9 +7,11 @@ with ``(10**avg - 1) * 100``.  Negative means the test scheme needs less
 bitrate for equal quality.  The quality delta is the dual fit ``quality =
 q(log10 rate)`` averaged over the overlapping log-rate range; positive means
 the test scheme gains quality at equal bitrate.  Fits are exact cubic
-least squares on four or more points; rank-deficient systems are reported as
-:class:`DegenerateFit`, never regularised, and an empty overlap is an error
-rather than an extrapolation.
+least squares on four or more points; rank-deficient or unconverged systems
+are reported as :class:`DegenerateFit`, never regularised, an empty overlap is
+an error rather than an extrapolation, and so is a delta that overflows.  Each
+curve is built once, as arrays, and each fit takes ``np.polyfit``'s own steps
+(and the integral ``np.polyval``'s), so the results are bitwise numpy's.
 
 Per-segment accounting assumes representations encode concurrently: wall
 time is the maximum over rungs, while energy is ``kappa`` joules per second
@@ -108,81 +110,105 @@ class RdCurve:
     metric_kind: str
 
     def __post_init__(self):
-        points = tuple(self.points)
-        if len(points) < 4:
-            raise InsufficientPoints(f"a curve needs >= 4 points, got {len(points)}")
-        for a, b in zip(points, points[1:]):
-            if not a.bitrate < b.bitrate:
-                raise MetricsError(
-                    f"bitrates must strictly increase, got {a.bitrate} then {b.bitrate}"
-                )
-        if self.metric_kind not in METRIC_KINDS:
-            raise MetricKindMismatch(
-                f"metric_kind must be one of {METRIC_KINDS}, got {self.metric_kind!r}"
-            )
-        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "points", tuple(self.points))
+        pairs = [(p.bitrate, p.quality) for p in self.points]
+        object.__setattr__(self, "_arrays", _curve(pairs, self.metric_kind))  # what BD fits
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[float, float]], metric_kind: str) -> "RdCurve":
         return cls(tuple(RdPoint(b, q) for b, q in pairs), metric_kind)
 
-    @property
-    def bitrates(self) -> np.ndarray:
-        return np.array([p.bitrate for p in self.points])
 
-    @property
-    def qualities(self) -> np.ndarray:
-        return np.array([p.quality for p in self.points])
+Curve = tuple[np.ndarray, np.ndarray]  # one RD curve's (qualities, log10 bitrates)
+
+
+def _curve(pairs: list[tuple[float, float]], metric_kind: str) -> Curve:
+    """The arrays of a curve's (bitrate, quality) pairs, after RdPoint's and
+    then RdCurve's checks, in their order and with their messages."""
+    for b, q in pairs:  # Python floats: quicker than numpy for a dozen points
+        if not (math.isfinite(b) and b > 0 and math.isfinite(q)):
+            RdPoint(b, q)  # raises RdPoint's message
+    if len(pairs) < 4:
+        raise InsufficientPoints(f"a curve needs >= 4 points, got {len(pairs)}")
+    for (a, _), (b, _) in zip(pairs, pairs[1:]):
+        if not a < b:
+            raise MetricsError(f"bitrates must strictly increase, got {a} then {b}")
+    if metric_kind not in METRIC_KINDS:
+        raise MetricKindMismatch(f"metric_kind must be one of {METRIC_KINDS}, got {metric_kind!r}")
+    return np.array([q for _, q in pairs]), np.log10([b for b, _ in pairs])
 
 
 def _fit_cubic(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    coeffs, _residuals, rank, _sv, _rcond = np.polyfit(x, y, 3, full=True)
+    """``np.polyfit(x, y, 3)`` by its own steps, so bitwise equal to it, with
+    a rank below 4 or an unconverged solve raised as :class:`DegenerateFit`."""
+    x, y = x + 0.0, y + 0.0
+    lhs = np.vander(x, 4)
+    scale = np.sqrt((lhs * lhs).sum(axis=0))
+    lhs /= scale
+    try:
+        coeffs, _residuals, rank, _sv = np.linalg.lstsq(lhs, y, len(x) * np.finfo(x.dtype).eps)
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateFit(f"cubic fit failed: {exc}") from None
     if rank < 4:
         raise DegenerateFit("cubic fit is rank-deficient (duplicate abscissae?)")
-    return coeffs
+    return coeffs / scale
 
 
 def _overlap(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
-    lo = max(a.min(), b.min())
-    hi = min(a.max(), b.max())
+    a, b = a.tolist(), b.tolist()  # the same values, quicker to compare
+    lo = max(min(a), min(b))
+    hi = min(max(a), max(b))
     if not lo < hi:
         raise NoOverlap(f"curves do not overlap (intersection [{lo}, {hi}])")
     return float(lo), float(hi)
 
 
-def _mean_poly_difference(
-    p_test: np.ndarray, p_ref: np.ndarray, lo: float, hi: float
-) -> float:
-    diff_integral = np.polyint(np.polysub(p_test, p_ref))
-    return float((np.polyval(diff_integral, hi) - np.polyval(diff_integral, lo)) / (hi - lo))
+def _mean_poly_difference(p_test: np.ndarray, p_ref: np.ndarray, lo: float, hi: float) -> float:
+    """The mean of ``p_test - p_ref`` over [lo, hi]: ``np.polyint(np.polysub(p_test,
+    p_ref))`` at both ends by ``np.polyval``'s Horner steps, on Python floats."""
+    at_lo = at_hi = 0.0
+    for c in [*((p_test - p_ref) / np.arange(4, 0, -1)).tolist(), 0.0]:
+        at_lo, at_hi = at_lo * lo + c, at_hi * hi + c
+    return (at_hi - at_lo) / (hi - lo)
 
 
-def _check_kinds(reference: RdCurve, test: RdCurve) -> None:
+def _bd(ref: Curve, test: Curve) -> float:
+    """Mean of ``test``'s cubic fit minus ``ref``'s over the overlap of their
+    abscissae, where a curve is read as ``(x, y)``."""
+    p_ref, p_test = _fit_cubic(*ref), _fit_cubic(*test)
+    mean = _mean_poly_difference(p_test, p_ref, *_overlap(ref[0], test[0]))
+    if not math.isfinite(mean):
+        raise MetricsError(f"mean curve difference is not finite ({mean})")
+    return mean
+
+
+def _bd_rate(ref: Curve, test: Curve) -> float:
+    avg = _bd(ref, test)
+    rate = (10.0 ** min(avg, 308.0) - 1.0) * 100.0  # inf above 306.25; ** raises above 308.25
+    if not math.isfinite(rate):
+        raise MetricsError(f"BD-rate overflows (mean log10 rate difference {avg})")
+    return rate
+
+
+def _bd_quality(ref: Curve, test: Curve) -> float:
+    return _bd(ref[::-1], test[::-1])  # quality as a cubic in log10 rate
+
+
+def _curves_of(reference: RdCurve, test: RdCurve) -> tuple[Curve, Curve]:
     if reference.metric_kind != test.metric_kind:
-        raise MetricKindMismatch(
-            f"curves carry different metrics: {reference.metric_kind!r} vs {test.metric_kind!r}"
-        )
+        raise MetricKindMismatch(f"curves carry different metrics: "
+                                 f"{reference.metric_kind!r} vs {test.metric_kind!r}")
+    return reference._arrays, test._arrays
 
 
 def bd_rate(reference: RdCurve, test: RdCurve) -> float:
     """Average bitrate change of ``test`` vs ``reference`` at equal quality, percent."""
-    _check_kinds(reference, test)
-    p_ref = _fit_cubic(reference.qualities, np.log10(reference.bitrates))
-    p_test = _fit_cubic(test.qualities, np.log10(test.bitrates))
-    lo, hi = _overlap(reference.qualities, test.qualities)
-    avg = _mean_poly_difference(p_test, p_ref, lo, hi)
-    return (10.0**avg - 1.0) * 100.0
+    return _bd_rate(*_curves_of(reference, test))
 
 
 def bd_quality(reference: RdCurve, test: RdCurve) -> float:
     """Average quality change of ``test`` vs ``reference`` at equal bitrate."""
-    _check_kinds(reference, test)
-    log_ref = np.log10(reference.bitrates)
-    log_test = np.log10(test.bitrates)
-    p_ref = _fit_cubic(log_ref, reference.qualities)
-    p_test = _fit_cubic(log_test, test.qualities)
-    lo, hi = _overlap(log_ref, log_test)
-    return _mean_poly_difference(p_test, p_ref, lo, hi)
+    return _bd_quality(*_curves_of(reference, test))
 
 
 def segment_encode_time(times: Iterable[float]) -> float:
@@ -244,13 +270,11 @@ class EvaluatedSegment:
             raise EmptyLadder(f"segment {self.segment_id!r} has no representations")
         object.__setattr__(self, "reps", tuple(self.reps))
 
-    def curve(self, metric_kind: str) -> RdCurve:
-        pairs = sorted(
-            (rep.bitrate, rep.qualities[metric_kind])
-            for rep in self.reps
-            if metric_kind in rep.qualities
-        )
-        return RdCurve.from_pairs(pairs, metric_kind)
+    def curve(self, metric_kind: str) -> Curve:
+        """The checked arrays of this segment's RD curve for one metric."""
+        pairs = sorted((rep.bitrate, rep.qualities[metric_kind]) for rep in self.reps
+                       if metric_kind in rep.qualities)
+        return _curve(pairs, metric_kind)
 
     @property
     def times(self) -> tuple[float, ...]:
@@ -268,16 +292,17 @@ class SchemeReport:
     BD fields are means over segments where both curves were fittable and
     overlapped; they are None when no segment qualified.  The relative
     deltas are percentages of the baseline totals, and the mean segment
-    time describes the candidate scheme.
+    time describes the candidate scheme.  A figure that overflows a float
+    is None too, since JSON has no infinity.
     """
 
     bd_rate_psnr: float | None
     bd_rate_vmaf: float | None
     bd_psnr: float | None
     bd_vmaf: float | None
-    delta_energy_pct: float
-    delta_storage_pct: float
-    mean_segment_time_s: float
+    delta_energy_pct: float | None
+    delta_storage_pct: float | None
+    mean_segment_time_s: float | None
     segments: tuple[dict, ...] = ()
 
     def to_dict(self) -> dict:
@@ -318,53 +343,47 @@ def compare_schemes(
         raise SegmentMismatch(
             f"segment sets differ (baseline-only {only_base}, candidate-only {only_cand})"
         )
-    bd_sums: dict[str, list[float]] = {
-        "bd_rate_psnr": [],
-        "bd_rate_vmaf": [],
-        "bd_psnr": [],
-        "bd_vmaf": [],
-    }
+    bd_sums = {f"bd{m}_{k}": [] for m in ("_rate", "") for k in METRIC_KINDS}
     breakdown: list[dict] = []
     base_energy = base_storage = 0.0
     cand_energy = cand_storage = 0.0
     cand_times: list[float] = []
     for segment_id in sorted(base):
-        b_seg = base[segment_id]
-        c_seg = cand[segment_id]
+        b_seg, c_seg = base[segment_id], cand[segment_id]
         entry: dict = {"segment_id": segment_id}
         for kind in METRIC_KINDS:
             try:
-                rate_delta = bd_rate(b_seg.curve(kind), c_seg.curve(kind))
-                quality_delta = bd_quality(b_seg.curve(kind), c_seg.curve(kind))
-            except (KeyError, MetricsError) as exc:
+                ref, test = b_seg.curve(kind), c_seg.curve(kind)
+                rate_delta, quality_delta = _bd_rate(ref, test), _bd_quality(ref, test)
+            except MetricsError as exc:
                 entry[f"bd_error_{kind}"] = str(exc)
                 continue
-            entry[f"bd_rate_{kind}"] = rate_delta
-            entry[f"bd_{kind}"] = quality_delta
-            bd_sums[f"bd_rate_{kind}"].append(rate_delta)
-            bd_sums[f"bd_{kind}"].append(quality_delta)
-        entry["baseline_time_s"] = segment_encode_time(b_seg.times)
-        entry["candidate_time_s"] = segment_encode_time(c_seg.times)
+            for name, value in ((f"bd_rate_{kind}", rate_delta), (f"bd_{kind}", quality_delta)):
+                entry[name] = value
+                bd_sums[name].append(value)
+        b_times, c_times = b_seg.times, c_seg.times
+        entry["baseline_time_s"] = segment_encode_time(b_times)
+        entry["candidate_time_s"] = segment_encode_time(c_times)
         cand_times.append(entry["candidate_time_s"])
-        base_energy += encoding_energy(b_seg.times, kappa)
-        cand_energy += encoding_energy(c_seg.times, kappa)
+        base_energy += encoding_energy(b_times, kappa)
+        cand_energy += encoding_energy(c_times, kappa)
         base_storage += b_seg.total_bitrate * segment_duration_s
         cand_storage += c_seg.total_bitrate * segment_duration_s
         breakdown.append(entry)
     if base_energy == 0 or base_storage == 0:
         raise MetricsError("baseline energy/storage must be nonzero for relative deltas")
 
+    def _finite(value: float) -> float | None:
+        return value if math.isfinite(value) else None
+
     def _mean(values: list[float]) -> float | None:
-        return float(np.mean(values)) if values else None
+        return _finite(float(np.mean(values))) if values else None
 
     return SchemeReport(
-        bd_rate_psnr=_mean(bd_sums["bd_rate_psnr"]),
-        bd_rate_vmaf=_mean(bd_sums["bd_rate_vmaf"]),
-        bd_psnr=_mean(bd_sums["bd_psnr"]),
-        bd_vmaf=_mean(bd_sums["bd_vmaf"]),
-        delta_energy_pct=100.0 * (cand_energy - base_energy) / base_energy,
-        delta_storage_pct=100.0 * (cand_storage - base_storage) / base_storage,
-        mean_segment_time_s=float(np.mean(cand_times)),
+        **{name: _mean(values) for name, values in bd_sums.items()},
+        delta_energy_pct=_finite(100.0 * (cand_energy - base_energy) / base_energy),
+        delta_storage_pct=_finite(100.0 * (cand_storage - base_storage) / base_storage),
+        mean_segment_time_s=_mean(cand_times),
         segments=tuple(breakdown),
     )
 

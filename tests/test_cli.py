@@ -580,6 +580,28 @@ def test_evaluate_rejects_non_finite_time_and_writes_no_report(tmp_path, capsys)
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize("base_rates, cand_rates, qualities, error", [
+    # 10**600 overflows a float: once as the BD-rate, once as the storage delta
+    ([1e-300, 2e-300, 3e-300, 4e-300], [1e300, 2e300, 3e300, 4e300], [30.0, 31.0, 32.0, 33.0],
+     "BD-rate overflows (mean log10 rate difference 600.0)"),
+    # the vandermonde matrix overflows, and lstsq's SVD does not converge
+    ([1.0, 2.0, 3.0, 4.0], [1.5, 2.5, 3.5, 4.5], [1e200, 2e200, 3e200, 4e200],
+     "cubic fit failed: SVD did not converge in Linear Least Squares"),
+], ids=["rate-overflow", "unconverged-fit"])
+def test_evaluate_records_extreme_but_finite_inputs_as_bd_errors(
+        tmp_path, base_rates, cand_rates, qualities, error):
+    paths = []
+    for scheme, rates in (("hls", base_rates), ("tuned", cand_rates)):
+        paths.append(tmp_path / f"{scheme}.csv")
+        paths[-1].write_text(EVAL_HEADER + "".join(
+            f"s0,{scheme},{b!r},720,psnr,{q!r},1.0\n" for b, q in zip(rates, qualities)))
+    out = tmp_path / "report"
+    assert run("evaluate", *map(str, paths), "--out", str(out)) == 0
+    doc = json.loads((out / "report.json").read_text(), parse_constant=pytest.fail)  # no inf/nan
+    assert doc["segments"][0]["bd_error_psnr"] == error
+    assert doc["bd_rate_psnr"] is None and doc["bd_psnr"] is None
+
+
 def test_write_json_refuses_non_finite_numbers(tmp_path):
     with pytest.raises(ValueError):
         cli._write_json(tmp_path / "x.json", {"delta": float("nan")})

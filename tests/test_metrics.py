@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 from conftest import bd_quality_oracle, bd_rate_oracle, random_rd_pairs
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ladderforge.config import DEFAULT_BITRATES_MBPS
 from ladderforge.ladder import EmptyLadder, Ladder, LadderParams, Representation
@@ -25,6 +27,7 @@ from ladderforge.metrics import (
     segment_encode_time,
     storage,
 )
+from ladderforge.metrics import _fit_cubic, _mean_poly_difference
 
 CURVE = [(0.5, 34.0), (1.2, 38.5), (3.0, 42.0), (7.5, 45.0), (15.0, 46.5)]
 
@@ -109,6 +112,106 @@ def test_metric_kind_mismatch_rejected():
 def test_curve_requires_increasing_bitrates():
     with pytest.raises(MetricsError):
         _curve([(1.0, 30.0), (1.0, 31.0), (2.0, 32.0), (3.0, 33.0)])
+
+
+# ------------------------------------------------- the fit and its integral
+
+_VALUES = st.floats(-1e6, 1e6, allow_nan=False) | st.integers(-10**6, 10**6)
+
+
+@st.composite
+def _near_duplicates(draw, n):
+    """Abscissae a few ulps apart: far too close for a cubic of rank 4."""
+    x = draw(st.floats(0.5, 1e6) | st.floats(-1e6, -0.5))
+    steps = draw(st.lists(st.integers(0, 50), min_size=n, max_size=n, unique=True))
+    return [x + k * math.ulp(x) for k in sorted(steps)], True
+
+
+@st.composite
+def _fit_inputs(draw):
+    n = draw(st.integers(4, 12))
+    x, near = draw(_near_duplicates(n) | st.tuples(
+        st.lists(_VALUES, min_size=n, max_size=n), st.just(False)))
+    dtype = draw(st.sampled_from([float, int])) if all(isinstance(v, int) for v in x) else float
+    return np.array(x, dtype=dtype), np.array(draw(st.lists(_VALUES, min_size=n, max_size=n))), near
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fit_inputs())
+def test_fit_cubic_is_polyfit_bit_for_bit(inputs):
+    x, y, near = inputs
+    try:
+        coeffs, _residuals, rank, _sv, _rcond = np.polyfit(x, y, 3, full=True)
+    except np.linalg.LinAlgError:
+        rank = None
+    if rank is None or rank < 4:
+        with pytest.raises(DegenerateFit):
+            _fit_cubic(x, y)
+    else:
+        assert not near
+        assert _fit_cubic(x, y).tobytes() == coeffs.tobytes()
+
+
+_COEFFS = st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=4, max_size=4).map(np.array)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_COEFFS, _COEFFS, st.floats(-1e3, 1e3), st.floats(1e-9, 1e3))
+def test_horner_integral_is_polyval_of_polyint_bit_for_bit(a, b, lo, width):
+    hi = lo + width
+    integral = np.polyint(np.polysub(a, b))
+    want = float((np.polyval(integral, hi) - np.polyval(integral, lo)) / (hi - lo))
+    assert np.float64(_mean_poly_difference(a, b, lo, hi)).tobytes() == np.float64(want).tobytes()
+
+
+def test_bd_error_text_and_precedence_for_segments_with_several_faults():
+    """Each curve fault names the base curve before the candidate, then the
+    rate fits and their overlap, then the quality fits and their overlap."""
+    def seg(sid, rows):
+        return EvaluatedSegment(sid, tuple(EvaluatedRep(b, 720, 1.0, q) for b, q in rows))
+
+    near = [math.nextafter(10.0, 20.0)]
+    for _ in range(3):
+        near.append(math.nextafter(near[-1], 20.0))
+    baseline = [
+        # psnr: 3 points against 2; vmaf: a constant quality (a degenerate
+        # rate fit) that the candidate's qualities do not overlap either
+        seg("a", [(1.0, {"psnr": 30.0, "vmaf": 60.0}), (2.0, {"psnr": 32.0, "vmaf": 60.0}),
+                  (3.0, {"psnr": 33.0, "vmaf": 60.0}), (4.0, {"vmaf": 60.0})]),
+        # psnr: a non-finite quality; vmaf: no quality overlap, and candidate
+        # bitrates too close for its quality fit
+        seg("b", [(1.0, {"psnr": float("nan"), "vmaf": 30.0}), (2.0, {"psnr": 32.0, "vmaf": 32.0}),
+                  (3.0, {"psnr": 33.0, "vmaf": 35.0}), (4.0, {"psnr": 34.0, "vmaf": 40.0})]),
+        # psnr: a constant quality against one bitrate at two resolutions
+        seg("c", [(b, {"psnr": 30.0}) for b in (1.0, 2.0, 3.0, 4.0)]),
+    ]
+    candidate = [
+        seg("a", [(1.5, {"psnr": 31.0, "vmaf": 70.0}), (2.5, {"psnr": 33.0, "vmaf": 72.0}),
+                  (3.5, {"vmaf": 75.0}), (4.5, {"vmaf": 80.0})]),
+        seg("b", [(b, {"psnr": 30.0 + i, "vmaf": 50.0 + i}) for i, b in enumerate(near)]
+            + [(5.0, {"psnr": 40.0})]),
+        EvaluatedSegment("c", tuple(EvaluatedRep(b, r, 1.0, {"psnr": 30.0 + b})
+                                    for b, r in ((1.0, 360), (2.0, 360), (2.0, 720), (3.0, 720)))),
+    ]
+    errors = [{k: v for k, v in entry.items() if k.startswith("bd_")}
+              for entry in compare_schemes(baseline, candidate).segments]
+    assert errors == [
+        {"bd_error_psnr": "a curve needs >= 4 points, got 3",
+         "bd_error_vmaf": "cubic fit is rank-deficient (duplicate abscissae?)"},
+        {"bd_error_psnr": "quality must be finite, got nan",
+         "bd_error_vmaf": "curves do not overlap (intersection [50.0, 40.0])"},
+        {"bd_error_psnr": "bitrates must strictly increase, got 2.0 then 2.0",
+         "bd_error_vmaf": "a curve needs >= 4 points, got 0"},
+    ]
+
+
+def test_overflowing_aggregates_are_none():
+    # Finite encode times whose sums overflow a float.
+    huge = [_rep(1.0 + i, 30.0 + i, 40.0 + i, 1e308) for i in range(4)]
+    report = compare_schemes([_segment("s", huge), _segment("t", huge)],
+                             [_segment("s", huge), _segment("t", huge)])
+    assert report.delta_energy_pct is None and report.mean_segment_time_s is None
+    assert report.delta_storage_pct == 0.0
 
 
 # --------------------------------------------------------------- accounting
