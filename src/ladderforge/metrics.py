@@ -8,9 +8,11 @@ bitrate for equal quality.  The quality delta is the dual fit ``quality =
 q(log10 rate)`` averaged over the overlapping log-rate range; positive means
 the test scheme gains quality at equal bitrate.  Fits are exact cubic
 least squares on four or more points; rank-deficient or unconverged systems
-are reported as :class:`DegenerateFit`, never regularised, an empty overlap is
-an error rather than an extrapolation, and so is a delta that overflows.  Each
-curve is built once, as arrays, and each fit takes ``np.polyfit``'s own steps
+are reported as :class:`DegenerateFit`, never regularised, and so is a fit
+whose Vandermonde matrix overflows a float; an empty overlap is an error
+rather than an extrapolation, and so is a delta that overflows.  A curve has
+one form, :class:`RdCurve`: the checked quality and log10-rate arrays, built
+once and read by both BD metrics.  Each fit takes ``np.polyfit``'s own steps
 (and the integral ``np.polyval``'s), so the results are bitwise numpy's.
 
 Per-segment accounting assumes representations encode concurrently: wall
@@ -33,7 +35,6 @@ from .table import finite_float, read_table
 
 __all__ = [
     "METRIC_KINDS",
-    "RdPoint",
     "RdCurve",
     "EvaluatedRep",
     "EvaluatedSegment",
@@ -90,60 +91,46 @@ class SegmentMismatch(MetricsError):
     pass
 
 
-@dataclass(frozen=True)
-class RdPoint:
-    bitrate: float
-    quality: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.bitrate) and self.bitrate > 0):
-            raise MetricsError(f"bitrate must be finite and positive, got {self.bitrate}")
-        if not math.isfinite(self.quality):
-            raise MetricsError(f"quality must be finite, got {self.quality}")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RdCurve:
-    """At least four RD points in strictly increasing bitrate order."""
+    """One RD curve as the arrays the BD fits read, built by :meth:`from_pairs`
+    from at least four points with finite qualities and finite, positive and
+    strictly increasing bitrates."""
 
-    points: tuple[RdPoint, ...]
+    qualities: np.ndarray
+    log_rates: np.ndarray  # log10 of the bitrates
     metric_kind: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "points", tuple(self.points))
-        pairs = [(p.bitrate, p.quality) for p in self.points]
-        object.__setattr__(self, "_arrays", _curve(pairs, self.metric_kind))  # what BD fits
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[float, float]], metric_kind: str) -> "RdCurve":
-        return cls(tuple(RdPoint(b, q) for b, q in pairs), metric_kind)
-
-
-Curve = tuple[np.ndarray, np.ndarray]  # one RD curve's (qualities, log10 bitrates)
-
-
-def _curve(pairs: list[tuple[float, float]], metric_kind: str) -> Curve:
-    """The arrays of a curve's (bitrate, quality) pairs, after RdPoint's and
-    then RdCurve's checks, in their order and with their messages."""
-    for b, q in pairs:  # Python floats: quicker than numpy for a dozen points
-        if not (math.isfinite(b) and b > 0 and math.isfinite(q)):
-            RdPoint(b, q)  # raises RdPoint's message
-    if len(pairs) < 4:
-        raise InsufficientPoints(f"a curve needs >= 4 points, got {len(pairs)}")
-    for (a, _), (b, _) in zip(pairs, pairs[1:]):
-        if not a < b:
-            raise MetricsError(f"bitrates must strictly increase, got {a} then {b}")
-    if metric_kind not in METRIC_KINDS:
-        raise MetricKindMismatch(f"metric_kind must be one of {METRIC_KINDS}, got {metric_kind!r}")
-    return np.array([q for _, q in pairs]), np.log10([b for b, _ in pairs])
+        pairs = list(pairs)
+        for b, q in pairs:  # Python floats: quicker than numpy for a dozen points
+            if not (math.isfinite(b) and b > 0):
+                raise MetricsError(f"bitrate must be finite and positive, got {b}")
+            if not math.isfinite(q):
+                raise MetricsError(f"quality must be finite, got {q}")
+        if len(pairs) < 4:
+            raise InsufficientPoints(f"a curve needs >= 4 points, got {len(pairs)}")
+        for (a, _), (b, _) in zip(pairs, pairs[1:]):
+            if not a < b:
+                raise MetricsError(f"bitrates must strictly increase, got {a} then {b}")
+        if metric_kind not in METRIC_KINDS:
+            raise MetricKindMismatch(f"metric_kind must be one of {METRIC_KINDS}, got {metric_kind!r}")
+        return cls(np.array([q for _, q in pairs]), np.log10([b for b, _ in pairs]), metric_kind)
 
 
 def _fit_cubic(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """``np.polyfit(x, y, 3)`` by its own steps, so bitwise equal to it, with
-    a rank below 4 or an unconverged solve raised as :class:`DegenerateFit`."""
+    a column scale that overflows or vanishes, a rank below 4 or an
+    unconverged solve raised as :class:`DegenerateFit`."""
     x, y = x + 0.0, y + 0.0
-    lhs = np.vander(x, 4)
-    scale = np.sqrt((lhs * lhs).sum(axis=0))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked on the scale
+        lhs = np.vander(x, 4)
+        scale = np.sqrt((lhs * lhs).sum(axis=0))
+    if not all(map(math.isfinite, scale.tolist())):  # lists: quicker for 4 values
+        raise DegenerateFit(f"cubic fit overflows float64 (abscissae up to {float(abs(x).max())})")
+    if 0.0 in scale.tolist():  # every abscissa 0, or too near it to square
+        raise DegenerateFit("cubic fit is rank-deficient (duplicate abscissae?)")
     lhs /= scale
     try:
         coeffs, _residuals, rank, _sv = np.linalg.lstsq(lhs, y, len(x) * np.finfo(x.dtype).eps)
@@ -172,43 +159,35 @@ def _mean_poly_difference(p_test: np.ndarray, p_ref: np.ndarray, lo: float, hi: 
     return (at_hi - at_lo) / (hi - lo)
 
 
-def _bd(ref: Curve, test: Curve) -> float:
-    """Mean of ``test``'s cubic fit minus ``ref``'s over the overlap of their
-    abscissae, where a curve is read as ``(x, y)``."""
-    p_ref, p_test = _fit_cubic(*ref), _fit_cubic(*test)
-    mean = _mean_poly_difference(p_test, p_ref, *_overlap(ref[0], test[0]))
+def _bd(x_ref: np.ndarray, y_ref: np.ndarray, x_test: np.ndarray, y_test: np.ndarray) -> float:
+    """Mean of the test curve's cubic fit minus the reference's over their overlap."""
+    p_ref, p_test = _fit_cubic(x_ref, y_ref), _fit_cubic(x_test, y_test)
+    mean = _mean_poly_difference(p_test, p_ref, *_overlap(x_ref, x_test))
     if not math.isfinite(mean):
         raise MetricsError(f"mean curve difference is not finite ({mean})")
     return mean
 
 
-def _bd_rate(ref: Curve, test: Curve) -> float:
-    avg = _bd(ref, test)
+def _same_kind(reference: RdCurve, test: RdCurve) -> None:
+    if reference.metric_kind != test.metric_kind:
+        raise MetricKindMismatch(f"curves carry different metrics: "
+                                 f"{reference.metric_kind!r} vs {test.metric_kind!r}")
+
+
+def bd_rate(reference: RdCurve, test: RdCurve) -> float:
+    """Average bitrate change of ``test`` vs ``reference`` at equal quality, percent."""
+    _same_kind(reference, test)
+    avg = _bd(reference.qualities, reference.log_rates, test.qualities, test.log_rates)
     rate = (10.0 ** min(avg, 308.0) - 1.0) * 100.0  # inf above 306.25; ** raises above 308.25
     if not math.isfinite(rate):
         raise MetricsError(f"BD-rate overflows (mean log10 rate difference {avg})")
     return rate
 
 
-def _bd_quality(ref: Curve, test: Curve) -> float:
-    return _bd(ref[::-1], test[::-1])  # quality as a cubic in log10 rate
-
-
-def _curves_of(reference: RdCurve, test: RdCurve) -> tuple[Curve, Curve]:
-    if reference.metric_kind != test.metric_kind:
-        raise MetricKindMismatch(f"curves carry different metrics: "
-                                 f"{reference.metric_kind!r} vs {test.metric_kind!r}")
-    return reference._arrays, test._arrays
-
-
-def bd_rate(reference: RdCurve, test: RdCurve) -> float:
-    """Average bitrate change of ``test`` vs ``reference`` at equal quality, percent."""
-    return _bd_rate(*_curves_of(reference, test))
-
-
 def bd_quality(reference: RdCurve, test: RdCurve) -> float:
     """Average quality change of ``test`` vs ``reference`` at equal bitrate."""
-    return _bd_quality(*_curves_of(reference, test))
+    _same_kind(reference, test)  # quality as a cubic in log10 rate
+    return _bd(reference.log_rates, reference.qualities, test.log_rates, test.qualities)
 
 
 def segment_encode_time(times: Iterable[float]) -> float:
@@ -223,8 +202,8 @@ def segment_encode_time(times: Iterable[float]) -> float:
 
 def encoding_energy(times: Iterable[float], kappa: float) -> float:
     """Total joules: ``kappa`` times the summed encode seconds."""
-    if kappa <= 0:
-        raise MetricsError(f"kappa must be positive, got {kappa}")
+    if not 0 < kappa < math.inf:
+        raise MetricsError(f"kappa must be finite and positive, got {kappa}")
     values = list(times)
     if not values:
         raise EmptyLadder("no representation times supplied")
@@ -235,8 +214,8 @@ def encoding_energy(times: Iterable[float], kappa: float) -> float:
 
 def storage(ladder: Ladder, duration_s: float) -> float:
     """Megabits to store every rung of one segment."""
-    if duration_s <= 0:
-        raise MetricsError(f"duration must be positive, got {duration_s}")
+    if not 0 < duration_s < math.inf:
+        raise MetricsError(f"duration must be finite and positive, got {duration_s}")
     return float(sum(rep.bitrate for rep in ladder.reps) * duration_s)
 
 
@@ -250,10 +229,10 @@ class EvaluatedRep:
     qualities: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.bitrate <= 0:
-            raise MetricsError(f"bitrate must be positive, got {self.bitrate}")
-        if self.encode_time < 0:
-            raise MetricsError(f"encode time must be nonnegative, got {self.encode_time}")
+        if not 0 < self.bitrate < math.inf:
+            raise MetricsError(f"bitrate must be finite and positive, got {self.bitrate}")
+        if not 0 <= self.encode_time < math.inf:
+            raise MetricsError(f"encode time must be finite and nonnegative, got {self.encode_time}")
         for kind in self.qualities:
             if kind not in METRIC_KINDS:
                 raise MetricKindMismatch(f"unknown quality metric {kind!r}")
@@ -270,11 +249,11 @@ class EvaluatedSegment:
             raise EmptyLadder(f"segment {self.segment_id!r} has no representations")
         object.__setattr__(self, "reps", tuple(self.reps))
 
-    def curve(self, metric_kind: str) -> Curve:
-        """The checked arrays of this segment's RD curve for one metric."""
-        pairs = sorted((rep.bitrate, rep.qualities[metric_kind]) for rep in self.reps
-                       if metric_kind in rep.qualities)
-        return _curve(pairs, metric_kind)
+    def curve(self, metric_kind: str) -> RdCurve:
+        """This segment's RD curve for one metric."""
+        return RdCurve.from_pairs(sorted((rep.bitrate, rep.qualities[metric_kind])
+                                         for rep in self.reps if metric_kind in rep.qualities),
+                                  metric_kind)
 
     @property
     def times(self) -> tuple[float, ...]:
@@ -354,7 +333,7 @@ def compare_schemes(
         for kind in METRIC_KINDS:
             try:
                 ref, test = b_seg.curve(kind), c_seg.curve(kind)
-                rate_delta, quality_delta = _bd_rate(ref, test), _bd_quality(ref, test)
+                rate_delta, quality_delta = bd_rate(ref, test), bd_quality(ref, test)
             except MetricsError as exc:
                 entry[f"bd_error_{kind}"] = str(exc)
                 continue
@@ -377,7 +356,8 @@ def compare_schemes(
         return value if math.isfinite(value) else None
 
     def _mean(values: list[float]) -> float | None:
-        return _finite(float(np.mean(values))) if values else None
+        with np.errstate(over="ignore"):  # an overflowing mean is None
+            return _finite(float(np.mean(values))) if values else None
 
     return SchemeReport(
         **{name: _mean(values) for name, values in bd_sums.items()},

@@ -584,12 +584,15 @@ def test_evaluate_rejects_non_finite_time_and_writes_no_report(tmp_path, capsys)
     # 10**600 overflows a float: once as the BD-rate, once as the storage delta
     ([1e-300, 2e-300, 3e-300, 4e-300], [1e300, 2e300, 3e300, 4e300], [30.0, 31.0, 32.0, 33.0],
      "BD-rate overflows (mean log10 rate difference 600.0)"),
-    # the vandermonde matrix overflows, and lstsq's SVD does not converge
+    # the vandermonde matrix overflows, where lstsq's SVD would not converge
     ([1.0, 2.0, 3.0, 4.0], [1.5, 2.5, 3.5, 4.5], [1e200, 2e200, 3e200, 4e200],
-     "cubic fit failed: SVD did not converge in Linear Least Squares"),
-], ids=["rate-overflow", "unconverged-fit"])
+     "cubic fit overflows float64 (abscissae up to 4e+200)"),
+    # the vandermonde matrix is finite, but the squares of its cubes overflow
+    ([1.0, 2.0, 3.0, 4.0], [1.5, 2.5, 3.5, 4.5], [1e100, 2e100, 3e100, 4e100],
+     "cubic fit overflows float64 (abscissae up to 4e+100)"),
+], ids=["rate-overflow", "unconverged-fit", "overflowing-scale"])
 def test_evaluate_records_extreme_but_finite_inputs_as_bd_errors(
-        tmp_path, base_rates, cand_rates, qualities, error):
+        tmp_path, capfd, base_rates, cand_rates, qualities, error):
     paths = []
     for scheme, rates in (("hls", base_rates), ("tuned", cand_rates)):
         paths.append(tmp_path / f"{scheme}.csv")
@@ -600,6 +603,7 @@ def test_evaluate_records_extreme_but_finite_inputs_as_bd_errors(
     doc = json.loads((out / "report.json").read_text(), parse_constant=pytest.fail)  # no inf/nan
     assert doc["segments"][0]["bd_error_psnr"] == error
     assert doc["bd_rate_psnr"] is None and doc["bd_psnr"] is None
+    assert capfd.readouterr().err == ""  # no numpy warning, no LAPACK message
 
 
 def test_write_json_refuses_non_finite_numbers(tmp_path):

@@ -17,7 +17,6 @@ from ladderforge.metrics import (
     MetricsError,
     NoOverlap,
     RdCurve,
-    RdPoint,
     SegmentMismatch,
     bd_quality,
     bd_rate,
@@ -102,6 +101,18 @@ def test_degenerate_fit_rejected():
         bd_rate(flat, flat)
 
 
+@pytest.mark.parametrize("scale, message", [
+    (1e100, "cubic fit overflows float64 (abscissae up to 4e+100)"),
+    # the squared cubes underflow to 0, on which LAPACK would never return
+    (1e-100, "cubic fit is rank-deficient (duplicate abscissae?)"),
+])
+def test_fits_whose_column_scale_overflows_or_vanishes_are_degenerate(scale, message):
+    curve = _curve([(r, scale * r) for r in (1.0, 2.0, 3.0, 4.0)])
+    with pytest.raises(DegenerateFit) as info:
+        bd_rate(curve, curve)
+    assert str(info.value) == message
+
+
 def test_metric_kind_mismatch_rejected():
     with pytest.raises(MetricKindMismatch):
         bd_rate(_curve(CURVE, "psnr"), _curve(CURVE, "vmaf"))
@@ -112,6 +123,36 @@ def test_metric_kind_mismatch_rejected():
 def test_curve_requires_increasing_bitrates():
     with pytest.raises(MetricsError):
         _curve([(1.0, 30.0), (1.0, 31.0), (2.0, 32.0), (3.0, 33.0)])
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("pairs, kind, error, message", [
+    # each case also breaks every later check, so the order is pinned too
+    ([(NAN, NAN), (1.0, 30.0), (1.0, 31.0)], "ssim",
+     MetricsError, "bitrate must be finite and positive, got nan"),
+    ([(0.0, NAN), (1.0, 30.0), (1.0, 31.0)], "ssim",
+     MetricsError, "bitrate must be finite and positive, got 0.0"),
+    ([(1.0, 30.0), (1.0, NAN), (2.0, 31.0)], "ssim", MetricsError, "quality must be finite, got nan"),
+    ([(1.0, 30.0), (1.0, 31.0), (2.0, 32.0)], "ssim",
+     InsufficientPoints, "a curve needs >= 4 points, got 3"),
+    ([(1.0, 30.0), (1.0, 31.0), (2.0, 32.0), (3.0, 33.0)], "ssim",
+     MetricsError, "bitrates must strictly increase, got 1.0 then 1.0"),
+    (CURVE, "ssim", MetricKindMismatch, "metric_kind must be one of ('psnr', 'vmaf'), got 'ssim'"),
+], ids=["nan-bitrate", "zero-bitrate", "nan-quality", "three-points", "repeated-bitrate",
+        "unknown-kind"])
+def test_curve_checks_keep_their_order_class_and_message(pairs, kind, error, message):
+    with pytest.raises(MetricsError) as info:
+        RdCurve.from_pairs(pairs, kind)
+    assert type(info.value) is error and str(info.value) == message
+
+
+@pytest.mark.parametrize("bd", [bd_rate, bd_quality])
+def test_bd_metric_kind_mismatch_keeps_its_message(bd):
+    with pytest.raises(MetricKindMismatch) as info:
+        bd(_curve(CURVE, "psnr"), _curve(CURVE, "vmaf"))
+    assert str(info.value) == "curves carry different metrics: 'psnr' vs 'vmaf'"
 
 
 # ------------------------------------------------- the fit and its integral
@@ -141,7 +182,8 @@ def _fit_inputs(draw):
 def test_fit_cubic_is_polyfit_bit_for_bit(inputs):
     x, y, near = inputs
     try:
-        coeffs, _residuals, rank, _sv, _rcond = np.polyfit(x, y, 3, full=True)
+        with np.errstate(all="ignore"):  # numpy warns on scales it divides by 0
+            coeffs, _residuals, rank, _sv, _rcond = np.polyfit(x, y, 3, full=True)
     except np.linalg.LinAlgError:
         rank = None
     if rank is None or rank < 4:
@@ -246,6 +288,26 @@ def test_energy_examples():
     with pytest.raises(EmptyLadder):
         encoding_energy([], kappa=1.0)
     assert encoding_energy([1.0, 2.0], 5.0) < encoding_energy([1.0, 2.0, 0.5], 5.0)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: EvaluatedRep(NAN, 720, 1.0), "bitrate must be finite and positive, got nan"),
+    (lambda: EvaluatedRep(math.inf, 720, 1.0), "bitrate must be finite and positive, got inf"),
+    (lambda: EvaluatedRep(1.0, 720, NAN), "encode time must be finite and nonnegative, got nan"),
+    (lambda: EvaluatedRep(1.0, 720, math.inf),
+     "encode time must be finite and nonnegative, got inf"),
+    (lambda: encoding_energy([1.0], NAN), "kappa must be finite and positive, got nan"),
+    (lambda: encoding_energy([1.0], math.inf), "kappa must be finite and positive, got inf"),
+    (lambda: storage(Ladder((Representation(360, 1.0),), LadderParams()), NAN),
+     "duration must be finite and positive, got nan"),
+    (lambda: storage(Ladder((Representation(360, 1.0),), LadderParams()), math.inf),
+     "duration must be finite and positive, got inf"),
+], ids=[f"{value}-{name}" for name in ("bitrate", "time", "kappa", "duration")
+        for value in ("nan", "inf")])
+def test_accounting_rejects_non_finite_values(make, message):
+    with pytest.raises(MetricsError) as info:
+        make()
+    assert str(info.value) == message
 
 
 def test_storage_examples():
