@@ -30,6 +30,15 @@ Trees are stored in their wire format: internal nodes
 ``{"f": idx, "t": thr, "l": ..., "r": ...}`` (x[f] <= thr goes left) and
 leaves ``{"v": mean}``.  ``serialize_model`` emits versioned canonical JSON,
 so equal seeds yield byte-identical artifacts.
+
+``deserialize_model`` has two paths to the same model.  Text exactly as
+``serialize_model`` writes it (compact, keys in their fixed order, ASCII),
+followed by provenance keys, is read straight into the flat arrays that
+``predict`` walks, with no dict per node (:mod:`.treetext` reads the trees);
+such a model builds its ``trees`` from the arrays when first asked for them.
+Any other text, valid or not, goes through ``json.loads`` and the
+``ForestModel`` constructor, which own every error and its message: the fast
+path only accepts what that path accepts, to the same arrays.
 """
 
 from __future__ import annotations
@@ -43,6 +52,7 @@ from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
+from . import treetext
 from .complexity import SegmentFeatures
 from .errors import LadderforgeError
 from .rng import SplitMix64
@@ -198,6 +208,22 @@ class ForestModel:
 
     def __post_init__(self):
         object.__setattr__(self, "_flat", _compile(self.trees, self.hyperparams.max_depth))
+
+    @classmethod
+    def _from_flat(cls, flat: tuple, hyperparams: Hyperparams, seed: int,
+                   target_kind: str, vsr_tag: str) -> "ForestModel":
+        """A model of trees that were checked and flattened as they were read;
+        its ``trees`` are built from the arrays when first asked for."""
+        model = object.__new__(cls)
+        vars(model).update(_flat=flat, hyperparams=hyperparams, seed=seed,
+                           target_kind=target_kind, vsr_tag=vsr_tag)
+        return model
+
+    def __getattr__(self, name: str):  # reached only for a _from_flat model's trees
+        if name != "trees":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        vars(self)["trees"] = trees = _unflatten(self._flat)
+        return trees
 
 
 def feature_vector(
@@ -416,28 +442,57 @@ def _compile(trees: Sequence[object], max_depth: int) -> tuple:
                 parent = index - 1 if right[index - 1] != index - 1 else right.index(index)
                 path, index = (".l" if parent + 1 == index else ".r") + path, parent
             raise CorruptModel(f"trees[{i}]{path}: {exc}") from None
-    # Leaves keep their value in threshold and left links are derived, so the walk appends less.
     # Numpy gathers index with pointer-sized integers; converting once saves a copy per step.
     feature, right, roots = (np.array(a, np.intp) for a in (feature, right, roots))
+    return _linked(feature, np.array(threshold), right, roots, deepest)
+
+
+def _linked(feature: np.ndarray, threshold: np.ndarray, right: np.ndarray,
+            roots: np.ndarray, deepest: int) -> tuple:
+    """``_compile``'s result from the preorder arrays, in which a leaf links
+    to itself and keeps its value in ``threshold``: the left links (the next
+    node, for a split) and the leaf values are derived here, so the readers
+    fill fewer arrays."""
     nodes = np.arange(right.size)
     leaf = right == nodes
-    threshold = np.array(threshold)
     return (feature, threshold, np.where(leaf, nodes, nodes + 1), right,
             np.where(leaf, threshold, 0.0), roots, deepest)
 
 
-def deserialize_model(data: Union[bytes, str]) -> ForestModel:
-    """Load a serialized model.
+def _unflatten(flat: tuple) -> tuple[dict, ...]:
+    """The wire-format trees of ``_compile``'s arrays."""
+    feature, threshold, _, right, _, roots, _ = flat
+    feature, threshold, right = feature.tolist(), threshold.tolist(), right.tolist()
 
-    Unknown top-level keys are ignored (the CLI adds provenance there);
-    per-node structure is validated strictly.
-    """
-    try:
-        doc = json.loads(data)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise CorruptModel(f"not valid JSON: {exc}") from None
-    except RecursionError:
-        raise CorruptModel("JSON is nested too deeply to be a model") from None
+    def node(i: int) -> dict:
+        if right[i] == i:
+            return {"v": threshold[i]}
+        return {"f": feature[i], "t": threshold[i], "l": node(i + 1), "r": node(right[i])}
+
+    return tuple(node(root) for root in roots.tolist())
+
+
+def _read_canonical(data: Union[bytes, str]) -> ForestModel | None:
+    """The model in ``data``, read without a dict per node, if ``data`` is
+    exactly the text ``serialize_model`` writes, provenance keys and trailing
+    whitespace aside; else None."""
+    read = treetext.read_canonical(data, N_FEATURES)
+    if read is None:
+        return None
+    header, arrays = read
+    flat = _linked(*arrays)
+    try:  # the roots stand in for the trees, whose number is checked there
+        _, hp, seed, target_kind, vsr_tag = _model_fields({**header, "trees": flat[5].tolist()})
+    except ForestError:
+        return None
+    if flat[6] > hp.max_depth:  # fit never splits a node at depth max_depth
+        return None
+    return ForestModel._from_flat(flat, hp, seed, target_kind, vsr_tag)
+
+
+def _model_fields(doc: object) -> tuple[list, Hyperparams, int, str, str]:
+    """A parsed model document's trees, hyperparams, seed, target kind and
+    vsr tag, checked in this order; building the model checks the trees."""
     if not isinstance(doc, dict):
         raise CorruptModel("model document must be a JSON object")
     version = doc.get("version")
@@ -452,7 +507,7 @@ def deserialize_model(data: Union[bytes, str]) -> ForestModel:
         target_kind = doc["target_kind"]
         vsr_tag = doc["vsr_tag"]
         trees = doc["trees"]
-    except (KeyError, TypeError, InvalidHyperparams) as exc:
+    except (KeyError, TypeError, ValueError, InvalidHyperparams) as exc:  # ValueError: dict("ab")
         raise CorruptModel(f"bad model structure: {exc}") from None
     if target_kind not in TARGET_KINDS or vsr_tag not in VSR_TAGS:
         raise CorruptModel(f"unknown target_kind/vsr_tag: {target_kind!r}/{vsr_tag!r}")
@@ -462,6 +517,27 @@ def deserialize_model(data: Union[bytes, str]) -> ForestModel:
         raise CorruptModel(f"hyperparams.n_trees is {hp.n_trees} but the model has {len(trees)} trees")
     if not isinstance(seed, int):
         raise CorruptModel("hyperparams.seed must be an integer")
+    return trees, hp, seed, target_kind, vsr_tag
+
+
+def deserialize_model(data: Union[bytes, str]) -> ForestModel:
+    """Load a serialized model.
+
+    Unknown top-level keys are ignored (the CLI adds provenance there);
+    per-node structure is validated strictly.  Canonical text is read
+    straight into arrays; anything else, and every error, goes through
+    ``json.loads`` and the ``ForestModel`` constructor.
+    """
+    model = _read_canonical(data)
+    if model is not None:
+        return model
+    try:
+        doc = json.loads(data)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise CorruptModel(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise CorruptModel("JSON is nested too deeply to be a model") from None
+    trees, hp, seed, target_kind, vsr_tag = _model_fields(doc)
     return ForestModel(
         trees=tuple(trees),
         hyperparams=hp,

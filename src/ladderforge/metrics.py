@@ -190,32 +190,36 @@ def bd_quality(reference: RdCurve, test: RdCurve) -> float:
     return _bd(reference.log_rates, reference.qualities, test.log_rates, test.qualities)
 
 
-def segment_encode_time(times: Iterable[float]) -> float:
-    """Wall time of one segment under concurrent encoding: the max rung time."""
+def _encode_times(times: Iterable[float]) -> list[float]:
     values = list(times)
     if not values:
         raise EmptyLadder("no representation times supplied")
-    if any(t < 0 for t in values):
-        raise MetricsError("encode times must be nonnegative")
-    return float(max(values))
+    for t in values:
+        if not 0 <= t < math.inf:
+            raise MetricsError(f"encode time must be finite and nonnegative, got {t}")
+    return values
+
+
+def _check_duration(duration_s: float) -> None:
+    if not 0 < duration_s < math.inf:
+        raise MetricsError(f"duration must be finite and positive, got {duration_s}")
+
+
+def segment_encode_time(times: Iterable[float]) -> float:
+    """Wall time of one segment under concurrent encoding: the max rung time."""
+    return float(max(_encode_times(times)))
 
 
 def encoding_energy(times: Iterable[float], kappa: float) -> float:
     """Total joules: ``kappa`` times the summed encode seconds."""
     if not 0 < kappa < math.inf:
         raise MetricsError(f"kappa must be finite and positive, got {kappa}")
-    values = list(times)
-    if not values:
-        raise EmptyLadder("no representation times supplied")
-    if any(t < 0 for t in values):
-        raise MetricsError("encode times must be nonnegative")
-    return float(kappa * sum(values))
+    return float(kappa * sum(_encode_times(times)))
 
 
 def storage(ladder: Ladder, duration_s: float) -> float:
     """Megabits to store every rung of one segment."""
-    if not 0 < duration_s < math.inf:
-        raise MetricsError(f"duration must be finite and positive, got {duration_s}")
+    _check_duration(duration_s)
     return float(sum(rep.bitrate for rep in ladder.reps) * duration_s)
 
 
@@ -314,6 +318,7 @@ def compare_schemes(
     are recorded in the breakdown and excluded from the averages instead of
     aborting the aggregate.
     """
+    _check_duration(segment_duration_s)
     base = _by_id(baseline, "baseline")
     cand = _by_id(candidate, "candidate")
     if set(base) != set(cand):

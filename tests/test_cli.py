@@ -3,6 +3,7 @@ import json
 import math
 import mmap
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -684,6 +685,8 @@ _STUMP = serialize_model(ForestModel(
     pytest.param("model", _STUMP.replace(b'"t":1.0', b'"t":true'), id="model-boolean-threshold"),
     pytest.param("model", _STUMP.replace(b'"v":0.5', b'"v":false'), id="model-boolean-leaf"),
     pytest.param("model", _STUMP.replace(b'"n_trees":1', b'"n_trees":7'), id="model-tree-count-mismatch"),
+    pytest.param("model", re.sub(rb'"hyperparams":\{[^}]*\}', b'"hyperparams":"ab"', _STUMP),
+                 id="model-hyperparams-a-string"),
     pytest.param("config", b"\xff\xfe", id="config-not-utf8"),
     pytest.param("config", b"[" * 3000 + b"]" * 3000, id="config-3000-levels"),
     pytest.param("config", b'{"bitrates_mbps": ["x"]}', id="config-bitrate-not-a-number"),

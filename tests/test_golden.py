@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ladderforge import cli
+from ladderforge import cli, forest
 
 GOLDEN = Path(__file__).parent / "golden"
 SEED = "7"
@@ -55,6 +55,16 @@ def test_artifacts_match_the_golden_hashes(tmp_path, monkeypatch):
     got = build_artifacts(tmp_path)
     differ = sorted(name for name in want.keys() | got.keys() if want.get(name) != got.get(name))
     assert not differ, f"artifacts differ from tests/golden/sha256.json (numpy {np.__version__}): {differ}"
+    # Both load paths give the golden models the same arrays, bit for bit.
+    def arrays(model):
+        return [(np.asarray(a).dtype, np.asarray(a).tobytes()) for a in model._flat]
+
+    for path in sorted((tmp_path / "models").glob("*.json")):
+        text = path.read_text(encoding="utf-8")
+        fast, doc = forest._read_canonical(text), json.loads(text)
+        slow = forest.ForestModel(tuple(doc["trees"]), fast.hyperparams, fast.seed, fast.target_kind,
+                                  fast.vsr_tag)
+        assert arrays(fast) == arrays(slow) and fast == slow, path.name
 
 
 if __name__ == "__main__":

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from conftest import bd_quality_oracle, bd_rate_oracle, random_rd_pairs
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ladderforge.config import DEFAULT_BITRATES_MBPS
@@ -179,8 +179,18 @@ def _fit_inputs(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_fit_inputs())
+@example((np.array([1e-60, 2e-60, 3e-60, 4e-60]), np.array([1.0, 2.0, 3.0, 4.0]), False))
 def test_fit_cubic_is_polyfit_bit_for_bit(inputs):
     x, y, near = inputs
+    with np.errstate(all="ignore"):
+        lhs = np.vander(x + 0.0, 4)
+        scale = np.sqrt((lhs * lhs).sum(axis=0))
+    if 0.0 in scale and x.any():
+        # np.polyfit divides by the zero column scale, and LAPACK's solve
+        # then never returns: only the reference is skipped.
+        with pytest.raises(DegenerateFit):
+            _fit_cubic(x, y)
+        return
     try:
         with np.errstate(all="ignore"):  # numpy warns on scales it divides by 0
             coeffs, _residuals, rank, _sv, _rcond = np.polyfit(x, y, 3, full=True)
@@ -308,6 +318,24 @@ def test_accounting_rejects_non_finite_values(make, message):
     with pytest.raises(MetricsError) as info:
         make()
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("times, bad", [([NAN], NAN), ([1.0, NAN], NAN), ([math.inf], math.inf),
+                                        ([0.5, -math.inf], -math.inf), ([0.1, -0.2], -0.2)])
+def test_encode_time_accounting_rejects_times_that_are_not_finite_and_nonnegative(times, bad):
+    for account in (segment_encode_time, lambda t: encoding_energy(t, 1.0)):
+        with pytest.raises(MetricsError) as info:
+            account(times)
+        assert str(info.value) == f"encode time must be finite and nonnegative, got {bad}"
+
+
+@pytest.mark.parametrize("duration", [NAN, math.inf, 0.0, -4.0])
+def test_compare_schemes_rejects_a_duration_that_is_not_finite_and_positive(duration):
+    rng = np.random.default_rng(5)
+    baseline, candidate = _scheme(rng), _scheme(rng)
+    with pytest.raises(MetricsError) as info:
+        compare_schemes(baseline, candidate, segment_duration_s=duration)
+    assert str(info.value) == f"duration must be finite and positive, got {duration}"
 
 
 def test_storage_examples():
