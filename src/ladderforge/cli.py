@@ -326,14 +326,14 @@ def cmd_ladder(args) -> int:
         raise ladder_mod.ModelMismatch(
             f"model files do not carry vsr_tag {config.vsr_tag!r}"
         )
-    feature_rows = _read_text(args.features_csv, complexity.read_features_csv)
+    catalog = _read_text(args.features_csv, complexity.read_features_csv)
     pairing = _read_text(args.pairing, ladder_mod.load_pairing_csv) if args.pairing else None
 
+    # One grid for the whole catalog, so each model predicts once.
+    grids = ladder_mod.predict_grid(quality_model, time_model, [f for _, f in catalog],
+                                    config.resolutions, config.bitrates_mbps)
     ladders = []
-    for segment_id, features in feature_rows:
-        grid = ladder_mod.predict_grid(
-            quality_model, time_model, features, config.resolutions, config.bitrates_mbps
-        )
+    for (segment_id, _), grid in zip(catalog, grids.segments()):
         built = ladder_mod.build_ladder(
             grid, config.bitrates_mbps, config.tau_l, config.vsr_tag
         )
@@ -355,7 +355,7 @@ def cmd_ladder(args) -> int:
         manifests[path]["config"] = config_doc
     for path, manifest in manifests.items():
         _write_json(path, manifest)
-    print(f"built {len(feature_rows)} ladder manifest(s) in {out_dir}")
+    print(f"built {len(catalog)} ladder manifest(s) in {out_dir}")
     return EXIT_OK
 
 

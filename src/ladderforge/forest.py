@@ -8,7 +8,7 @@ predicts its encoding seconds.  Inputs are five ordered features:
      log2(resolution), log2(bitrate_mbps))
 
 with the log2 substitutions applied at the model boundary by
-:func:`feature_vector`; records keep the raw values.
+:func:`feature_rows`, which lays out every row; records keep the raw values.
 
 Training is fully deterministic for a fixed (record order, hyperparams,
 seed): every tree gets a bootstrap sample (u64 mod n draws) and per-node
@@ -74,6 +74,7 @@ __all__ = [
     "SchemaError",
     "VersionMismatch",
     "CorruptModel",
+    "feature_rows",
     "feature_vector",
     "fit",
     "predict",
@@ -87,6 +88,9 @@ TARGET_KINDS = ("quality", "time")
 VSR_TAGS = ("none", "fsrcnn")
 N_FEATURES = 5
 MODEL_FORMAT_VERSION = 1
+# Rows that predict walks at once: small enough that the (trees, rows) node
+# indices of a block stay in cache, large enough to amortise numpy's calls.
+PREDICT_BLOCK_ROWS = 1024
 
 TRAINING_CSV_HEADER = (
     "segment_id",
@@ -176,6 +180,12 @@ class Hyperparams:
     bootstrap: bool = True
 
     def __post_init__(self):
+        for name in ("n_trees", "max_depth", "min_samples_leaf", "features_per_split"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise InvalidHyperparams(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.bootstrap, bool):
+            raise InvalidHyperparams(f"bootstrap must be a boolean, got {self.bootstrap!r}")
         if self.n_trees < 1:
             raise InvalidHyperparams(f"n_trees must be >= 1, got {self.n_trees}")
         if self.max_depth < 1:
@@ -226,29 +236,54 @@ class ForestModel:
         return trees
 
 
+def feature_rows(
+    features: Sequence[Union[SegmentFeatures, TrainingRecord]],
+    resolutions: Sequence[Union[int, float]],
+    bitrates: Sequence[float],
+) -> np.ndarray:
+    """Model-boundary feature rows for every segment at every (resolution,
+    bitrate) pair: an ``(n_segments * n_resolutions * n_bitrates, 5)`` matrix
+    ordered by segment, then resolution, then bitrate, built by broadcasting.
+    Each resolution's and bitrate's log2 is taken once, with ``math.log2``."""
+    bad = next(((r, b) for r in resolutions for b in bitrates if r <= 0 or b <= 0), None)
+    if bad is not None:
+        raise InvalidRecord(f"resolution and bitrate must be positive, got {bad[0]}, {bad[1]}")
+    rows = _rows(_content(features)[:, None, None], _log2(resolutions)[:, None], _log2(bitrates))
+    return rows.reshape(-1, N_FEATURES)
+
+
 def feature_vector(
     features: Union[SegmentFeatures, TrainingRecord],
     resolution: Union[int, float],
     bitrate: float,
 ) -> np.ndarray:
-    """Model-boundary feature vector with the log2 substitutions applied."""
-    if resolution <= 0 or bitrate <= 0:
-        raise InvalidRecord(
-            f"resolution and bitrate must be positive, got {resolution}, {bitrate}"
-        )
-    return np.array(
-        [
-            features.texture_energy,
-            features.temporal_gradient,
-            features.brightness,
-            math.log2(resolution),
-            math.log2(bitrate),
-        ]
-    )
+    """Model-boundary feature vector: the one row of :func:`feature_rows`."""
+    return feature_rows((features,), (resolution,), (bitrate,))[0]
+
+
+def _content(features: Sequence[Union[SegmentFeatures, TrainingRecord]]) -> np.ndarray:
+    return np.array([(f.texture_energy, f.temporal_gradient, f.brightness) for f in features],
+                    dtype=np.float64).reshape(-1, 3)
+
+
+def _log2(values: Iterable[float]) -> np.ndarray:
+    return np.array([math.log2(v) for v in values], dtype=np.float64)
+
+
+def _rows(content: np.ndarray, log_resolution: np.ndarray, log_bitrate: np.ndarray) -> np.ndarray:
+    """The feature layout, ``content``'s last axis of three followed by the two
+    logs, with the three broadcast against each other."""
+    shape = np.broadcast_shapes(content.shape[:-1], log_resolution.shape, log_bitrate.shape)
+    rows = np.empty((*shape, N_FEATURES))
+    rows[..., :3] = content
+    rows[..., 3] = log_resolution
+    rows[..., 4] = log_bitrate
+    return rows
 
 
 def _records_matrix(records: Sequence[TrainingRecord]) -> tuple[np.ndarray, np.ndarray]:
-    x = np.array([feature_vector(rec, rec.resolution, rec.bitrate) for rec in records])
+    x = _rows(_content(records), _log2(rec.resolution for rec in records),
+              _log2(rec.bitrate for rec in records))
     return x, np.array([rec.target for rec in records], dtype=np.float64)
 
 
@@ -343,18 +378,24 @@ def fit(
 
 def predict(model: ForestModel, x: Sequence[float]) -> Union[float, np.ndarray]:
     """Mean of tree outputs, clamped to the target's valid range: a float for
-    one feature vector, n values for an ``(n, 5)`` matrix.  Outputs are added
-    in tree order, so a row's value does not depend on the batch it is in."""
+    one feature vector, n values for an ``(n, 5)`` matrix.  Rows are walked
+    ``PREDICT_BLOCK_ROWS`` at a time and outputs are added in tree order, so a
+    row's value does not depend on the batch it is in."""
     rows = np.asarray(x, dtype=np.float64)
     if rows.shape[-1:] != (N_FEATURES,) or rows.ndim > 2:
         raise InvalidRecord(f"feature vector must have {N_FEATURES} entries, got shape {rows.shape}")
-    feature, threshold, left, right, value, roots, depth = model._flat
+    feature, threshold, children, value, roots, depth = model._flat
     cells = rows.ravel()  # row-major: row i's feature f is cell N_FEATURES * i + f
-    starts = np.arange(0, cells.size, N_FEATURES)
-    at = np.repeat(roots[:, None], starts.size, axis=1)  # (trees, rows) node indices
-    for _ in range(depth):
-        at = np.where(cells[starts + feature[at]] <= threshold[at], left[at], right[at])
-    total = sum(value[at])  # one add per tree, in tree order (np.sum would add pairwise)
+    total = np.empty(cells.size // N_FEATURES)
+    starts = np.arange(0, min(cells.size, N_FEATURES * PREDICT_BLOCK_ROWS), N_FEATURES)
+    for first in range(0, total.size, PREDICT_BLOCK_ROWS):
+        block = cells[N_FEATURES * first:N_FEATURES * (first + PREDICT_BLOCK_ROWS)]
+        at_cells = starts[:block.size // N_FEATURES]
+        at = np.repeat(roots[:, None], at_cells.size, axis=1)  # (trees, rows) node indices
+        for _ in range(depth):
+            at = children[2 * at + (block[at_cells + feature[at]] <= threshold[at])]
+        # one add per tree, in tree order (np.sum would add pairwise)
+        total[first:first + at_cells.size] = sum(value[at])
     upper = 100.0 if model.target_kind == "quality" else math.inf
     values = np.minimum(upper, np.maximum(0.0, total / len(roots)))
     return float(values[0]) if rows.ndim == 1 else values
@@ -396,7 +437,7 @@ _SPLIT_KEYS = frozenset({"f", "t", "l", "r"})
 
 def _compile(trees: Sequence[object], max_depth: int) -> tuple:
     """Check the trees' wire format and flatten them, without recursion, into
-    preorder ``(feature, threshold, left, right, value)`` arrays in which a
+    preorder ``(feature, threshold, children, value)`` arrays in which a
     leaf links to itself, plus each tree's root and the deepest leaf's depth.
     ``fit`` never splits a node at depth ``max_depth``, so such a node marks
     a corrupt file."""
@@ -452,17 +493,19 @@ def _linked(feature: np.ndarray, threshold: np.ndarray, right: np.ndarray,
     """``_compile``'s result from the preorder arrays, in which a leaf links
     to itself and keeps its value in ``threshold``: the left links (the next
     node, for a split) and the leaf values are derived here, so the readers
-    fill fewer arrays."""
+    fill fewer arrays.  ``children[2 * i]`` is node i's right child and
+    ``children[2 * i + 1]`` its left one, so a walk steps to ``children[2 * i
+    + (x[f] <= t)]``."""
     nodes = np.arange(right.size)
     leaf = right == nodes
-    return (feature, threshold, np.where(leaf, nodes, nodes + 1), right,
-            np.where(leaf, threshold, 0.0), roots, deepest)
+    children = np.stack([right, np.where(leaf, nodes, nodes + 1)], axis=1).ravel()
+    return feature, threshold, children, np.where(leaf, threshold, 0.0), roots, deepest
 
 
 def _unflatten(flat: tuple) -> tuple[dict, ...]:
     """The wire-format trees of ``_compile``'s arrays."""
-    feature, threshold, _, right, _, roots, _ = flat
-    feature, threshold, right = feature.tolist(), threshold.tolist(), right.tolist()
+    feature, threshold, children, _, roots, _ = flat
+    feature, threshold, right = feature.tolist(), threshold.tolist(), children[::2].tolist()
 
     def node(i: int) -> dict:
         if right[i] == i:
@@ -482,10 +525,10 @@ def _read_canonical(data: Union[bytes, str]) -> ForestModel | None:
     header, arrays = read
     flat = _linked(*arrays)
     try:  # the roots stand in for the trees, whose number is checked there
-        _, hp, seed, target_kind, vsr_tag = _model_fields({**header, "trees": flat[5].tolist()})
+        _, hp, seed, target_kind, vsr_tag = _model_fields({**header, "trees": flat[4].tolist()})
     except ForestError:
         return None
-    if flat[6] > hp.max_depth:  # fit never splits a node at depth max_depth
+    if flat[5] > hp.max_depth:  # fit never splits a node at depth max_depth
         return None
     return ForestModel._from_flat(flat, hp, seed, target_kind, vsr_tag)
 

@@ -16,13 +16,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from functools import cached_property
+from itertools import product
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .complexity import SegmentFeatures
 from .errors import LadderforgeError
-from .forest import N_FEATURES, ForestModel, feature_vector, predict
+from .forest import ForestModel, feature_rows, predict
 from .table import finite_float, read_table
 
 __all__ = [
@@ -140,34 +143,70 @@ class ResolutionChoice(NamedTuple):
     over_budget: bool
 
 
-@dataclass(frozen=True)
 class PredictionGrid:
-    """Predicted (quality, time) for every (resolution, bitrate) pair."""
+    """Predicted (quality, time) for every (resolution, bitrate) pair.
 
-    resolutions: tuple[int, ...]
-    bitrates: tuple[float, ...]
-    entries: Mapping[tuple[int, float], tuple[float, float]]
+    Held as two arrays indexed ``[resolution, bitrate]``, both axes ascending.
+    The grid of a sequence of segments has a leading segment axis, and
+    :meth:`segments` yields each segment's grid.  ``entries`` maps every
+    ``(resolution, bitrate)``, or ``(segment, resolution, bitrate)``, to its
+    (quality, time); it is derived from the arrays when first read.
+    """
 
-    def __post_init__(self):
-        resolutions = tuple(self.resolutions)
-        bitrates = tuple(self.bitrates)
+    def __init__(self, resolutions: Sequence[int], bitrates: Sequence[float],
+                 entries: Mapping[tuple[int, float], tuple[float, float]]):
+        resolutions, bitrates, entries = tuple(resolutions), tuple(bitrates), dict(entries)
+        cells = [(r, b) for r in resolutions for b in bitrates]
+        shape = (len(resolutions), len(bitrates))
+        missing = np.array([cell not in entries for cell in cells], dtype=bool).reshape(shape)
+        values = np.array([entries.get(cell, (0.0, 0.0)) for cell in cells], np.float64)
+        values = values.reshape(*shape, 2)
+        self._fill(resolutions, bitrates, values[..., 0], values[..., 1], missing)
+
+    @classmethod
+    def _from_arrays(cls, resolutions: Sequence[int], bitrates: Sequence[float],
+                     qualities: np.ndarray, times: np.ndarray) -> "PredictionGrid":
+        """The grid of ``[..., resolution, bitrate]`` quality and time arrays."""
+        grid = object.__new__(cls)
+        grid._fill(tuple(resolutions), tuple(bitrates), qualities, times, False)
+        return grid
+
+    def _fill(self, resolutions: tuple, bitrates: tuple, qualities: np.ndarray,
+              times: np.ndarray, missing) -> None:
+        """Check the axes, then every cell in one pass over the arrays: the
+        error names the first cell, in (resolution, bitrate) order, that is
+        missing or out of range."""
         if not resolutions or not bitrates:
             raise LadderError("grid needs at least one resolution and one bitrate")
         if list(resolutions) != sorted(resolutions) or list(bitrates) != sorted(bitrates):
             raise LadderError("grid axes must be sorted ascending")
-        entries = dict(self.entries)
-        for r in resolutions:
-            for b in bitrates:
-                if (r, b) not in entries:
-                    raise LadderError(f"grid is missing entry for ({r}, {b})")
-                quality, time = entries[(r, b)]
-                if not (math.isfinite(quality) and 0.0 <= quality <= 100.0):
-                    raise LadderError(f"grid quality at ({r}, {b}) out of range: {quality}")
-                if not (math.isfinite(time) and time >= 0.0):
-                    raise LadderError(f"grid time at ({r}, {b}) out of range: {time}")
-        object.__setattr__(self, "resolutions", resolutions)
-        object.__setattr__(self, "bitrates", bitrates)
-        object.__setattr__(self, "entries", entries)
+        bad_quality = ~((qualities >= 0.0) & (qualities <= 100.0))  # NaN fails both
+        bad_time = ~(np.isfinite(times) & (times >= 0.0))
+        bad = missing | bad_quality | bad_time
+        if bad.any():
+            at = np.unravel_index(bad.argmax(), bad.shape)
+            r, b = resolutions[at[-2]], bitrates[at[-1]]
+            if np.broadcast_to(missing, bad.shape)[at]:
+                raise LadderError(f"grid is missing entry for ({r}, {b})")
+            if bad_quality[at]:
+                raise LadderError(f"grid quality at ({r}, {b}) out of range: {qualities[at]}")
+            raise LadderError(f"grid time at ({r}, {b}) out of range: {times[at]}")
+        vars(self).update(resolutions=resolutions, bitrates=bitrates,
+                          qualities=qualities, times=times)
+
+    def segments(self) -> Iterator["PredictionGrid"]:
+        """Each segment's grid, in order, for a grid with a segment axis."""
+        for qualities, times in zip(self.qualities, self.times):
+            grid = object.__new__(PredictionGrid)
+            vars(grid).update(resolutions=self.resolutions, bitrates=self.bitrates,
+                              qualities=qualities, times=times)
+            yield grid
+
+    @cached_property
+    def entries(self) -> Mapping[tuple, tuple[float, float]]:
+        keys = product(*map(range, self.qualities.shape[:-2]), self.resolutions, self.bitrates)
+        pairs = zip(self.qualities.ravel().tolist(), self.times.ravel().tolist())
+        return MappingProxyType(dict(zip(keys, pairs)))
 
     def quality(self, resolution: int, bitrate: float) -> float:
         return self.entries[(resolution, bitrate)][0]
@@ -179,11 +218,13 @@ class PredictionGrid:
 def predict_grid(
     quality_model: ForestModel,
     time_model: ForestModel,
-    features: SegmentFeatures,
+    features: SegmentFeatures | Sequence[SegmentFeatures],
     resolutions: Sequence[int],
     bitrates: Sequence[float],
 ) -> PredictionGrid:
-    """Evaluate both models over the full resolution x bitrate cross product."""
+    """Evaluate both models over the full resolution x bitrate cross product,
+    for one segment's features, or for each of a sequence of segments' into
+    one grid with a segment axis; either way with one ``predict`` per model."""
     if quality_model.vsr_tag != time_model.vsr_tag:
         raise ModelMismatch(
             f"models disagree on vsr_tag: {quality_model.vsr_tag!r} vs {time_model.vsr_tag!r}"
@@ -193,11 +234,15 @@ def predict_grid(
             f"expected (quality, time) models, got "
             f"({quality_model.target_kind!r}, {time_model.target_kind!r})"
         )
-    cells = [(r, b) for r in resolutions for b in bitrates]
-    x = np.array([feature_vector(features, r, b) for r, b in cells]).reshape(-1, N_FEATURES)
-    quality, time = predict(quality_model, x).tolist(), predict(time_model, x).tolist()
-    entries = dict(zip(cells, zip(quality, time)))
-    return PredictionGrid(tuple(sorted(resolutions)), tuple(sorted(bitrates)), entries)
+    resolutions, bitrates = sorted(resolutions), sorted(bitrates)
+    shape = (len(resolutions), len(bitrates))
+    if isinstance(features, Sequence):
+        shape = (len(features), *shape)
+    else:
+        features = (features,)
+    x = feature_rows(features, resolutions, bitrates)
+    return PredictionGrid._from_arrays(resolutions, bitrates, predict(quality_model, x).reshape(shape),
+                                       predict(time_model, x).reshape(shape))
 
 
 def select_resolution(grid: PredictionGrid, bitrate: float, tau_l: float) -> ResolutionChoice:
@@ -208,15 +253,8 @@ def select_resolution(grid: PredictionGrid, bitrate: float, tau_l: float) -> Res
     returned flagged ``over_budget``.  ``bitrate`` must equal one of the
     grid's bitrates exactly.
     """
-    if bitrate not in grid.bitrates:
-        raise UnknownBitrate(f"bitrate {bitrate} is not in the grid")
-    if tau_l <= 0:
-        raise LadderError(f"latency budget must be positive, got {tau_l}")
-    # max and min keep the first of equal keys, and resolutions ascend.
-    feasible = [r for r in grid.resolutions if grid.time(r, bitrate) <= tau_l]
-    if not feasible:
-        return ResolutionChoice(min(grid.resolutions, key=lambda r: grid.time(r, bitrate)), True)
-    return ResolutionChoice(max(feasible, key=lambda r: grid.quality(r, bitrate)), False)
+    rep = build_ladder(grid, (bitrate,), tau_l).reps[0]
+    return ResolutionChoice(rep.resolution, rep.over_budget)
 
 
 def build_ladder(
@@ -225,22 +263,32 @@ def build_ladder(
     tau_l: float = math.inf,
     vsr_tag: str = "none",
 ) -> Ladder:
-    """One annotated representation per bitrate, ascending."""
+    """One annotated representation per bitrate, ascending, each at the
+    resolution :func:`select_resolution` describes: one masked argmax over
+    the resolution axis, whose first maximum is the lower resolution, else
+    the first minimum of time."""
+    if grid.qualities.ndim != 2:
+        raise LadderError("a ladder is built from one segment's grid")
     targets = grid.bitrates if bitrates is None else tuple(sorted(bitrates))
-    reps = []
+    columns = []
     for b in targets:
-        choice = select_resolution(grid, b, tau_l)
-        quality, time = grid.entries[(choice.resolution, b)]
-        reps.append(
-            Representation(
-                resolution=choice.resolution,
-                bitrate=b,
-                predicted_vmaf=quality,
-                predicted_time=time,
-                over_budget=choice.over_budget,
-            )
-        )
-    return Ladder(tuple(reps), LadderParams(tau_l=tau_l, vsr_tag=vsr_tag))
+        if b not in grid.bitrates:
+            raise UnknownBitrate(f"bitrate {b} is not in the grid")
+        if tau_l <= 0:
+            raise LadderError(f"latency budget must be positive, got {tau_l}")
+        columns.append(grid.bitrates.index(b))
+    qualities, times = grid.qualities[:, columns], grid.times[:, columns]
+    fits = times <= tau_l
+    over_budget = ~fits.any(axis=0)
+    rows = np.where(over_budget, times.argmin(axis=0),
+                    np.where(fits, qualities, -np.inf).argmax(axis=0))
+    cells = rows, np.arange(len(columns))
+    reps = tuple(
+        Representation(grid.resolutions[row], b, quality, time, over)
+        for row, b, quality, time, over in zip(rows.tolist(), targets, qualities[cells].tolist(),
+                                               times[cells].tolist(), over_budget.tolist())
+    )
+    return Ladder(reps, LadderParams(tau_l=tau_l, vsr_tag=vsr_tag))
 
 
 def prune_jnd(ladder: Ladder, v_j: float, v_t: float) -> Ladder:

@@ -382,8 +382,8 @@ def load_evaluation_csv(source: Iterable[str]) -> tuple[str, list[EvaluatedSegme
     label.  Returns (scheme name, segments in first-appearance order).
     """
     schemes: set[str] = set()
-    # segment -> (bitrate, resolution) -> representation; later rows for the
-    # same representation add their quality metric to it
+    # segment -> (bitrate, resolution) -> representation, built from its first
+    # row; later rows for the same representation add their quality metric
     segments: dict[str, dict[tuple[float, int], EvaluatedRep]] = {}
     for lineno, row in read_table(source, EVALUATION_CSV_HEADER, SegmentMismatch):
         segment_id, scheme, bitrate_s, resolution_s, metric, quality_s, time_s = row
@@ -391,24 +391,26 @@ def load_evaluation_csv(source: Iterable[str]) -> tuple[str, list[EvaluatedSegme
         if metric not in METRIC_KINDS:
             raise MetricKindMismatch(f"line {lineno}: unknown quality metric {metric!r}")
         try:
-            rep = EvaluatedRep(finite_float(bitrate_s), int(resolution_s),
-                               finite_float(time_s), {metric: finite_float(quality_s)})
+            bitrate, resolution = finite_float(bitrate_s), int(resolution_s)
+            time, quality = finite_float(time_s), finite_float(quality_s)
+            reps = segments.setdefault(segment_id, {})
+            known = reps.get((bitrate, resolution))
+            if known is None:
+                reps[bitrate, resolution] = EvaluatedRep(bitrate, resolution, time, {metric: quality})
+                continue
+            _encode_times((time,))  # its bitrate matched a checked one
         except (ValueError, MetricsError) as exc:
             raise SegmentMismatch(f"line {lineno}: {exc}") from None
-        reps = segments.setdefault(segment_id, {})
-        known = reps.setdefault((rep.bitrate, rep.resolution), rep)
-        if known is rep:
-            continue
-        if known.encode_time != rep.encode_time:
+        if known.encode_time != time:
             raise SegmentMismatch(
-                f"line {lineno}: encode time {rep.encode_time} contradicts "
+                f"line {lineno}: encode time {time} contradicts "
                 f"{known.encode_time} for the same representation"
             )
         if metric in known.qualities:
             raise SegmentMismatch(
                 f"line {lineno}: duplicate {metric} quality for one representation"
             )
-        known.qualities[metric] = rep.qualities[metric]
+        known.qualities[metric] = quality
     if len(schemes) != 1:
         raise SegmentMismatch(f"evaluation CSV must hold exactly one scheme, got {sorted(schemes)}")
     out = [

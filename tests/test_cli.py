@@ -687,6 +687,12 @@ _STUMP = serialize_model(ForestModel(
     pytest.param("model", _STUMP.replace(b'"n_trees":1', b'"n_trees":7'), id="model-tree-count-mismatch"),
     pytest.param("model", re.sub(rb'"hyperparams":\{[^}]*\}', b'"hyperparams":"ab"', _STUMP),
                  id="model-hyperparams-a-string"),
+    pytest.param("model", _STUMP.replace(b'"n_trees":1', b'"n_trees":true'), id="model-boolean-tree-count"),
+    pytest.param("model", _STUMP.replace(b'"max_depth":12', b'"max_depth":1.5'),
+                 id="model-fractional-depth"),
+    pytest.param("model", _STUMP.replace(b'"bootstrap":true', b'"bootstrap":7'), id="model-bootstrap-7"),
+    pytest.param("model", b" " + _STUMP.replace(b'"bootstrap":true', b'"bootstrap":7'),
+                 id="model-bootstrap-7-not-canonical"),
     pytest.param("config", b"\xff\xfe", id="config-not-utf8"),
     pytest.param("config", b"[" * 3000 + b"]" * 3000, id="config-3000-levels"),
     pytest.param("config", b'{"bitrates_mbps": ["x"]}', id="config-bitrate-not-a-number"),

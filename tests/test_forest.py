@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -7,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ladderforge import forest
 from ladderforge.complexity import SegmentFeatures
 from ladderforge.forest import (
+    PREDICT_BLOCK_ROWS,
     CorruptModel,
     EmptyDataset,
     ForestModel,
@@ -21,6 +24,7 @@ from ladderforge.forest import (
     VersionMismatch,
     deserialize_model,
     evaluate,
+    feature_rows,
     feature_vector,
     fit,
     load_training_csv,
@@ -55,6 +59,48 @@ def test_feature_vector_applies_log2_at_model_boundary():
     assert vec.tolist() == [1.5, 0.25, 100.0, math.log2(1080), 2.0]
     with pytest.raises(InvalidRecord):
         feature_vector(SegmentFeatures(1.0, 0.0, 1.0), 0, 4.0)
+
+
+_CONTENT = st.builds(
+    SegmentFeatures,
+    st.floats(0.0, 1e6), st.floats(0.0, 1e6), st.floats(0.0, 255.0),
+)
+_POSITIVE = st.one_of(st.integers(1, 1 << 62), st.floats(min_value=5e-324, max_value=1e300))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    features=st.lists(_CONTENT, max_size=4),
+    resolutions=st.lists(_POSITIVE, min_size=1, max_size=4),
+    bitrates=st.lists(_POSITIVE, min_size=1, max_size=4),
+)
+def test_feature_rows_are_feature_vector_and_the_layout_bit_for_bit(features, resolutions, bitrates):
+    rows = feature_rows(features, resolutions, bitrates)
+    cells = [(f, r, b) for f in features for r in resolutions for b in bitrates]
+    assert rows.shape == (len(cells), 5)
+    # The layout written out, with math.log2 as the reference logs.
+    layout = np.array([[f.texture_energy, f.temporal_gradient, f.brightness,
+                        math.log2(r), math.log2(b)] for f, r, b in cells]).reshape(-1, 5)
+    assert rows.tobytes() == layout.tobytes()
+    for row, (f, r, b) in zip(rows, cells):
+        assert row.tobytes() == feature_vector(f, r, b).tobytes()
+
+
+def test_feature_rows_name_the_first_cell_with_a_non_positive_axis_value():
+    features = [SegmentFeatures(1.0, 0.0, 1.0)]
+    with pytest.raises(InvalidRecord, match=r"got 720, 0\.0$"):
+        feature_rows(features, (720, 360), (0.0, -1.0))
+    with pytest.raises(InvalidRecord, match=r"got -360, 1\.0$"):
+        feature_rows(features, (720, -360), (1.0, 2.0))
+    with pytest.raises(InvalidRecord, match=r"got 0, 4\.0$"):
+        feature_vector(features[0], 0, 4.0)
+
+
+def test_training_rows_are_feature_vector_bit_for_bit():
+    records = _random_records(np.random.default_rng(8), 40)
+    x, _ = forest._records_matrix(records)
+    assert x.tobytes() == np.array(
+        [feature_vector(rec, rec.resolution, rec.bitrate) for rec in records]).tobytes()
 
 
 def test_constant_target_predicts_constant_exactly():
@@ -193,6 +239,19 @@ def test_fit_rejects_bad_inputs():
         Hyperparams(max_depth=0)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("n_trees", True, "n_trees must be an integer, got True"),
+    ("max_depth", 1.5, "max_depth must be an integer, got 1.5"),
+    ("min_samples_leaf", "2", "min_samples_leaf must be an integer, got '2'"),
+    ("features_per_split", np.int64(3), "features_per_split must be an integer, got np.int64(3)"),
+    ("bootstrap", 7, "bootstrap must be a boolean, got 7"),
+    ("bootstrap", 1, "bootstrap must be a boolean, got 1"),
+])
+def test_hyperparams_reject_values_of_the_wrong_type(field, value, message):
+    with pytest.raises(InvalidHyperparams, match=re.escape(message)):
+        Hyperparams(**{field: value})
+
+
 def test_evaluate_exact_values():
     # One split on log2(bitrate): predictions are 1.0 left, 3.0 right.
     tree = {"f": 4, "t": 0.0, "l": {"v": 1.0}, "r": {"v": 3.0}}
@@ -313,6 +372,18 @@ def test_batched_predict_equals_per_row_bit_for_bit(kind):
     assert predict(model, x[:0]).shape == (0,)
     with pytest.raises(InvalidRecord):
         predict(model, np.zeros((2, 4)))
+
+
+def test_blocked_predict_equals_row_by_row_across_block_edges():
+    rng = np.random.default_rng(22)
+    records = _random_records(rng, 200, target_fn=lambda e, h, l, r, b: 5 + e * 10 + h * r / 100)
+    model = fit(records, Hyperparams(n_trees=6, max_depth=10), seed=4)
+    n = 2 * PREDICT_BLOCK_ROWS + 452  # two whole blocks and a part of a third
+    x = forest._records_matrix(_random_records(rng, n))[0]
+    one_by_one = np.array([predict(model, row) for row in x])
+    assert predict(model, x).tobytes() == one_by_one.tobytes()
+    for rows in (PREDICT_BLOCK_ROWS - 1, PREDICT_BLOCK_ROWS, PREDICT_BLOCK_ROWS + 1):
+        assert predict(model, x[:rows]).tobytes() == one_by_one[:rows].tobytes()
 
 
 @pytest.mark.parametrize("tree, message", [

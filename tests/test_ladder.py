@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 from conftest import prune_oracle, select_oracle
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ladderforge.complexity import SegmentFeatures
 from ladderforge.config import DEFAULT_BITRATES_MBPS, DEFAULT_RESOLUTIONS
@@ -12,6 +14,7 @@ from ladderforge.ladder import (
     DEFAULT_HLS_PAIRING,
     EmptyLadder,
     Ladder,
+    LadderError,
     LadderParams,
     MissingPrediction,
     ModelMismatch,
@@ -86,6 +89,127 @@ def test_grid_entries_equal_elementwise_prediction():
             x = feature_vector(features, r, b)
             assert grid.quality(r, b) == predict(quality, x)
             assert grid.time(r, b) == predict(time, x)
+
+
+# Thresholds are drawn inside each feature's range, so that splits send
+# catalog rows both ways: E_Y, h, L_Y, log2(resolution), log2(bitrate).
+_FEATURE_RANGES = ((0.0, 70.0), (0.0, 15.0), (16.0, 235.0), (8.4, 11.1), (-2.8, 4.1))
+
+
+@st.composite
+def _tree(draw, leaves, depth):
+    if depth == 0 or draw(st.integers(0, 3)) == 0:
+        return {"v": draw(leaves)}
+    f = draw(st.integers(0, 4))
+    return {"f": f, "t": draw(st.floats(*_FEATURE_RANGES[f])),
+            "l": draw(_tree(leaves, depth - 1)), "r": draw(_tree(leaves, depth - 1))}
+
+
+def _forest(kind, leaves):
+    """Random forests whose leaves come from ``leaves``: a few values make
+    ties between resolutions common."""
+    trees = st.lists(_tree(leaves, 5), min_size=1, max_size=4)
+    return trees.map(lambda t: ForestModel(tuple(t), Hyperparams(n_trees=len(t), max_depth=5),
+                                           0, kind, "none"))
+
+
+_FEW = st.sampled_from
+_SEGMENT = st.builds(SegmentFeatures, st.floats(0.0, 70.0), st.floats(0.0, 15.0),
+                     st.floats(16.0, 235.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    quality=_forest("quality", st.one_of(_FEW([40.0, 70.0, 70.0, 96.0]), st.floats(-20.0, 120.0))),
+    time=_forest("time", st.one_of(_FEW([0.5, 1.0, 2.0]), st.floats(0.0, 8.0))),
+    segments=st.lists(_SEGMENT, min_size=1, max_size=5),
+    tau=st.one_of(_FEW([0.5, 1.0, 2.0, 1e-3, math.inf]), st.floats(1e-3, 10.0)),
+    v_j=st.one_of(_FEW([2.0, 6.0]), st.floats(0.01, 30.0)),
+    v_t=st.one_of(_FEW([70.0, 96.0, 100.0]), st.floats(0.0, 101.0)),
+)
+@example(  # every rung over budget
+    quality=ForestModel(({"v": 50.0},), Hyperparams(n_trees=1), 0, "quality", "none"),
+    time=ForestModel(({"f": 3, "t": 9.5, "l": {"v": 3.0}, "r": {"v": 5.0}},),
+                     Hyperparams(n_trees=1), 0, "time", "none"),
+    segments=[SegmentFeatures(1.0, 1.0, 100.0)], tau=2.0, v_j=2.0, v_t=98.0,
+)
+def test_catalog_path_equals_the_per_cell_reference(quality, time, segments, tau, v_j, v_t):
+    resolutions, bitrates = list(DEFAULT_RESOLUTIONS), list(DEFAULT_BITRATES_MBPS)
+    grids = predict_grid(quality, time, segments, resolutions[::-1], bitrates)
+    assert grids.qualities.shape == (len(segments), len(resolutions), len(bitrates))
+    for features, grid in zip(segments, grids.segments(), strict=True):
+        entries = {}
+        for r in resolutions:
+            for b in bitrates:
+                x = feature_vector(features, r, b)
+                entries[r, b] = (predict(quality, x), predict(time, x))
+        built = build_ladder(grid, bitrates, tau)
+        expected = []
+        for b in bitrates:
+            r, over = select_oracle(entries, resolutions, b, tau)
+            expected.append((r, b, *entries[r, b], over))
+        got = [(rep.resolution, rep.bitrate, rep.predicted_vmaf, rep.predicted_time,
+                rep.over_budget) for rep in built.reps]
+        assert got == expected
+        pruned = prune_jnd(built, v_j, v_t)
+        kept = prune_oracle([q for _, _, q, _, _ in expected], v_j, v_t)
+        assert pruned.reps == tuple(built.reps[i] for i in kept)
+
+
+def test_catalog_grid_holds_each_segment_grid_and_every_cell():
+    rng = np.random.default_rng(9)
+    trees = tuple(
+        {"f": int(rng.integers(0, 5)), "t": float(rng.uniform(0, 8)),
+         "l": {"v": float(rng.uniform(0, 100))}, "r": {"v": float(rng.uniform(0, 100))}}
+        for _ in range(5)
+    )
+    quality = ForestModel(trees, Hyperparams(n_trees=5), 0, "quality", "none")
+    time = _leaf_model(0.5, "time")
+    segments = [SegmentFeatures(float(e), 0.5, 90.0) for e in range(4)]
+    catalog = predict_grid(quality, time, segments, DEFAULT_RESOLUTIONS, DEFAULT_BITRATES_MBPS)
+    assert len(catalog.entries) == 4 * 48
+    for i, (features, grid) in enumerate(zip(segments, catalog.segments(), strict=True)):
+        alone = predict_grid(quality, time, features, DEFAULT_RESOLUTIONS, DEFAULT_BITRATES_MBPS)
+        assert grid.qualities.tobytes() == alone.qualities.tobytes()
+        assert grid.times.tobytes() == alone.times.tobytes()
+        assert grid.entries == alone.entries
+        assert all(catalog.entries[i, r, b] == v for (r, b), v in alone.entries.items())
+    with pytest.raises(TypeError):
+        catalog.entries[0, 360, 0.145] = (0.0, 0.0)  # read-only
+    with pytest.raises(LadderError, match="one segment's grid"):
+        build_ladder(catalog)
+    empty = predict_grid(quality, time, [], DEFAULT_RESOLUTIONS, DEFAULT_BITRATES_MBPS)
+    assert list(empty.segments()) == [] and len(empty.entries) == 0
+
+
+def test_catalog_grid_error_names_the_first_bad_cell():
+    quality = _leaf_model(70, "quality")
+    # Two huge leaves overflow to an infinite time where texture energy > 5.
+    time = ForestModel(({"f": 0, "t": 5.0, "l": {"v": 1.0}, "r": {"v": 1e308}},) * 2,
+                       Hyperparams(n_trees=2), 0, "time", "none")
+    segments = [SegmentFeatures(1.0, 0.0, 50.0), SegmentFeatures(9.0, 0.0, 50.0)]
+    with np.errstate(over="ignore"), pytest.raises(
+            LadderError, match=r"^grid time at \(360, 0\.145\) out of range: inf$"):
+        predict_grid(quality, time, segments, DEFAULT_RESOLUTIONS, DEFAULT_BITRATES_MBPS)
+
+
+def test_grid_errors_name_the_first_bad_cell_in_axis_order():
+    entries = {(r, b): (50.0, 1.0) for r in (360, 720) for b in (1.0, 2.0)}
+    cases = [
+        ({(720, 1.0): (101.0, 1.0), (360, 2.0): (50.0, -1.0)}, "grid time at (360, 2.0) out of range: -1.0"),
+        ({(360, 2.0): (math.nan, math.inf)}, "grid quality at (360, 2.0) out of range: nan"),
+        ({(720, 2.0): (50.0, math.nan)}, "grid time at (720, 2.0) out of range: nan"),
+    ]
+    for changes, message in cases:
+        with pytest.raises(LadderError) as caught:
+            PredictionGrid((360, 720), (1.0, 2.0), {**entries, **changes})
+        assert str(caught.value) == message
+    del entries[720, 1.0]
+    entries[720, 2.0] = (-1.0, 1.0)
+    with pytest.raises(LadderError, match=r"^grid is missing entry for \(720, 1\.0\)$"):
+        PredictionGrid((360, 720), (1.0, 2.0), entries)
+    with pytest.raises(LadderError, match="sorted ascending"):
+        PredictionGrid((720, 360), (1.0,), {(360, 1.0): (50.0, 1.0), (720, 1.0): (50.0, 1.0)})
 
 
 def test_grid_rejects_mismatched_models():

@@ -6,6 +6,7 @@ from conftest import bd_quality_oracle, bd_rate_oracle, random_rd_pairs
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ladderforge import metrics
 from ladderforge.config import DEFAULT_BITRATES_MBPS
 from ladderforge.ladder import EmptyLadder, Ladder, LadderParams, Representation
 from ladderforge.metrics import (
@@ -497,6 +498,36 @@ def test_load_evaluation_csv_groups_reps_and_metrics():
     assert s0.reps[0].qualities == {"psnr": 30.5, "vmaf": 45.0}
     assert s0.reps[0].encode_time == 0.4
     assert by_id["s1"].reps[0].qualities == {"psnr": 29.0}
+
+
+def test_load_evaluation_csv_builds_each_representation_once(monkeypatch):
+    built = []
+
+    class Counted(metrics.EvaluatedRep):
+        def __post_init__(self):
+            built.append((self.bitrate, self.resolution))
+            super().__post_init__()
+
+    monkeypatch.setattr(metrics, "EvaluatedRep", Counted)
+    _, segments = load_evaluation_csv(EVAL_CSV.splitlines(True))
+    assert built == [(1.0, 360), (2.0, 720), (1.0, 360)]
+    assert [len(seg.reps) for seg in segments] == [2, 1]
+
+
+@pytest.mark.parametrize("row, message", [
+    ("s0,default,1.0,360,vmaf,45.0,-0.4", "line 3: encode time must be finite and nonnegative, got -0.4"),
+    ("s0,default,1.0,360,vmaf,45.0,0.7", "line 3: encode time 0.7 contradicts 0.4 for the same representation"),
+    ("s0,default,1.0,360,psnr,31.0,0.4", "line 3: duplicate psnr quality for one representation"),
+    ("s0,default,1.0,360,vmaf,x,0.4", "line 3: could not convert string to float: 'x'"),
+    ("s0,default,1.0,360,vmaf,45.0,inf", "line 3: not a finite number: 'inf'"),
+    ("s0,default,1.0,360.0,vmaf,45.0,0.4", "line 3: invalid literal for int() with base 10: '360.0'"),
+    ("s0,default,-1.0,360,vmaf,45.0,0.4", "line 3: bitrate must be finite and positive, got -1.0"),
+])
+def test_a_later_row_of_a_representation_keeps_its_own_error(row, message):
+    text = "\n".join([EVAL_CSV.splitlines()[0], "s0,default,1.0,360,psnr,30.5,0.4", row]) + "\n"
+    with pytest.raises(SegmentMismatch) as caught:
+        load_evaluation_csv(text.splitlines(True))
+    assert str(caught.value) == message
 
 
 def test_load_evaluation_csv_rejects_inconsistencies():

@@ -142,6 +142,23 @@ def test_integer_numbers_are_left_to_json_loads():
     assert serialize_model(deserialize_model(blob)) == blob
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("n_trees", b"true", "n_trees must be an integer, got True"),
+    ("max_depth", b"1.5", "max_depth must be an integer, got 1.5"),
+    ("min_samples_leaf", b"2.0", "min_samples_leaf must be an integer, got 2.0"),
+    ("bootstrap", b"7", "bootstrap must be a boolean, got 7"),
+])
+def test_hyperparams_of_the_wrong_type_are_corrupt_on_both_paths(field, value, message):
+    model = ForestModel(({"v": 1.0},), Hyperparams(n_trees=1), 0, "time", "none")
+    blob = re.sub(rb'"%s":[^,}]*' % field.encode(), b'"%s":%s' % (field.encode(), value),
+                  serialize_model(model, PROVENANCE))
+    assert treetext.read_canonical(blob, forest.N_FEATURES) is not None  # reaches the fast reader
+    for text in (blob, blob.replace(b":", b": ")):  # canonical, then json.loads alone
+        with pytest.raises(CorruptModel, match=f"^bad model structure: {re.escape(message)}$"):
+            deserialize_model(text)
+        _assert_same_as_reference(text)
+
+
 def test_a_fast_loaded_model_builds_its_trees_when_asked():
     model = ForestModel(({"f": 2, "t": -0.0, "l": {"v": 1e-300}, "r": {"f": 4, "t": 1e300, "l": {"v": 5.0},
                                                                    "r": {"v": -2.5}}}, {"v": 7.0}),
@@ -264,7 +281,7 @@ def test_trees_deeper_than_the_fast_reader_reads_go_to_json_loads():
         tree = {"f": 0, "t": 0.5, "l": {"v": 0.0}, "r": tree}
         text = _doc(json.dumps(tree, separators=(",", ":")).encode(), max_depth=b"200")
         assert (forest._read_canonical(text) is None) == (depth > treetext.FAST_DEPTH)
-    assert _assert_same_as_reference(text)[4][6] == treetext.FAST_DEPTH + 1
+    assert _assert_same_as_reference(text)[4][-1] == treetext.FAST_DEPTH + 1  # the depth
 
 
 @st.composite
