@@ -495,11 +495,18 @@ def _linked(feature: np.ndarray, threshold: np.ndarray, right: np.ndarray,
     node, for a split) and the leaf values are derived here, so the readers
     fill fewer arrays.  ``children[2 * i]`` is node i's right child and
     ``children[2 * i + 1]`` its left one, so a walk steps to ``children[2 * i
-    + (x[f] <= t)]``."""
+    + (x[f] <= t)]``.  A forest whose trees' largest leaves add past the
+    float64 maximum, in ``predict``'s tree order, is :class:`CorruptModel`."""
     nodes = np.arange(right.size)
     leaf = right == nodes
     children = np.stack([right, np.where(leaf, nodes, nodes + 1)], axis=1).ravel()
-    return feature, threshold, children, np.where(leaf, threshold, 0.0), roots, deepest
+    value = np.where(leaf, threshold, 0.0)
+    reach = 0.0  # bounds every partial sum predict makes, rounding included
+    for largest in np.maximum.reduceat(np.abs(value), roots).tolist():
+        reach += largest
+    if reach == math.inf:
+        raise CorruptModel("leaf values add past the float64 maximum")
+    return feature, threshold, children, value, roots, deepest
 
 
 def _unflatten(flat: tuple) -> tuple[dict, ...]:
@@ -523,12 +530,13 @@ def _read_canonical(data: Union[bytes, str]) -> ForestModel | None:
     if read is None:
         return None
     header, arrays = read
-    flat = _linked(*arrays)
+    roots, deepest = arrays[3:]
     try:  # the roots stand in for the trees, whose number is checked there
-        _, hp, seed, target_kind, vsr_tag = _model_fields({**header, "trees": flat[4].tolist()})
+        _, hp, seed, target_kind, vsr_tag = _model_fields({**header, "trees": roots.tolist()})
+        flat = _linked(*arrays)
     except ForestError:
         return None
-    if flat[5] > hp.max_depth:  # fit never splits a node at depth max_depth
+    if deepest > hp.max_depth:  # fit never splits a node at depth max_depth
         return None
     return ForestModel._from_flat(flat, hp, seed, target_kind, vsr_tag)
 

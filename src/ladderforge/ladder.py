@@ -143,76 +143,66 @@ class ResolutionChoice(NamedTuple):
     over_budget: bool
 
 
+@dataclass(frozen=True, eq=False)
 class PredictionGrid:
-    """Predicted (quality, time) for every (resolution, bitrate) pair.
-
-    Held as two arrays indexed ``[resolution, bitrate]``, both axes ascending.
-    The grid of a sequence of segments has a leading segment axis, and
-    :meth:`segments` yields each segment's grid.  ``entries`` maps every
+    """Predicted (quality, time) for every (resolution, bitrate) pair: two
+    arrays indexed ``[..., resolution, bitrate]``, both axes ascending, every
+    cell checked on construction.  A catalog grid has a leading segment axis,
+    and :meth:`segments` yields each segment's grid.  ``entries`` maps every
     ``(resolution, bitrate)``, or ``(segment, resolution, bitrate)``, to its
     (quality, time); it is derived from the arrays when first read.
     """
 
-    def __init__(self, resolutions: Sequence[int], bitrates: Sequence[float],
-                 entries: Mapping[tuple[int, float], tuple[float, float]]):
-        resolutions, bitrates, entries = tuple(resolutions), tuple(bitrates), dict(entries)
-        cells = [(r, b) for r in resolutions for b in bitrates]
-        shape = (len(resolutions), len(bitrates))
-        missing = np.array([cell not in entries for cell in cells], dtype=bool).reshape(shape)
-        values = np.array([entries.get(cell, (0.0, 0.0)) for cell in cells], np.float64)
-        values = values.reshape(*shape, 2)
-        self._fill(resolutions, bitrates, values[..., 0], values[..., 1], missing)
+    resolutions: tuple[int, ...]
+    bitrates: tuple[float, ...]
+    qualities: np.ndarray
+    times: np.ndarray
 
-    @classmethod
-    def _from_arrays(cls, resolutions: Sequence[int], bitrates: Sequence[float],
-                     qualities: np.ndarray, times: np.ndarray) -> "PredictionGrid":
-        """The grid of ``[..., resolution, bitrate]`` quality and time arrays."""
-        grid = object.__new__(cls)
-        grid._fill(tuple(resolutions), tuple(bitrates), qualities, times, False)
-        return grid
-
-    def _fill(self, resolutions: tuple, bitrates: tuple, qualities: np.ndarray,
-              times: np.ndarray, missing) -> None:
-        """Check the axes, then every cell in one pass over the arrays: the
-        error names the first cell, in (resolution, bitrate) order, that is
-        missing or out of range."""
+    def __post_init__(self):
+        resolutions, bitrates = tuple(self.resolutions), tuple(self.bitrates)
         if not resolutions or not bitrates:
             raise LadderError("grid needs at least one resolution and one bitrate")
         if list(resolutions) != sorted(resolutions) or list(bitrates) != sorted(bitrates):
             raise LadderError("grid axes must be sorted ascending")
+        qualities, times = self.qualities, self.times
+        if qualities.shape != times.shape or qualities.shape[-2:] != (len(resolutions), len(bitrates)):
+            raise LadderError(f"grid arrays must be shaped [..., {len(resolutions)}, {len(bitrates)}], "
+                              f"got {qualities.shape} and {times.shape}")
         bad_quality = ~((qualities >= 0.0) & (qualities <= 100.0))  # NaN fails both
         bad_time = ~(np.isfinite(times) & (times >= 0.0))
-        bad = missing | bad_quality | bad_time
+        bad = bad_quality | bad_time
         if bad.any():
             at = np.unravel_index(bad.argmax(), bad.shape)
             r, b = resolutions[at[-2]], bitrates[at[-1]]
-            if np.broadcast_to(missing, bad.shape)[at]:
-                raise LadderError(f"grid is missing entry for ({r}, {b})")
             if bad_quality[at]:
                 raise LadderError(f"grid quality at ({r}, {b}) out of range: {qualities[at]}")
             raise LadderError(f"grid time at ({r}, {b}) out of range: {times[at]}")
-        vars(self).update(resolutions=resolutions, bitrates=bitrates,
-                          qualities=qualities, times=times)
+        object.__setattr__(self, "resolutions", resolutions)
+        object.__setattr__(self, "bitrates", bitrates)
+
+    @classmethod
+    def from_entries(cls, resolutions: Sequence[int], bitrates: Sequence[float],
+                     entries: Mapping[tuple[int, float], tuple[float, float]]) -> "PredictionGrid":
+        """The grid of a mapping that holds every (resolution, bitrate) pair,
+        its numbers read as floats."""
+        values = []
+        for r, b in product(resolutions, bitrates):
+            if (r, b) not in entries:
+                raise LadderError(f"grid is missing entry for ({r}, {b})")
+            values.append(entries[r, b])
+        values = np.array(values, np.float64).reshape(len(resolutions), len(bitrates), 2)
+        return cls(resolutions, bitrates, values[..., 0], values[..., 1])
 
     def segments(self) -> Iterator["PredictionGrid"]:
         """Each segment's grid, in order, for a grid with a segment axis."""
         for qualities, times in zip(self.qualities, self.times):
-            grid = object.__new__(PredictionGrid)
-            vars(grid).update(resolutions=self.resolutions, bitrates=self.bitrates,
-                              qualities=qualities, times=times)
-            yield grid
+            yield PredictionGrid(self.resolutions, self.bitrates, qualities, times)
 
     @cached_property
     def entries(self) -> Mapping[tuple, tuple[float, float]]:
         keys = product(*map(range, self.qualities.shape[:-2]), self.resolutions, self.bitrates)
         pairs = zip(self.qualities.ravel().tolist(), self.times.ravel().tolist())
         return MappingProxyType(dict(zip(keys, pairs)))
-
-    def quality(self, resolution: int, bitrate: float) -> float:
-        return self.entries[(resolution, bitrate)][0]
-
-    def time(self, resolution: int, bitrate: float) -> float:
-        return self.entries[(resolution, bitrate)][1]
 
 
 def predict_grid(
@@ -241,8 +231,8 @@ def predict_grid(
     else:
         features = (features,)
     x = feature_rows(features, resolutions, bitrates)
-    return PredictionGrid._from_arrays(resolutions, bitrates, predict(quality_model, x).reshape(shape),
-                                       predict(time_model, x).reshape(shape))
+    return PredictionGrid(resolutions, bitrates, predict(quality_model, x).reshape(shape),
+                          predict(time_model, x).reshape(shape))
 
 
 def select_resolution(grid: PredictionGrid, bitrate: float, tau_l: float) -> ResolutionChoice:

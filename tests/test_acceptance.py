@@ -114,7 +114,7 @@ def test_criterion_2_selection_matches_exhaustive_argmax(criterion):
                 for ri, r in enumerate(DEFAULT_RESOLUTIONS)
                 for bi, b in enumerate(DEFAULT_BITRATES_MBPS)
             }
-            grid = PredictionGrid(DEFAULT_RESOLUTIONS, DEFAULT_BITRATES_MBPS, entries)
+            grid = PredictionGrid(DEFAULT_RESOLUTIONS, DEFAULT_BITRATES_MBPS, qualities, times)
             tau = taus[i % len(taus)]
             bitrate = float(DEFAULT_BITRATES_MBPS[i % 12])
             got = select_resolution(grid, bitrate, tau)

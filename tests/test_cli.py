@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -671,6 +672,10 @@ def test_worker_count_follows_cpu_affinity(monkeypatch):
 _DEEP_MODEL = serialize_model(
     ForestModel(({"v": 1.0},), Hyperparams(n_trees=1), 0, "time", "none")
 ).replace(b'{"v":1.0}', b'{"f":0,"t":0.0,"l":{"v":0.0},"r":' * 3000 + b'{"v":1.0}' + b"}" * 3000)
+# Two trees whose right leaves add past the float64 maximum.
+_OVERFLOWING = serialize_model(ForestModel(
+    ({"f": 0, "t": 5.0, "l": {"v": 1.0}, "r": {"v": 1.0}},) * 2, Hyperparams(n_trees=2), 0, "time", "none")
+).replace(b'"r":{"v":1.0}', b'"r":{"v":1e+308}')
 # JSON booleans where the wire format wants numbers.
 _STUMP = serialize_model(ForestModel(
     ({"f": 0, "t": 1.0, "l": {"v": 0.5}, "r": {"v": 2.0}},), Hyperparams(n_trees=1), 0, "time", "none"))
@@ -736,6 +741,21 @@ def test_unusable_input_files_are_data_errors_naming_the_path(tmp_path, capsys, 
         argv += ["--config", str(path)]
     assert run(*argv) == 2
     assert str(path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("prefix", [b"", b" "], ids=["canonical", "not-canonical"])
+def test_ladder_names_a_model_whose_leaves_overflow_and_nothing_else(tmp_path, capsys, prefix):
+    features = tmp_path / "features.csv"
+    features.write_text("segment_id,E_Y,h,L_Y\nseg,9.0,0.5,100.0\n")  # E_Y > 5: the huge leaves
+    models = _write_models(tmp_path / "models")
+    path = models / "model_time_none.json"
+    path.write_bytes(prefix + _OVERFLOWING)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run("ladder", str(features), "--models", str(models), "--out", str(tmp_path / "out")) == 2
+    assert caught == []
+    assert capsys.readouterr().err == f"error: {path}: leaf values add past the float64 maximum\n"
+    assert list((tmp_path / "out").iterdir()) == []  # no manifest
 
 
 def test_python_dash_m_runs_the_cli():

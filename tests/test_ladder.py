@@ -40,7 +40,13 @@ def _leaf_model(value, kind, vsr="none"):
 def _grid(entries, resolutions=None, bitrates=None):
     resolutions = resolutions or sorted({r for r, _ in entries})
     bitrates = bitrates or sorted({b for _, b in entries})
-    return PredictionGrid(tuple(resolutions), tuple(bitrates), entries)
+    return PredictionGrid.from_entries(tuple(resolutions), tuple(bitrates), entries)
+
+
+def _fields(grid):
+    """A grid's axes and its arrays' shapes, dtypes and bytes."""
+    return (grid.resolutions, grid.bitrates, *((a.shape, a.dtype.str, a.tobytes())
+                                                for a in (grid.qualities, grid.times)))
 
 
 def _ladder_from_qualities(qualities, params=LadderParams()):
@@ -87,8 +93,8 @@ def test_grid_entries_equal_elementwise_prediction():
     for r in DEFAULT_RESOLUTIONS:
         for b in DEFAULT_BITRATES_MBPS:
             x = feature_vector(features, r, b)
-            assert grid.quality(r, b) == predict(quality, x)
-            assert grid.time(r, b) == predict(time, x)
+            assert grid.entries[r, b][0] == predict(quality, x)
+            assert grid.entries[r, b][1] == predict(time, x)
 
 
 # Thresholds are drawn inside each feature's range, so that splits send
@@ -137,7 +143,9 @@ def test_catalog_path_equals_the_per_cell_reference(quality, time, segments, tau
     resolutions, bitrates = list(DEFAULT_RESOLUTIONS), list(DEFAULT_BITRATES_MBPS)
     grids = predict_grid(quality, time, segments, resolutions[::-1], bitrates)
     assert grids.qualities.shape == (len(segments), len(resolutions), len(bitrates))
-    for features, grid in zip(segments, grids.segments(), strict=True):
+    for i, (features, grid) in enumerate(zip(segments, grids.segments(), strict=True)):
+        assert _fields(grid) == _fields(PredictionGrid(resolutions, bitrates, grids.qualities[i].copy(),
+                                                       grids.times[i].copy()))
         entries = {}
         for r in resolutions:
             for b in bitrates:
@@ -183,14 +191,61 @@ def test_catalog_grid_holds_each_segment_grid_and_every_cell():
 
 
 def test_catalog_grid_error_names_the_first_bad_cell():
-    quality = _leaf_model(70, "quality")
-    # Two huge leaves overflow to an infinite time where texture energy > 5.
-    time = ForestModel(({"f": 0, "t": 5.0, "l": {"v": 1.0}, "r": {"v": 1e308}},) * 2,
-                       Hyperparams(n_trees=2), 0, "time", "none")
-    segments = [SegmentFeatures(1.0, 0.0, 50.0), SegmentFeatures(9.0, 0.0, 50.0)]
-    with np.errstate(over="ignore"), pytest.raises(
-            LadderError, match=r"^grid time at \(360, 0\.145\) out of range: inf$"):
-        predict_grid(quality, time, segments, DEFAULT_RESOLUTIONS, DEFAULT_BITRATES_MBPS)
+    qualities, times = np.full((2, 4, 12), 70.0), np.ones((2, 4, 12))
+    times[1] = math.inf  # every cell of the second segment
+    with pytest.raises(LadderError, match=r"^grid time at \(360, 0\.145\) out of range: inf$"):
+        PredictionGrid(DEFAULT_RESOLUTIONS, DEFAULT_BITRATES_MBPS, qualities, times)
+
+
+def _cells(changes, shape=(3, 2, 2)):
+    """Quality and time arrays of a (segment, resolution, bitrate) grid, all
+    in range but for ``changes``: index -> (quality, time)."""
+    qualities, times = np.full(shape, 50.0), np.ones(shape)
+    for at, (quality, time) in changes.items():
+        qualities[at], times[at] = quality, time
+    return qualities, times
+
+
+@pytest.mark.parametrize("resolutions, bitrates, arrays, message", [
+    ((360, 720), (1.0, 2.0), _cells({}, (2, 3)), "grid arrays must be shaped [..., 2, 2], got (2, 3) and (2, 3)"),
+    ((360, 720), (1.0, 2.0), _cells({}, (3, 2)), "grid arrays must be shaped [..., 2, 2], got (3, 2) and (3, 2)"),
+    ((360, 720), (1.0, 2.0), _cells({}, (4,)), "grid arrays must be shaped [..., 2, 2], got (4,) and (4,)"),
+    ((360, 720), (1.0, 2.0), (np.ones((2, 2)), np.ones((1, 2, 2))),
+     "grid arrays must be shaped [..., 2, 2], got (2, 2) and (1, 2, 2)"),
+    ((360, 720), (1.0, 2.0), (np.ones((3, 2, 2)), np.ones((2, 2, 2))),
+     "grid arrays must be shaped [..., 2, 2], got (3, 2, 2) and (2, 2, 2)"),
+    ((), (1.0,), _cells({}, (0, 1)), "grid needs at least one resolution and one bitrate"),
+    ((360,), (), _cells({}, (1, 0)), "grid needs at least one resolution and one bitrate"),
+    ((720, 360), (1.0, 2.0), _cells({}), "grid axes must be sorted ascending"),
+    ((360, 720), (2.0, 1.0), _cells({}), "grid axes must be sorted ascending"),
+    # Cells: the first bad one in (segment, resolution, bitrate) order is named.
+    ((360, 720), (1.0, 2.0), _cells({(0, 1, 1): (math.nan, 1.0), (1, 0, 0): (101.0, 1.0)}),
+     "grid quality at (720, 2.0) out of range: nan"),
+    ((360, 720), (1.0, 2.0), _cells({(1, 1, 0): (50.0, math.inf), (2, 0, 0): (-1.0, 1.0)}),
+     "grid time at (720, 1.0) out of range: inf"),
+    ((360, 720), (1.0, 2.0), _cells({(2, 0, 1): (50.0, -1.0), (2, 1, 0): (math.inf, 1.0)}),
+     "grid time at (360, 2.0) out of range: -1.0"),
+    ((360, 720), (1.0, 2.0), _cells({(2, 1, 0): (math.inf, math.nan)}),
+     "grid quality at (720, 1.0) out of range: inf"),
+    ((360, 720), (1.0, 2.0), _cells({(0, 0, 1): (-0.5, 1.0)}), "grid quality at (360, 2.0) out of range: -0.5"),
+    ((360, 720), (1.0, 2.0), _cells({(1, 1, 1): (50.0, math.nan)}), "grid time at (720, 2.0) out of range: nan"),
+    ((360, 720), (1.0, 2.0), _cells({(0, 0, 0): (50.0, -math.inf)}), "grid time at (360, 1.0) out of range: -inf"),
+])
+def test_grid_constructor_checks_axes_shapes_and_every_cell(resolutions, bitrates, arrays, message):
+    with pytest.raises(LadderError) as caught:
+        PredictionGrid(resolutions, bitrates, *arrays)
+    assert str(caught.value) == message
+
+
+def test_grid_constructor_takes_the_edges_of_the_ranges():
+    qualities, times = _cells({(0, 0, 0): (0.0, 0.0), (2, 1, 1): (100.0, 1e308)})
+    grid = PredictionGrid([360, 720], [1.0, 2.0], qualities, times)
+    assert (grid.resolutions, grid.bitrates) == ((360, 720), (1.0, 2.0))
+    assert grid.entries[0, 360, 1.0] == (0.0, 0.0) and grid.entries[2, 720, 2.0] == (100.0, 1e308)
+    with pytest.raises(AttributeError):
+        grid.times = times  # frozen
+    with pytest.raises(LadderError, match=r"got \(2,\) and \(2,\)"):
+        list(next(grid.segments()).segments())  # a segment's grid has no segment axis
 
 
 def test_grid_errors_name_the_first_bad_cell_in_axis_order():
@@ -202,14 +257,17 @@ def test_grid_errors_name_the_first_bad_cell_in_axis_order():
     ]
     for changes, message in cases:
         with pytest.raises(LadderError) as caught:
-            PredictionGrid((360, 720), (1.0, 2.0), {**entries, **changes})
+            PredictionGrid.from_entries((360, 720), (1.0, 2.0), {**entries, **changes})
         assert str(caught.value) == message
     del entries[720, 1.0]
     entries[720, 2.0] = (-1.0, 1.0)
     with pytest.raises(LadderError, match=r"^grid is missing entry for \(720, 1\.0\)$"):
-        PredictionGrid((360, 720), (1.0, 2.0), entries)
+        PredictionGrid.from_entries((360, 720), (1.0, 2.0), entries)
+    entries[360, 1.0] = (101.0, 1.0)  # a missing cell is named before any out-of-range one
+    with pytest.raises(LadderError, match=r"^grid is missing entry for \(720, 1\.0\)$"):
+        PredictionGrid.from_entries((360, 720), (1.0, 2.0), entries)
     with pytest.raises(LadderError, match="sorted ascending"):
-        PredictionGrid((720, 360), (1.0,), {(360, 1.0): (50.0, 1.0), (720, 1.0): (50.0, 1.0)})
+        PredictionGrid.from_entries((720, 360), (1.0,), {(360, 1.0): (50.0, 1.0), (720, 1.0): (50.0, 1.0)})
 
 
 def test_grid_rejects_mismatched_models():
@@ -223,7 +281,7 @@ def test_grid_rejects_mismatched_models():
 
 def test_grid_validates_completeness():
     with pytest.raises(Exception, match="missing entry"):
-        PredictionGrid((360, 720), (1.0,), {(360, 1.0): (50.0, 1.0)})
+        PredictionGrid.from_entries((360, 720), (1.0,), {(360, 1.0): (50.0, 1.0)})
 
 
 # -------------------------------------------------------- select_resolution

@@ -9,6 +9,7 @@ the same arrays, or the same exception class and message.
 import json
 import math
 import re
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -62,19 +63,22 @@ def _assert_same_as_reference(data):
 # ------------------------------------------------------------- canonical text
 
 _THRESHOLDS = st.floats(allow_nan=False, allow_infinity=False)  # -0.0, subnormals, 1e308
+# Three trees of these leaves cannot add past the float64 maximum, which would make the model corrupt.
+_LEAVES = st.floats(-5e307, 5e307)
 
 
 @st.composite
 def _trees(draw, depth):
     if depth == 0 or draw(st.integers(0, 2)) == 0:
-        return {"v": draw(_THRESHOLDS)}
+        return {"v": draw(_LEAVES)}
     return {"f": draw(st.integers(0, 4)), "t": draw(_THRESHOLDS),
             "l": draw(_trees(depth - 1)), "r": draw(_trees(depth - 1))}
 
 
 @st.composite
 def _models(draw):
-    """A model of random trees with any finite float in any number slot."""
+    """A model of random trees with any finite float as a threshold and any
+    float of ``_LEAVES`` as a leaf."""
     max_depth = draw(st.integers(1, 6))
     trees = tuple(draw(st.lists(_trees(max_depth), min_size=1, max_size=3)))
     hp = Hyperparams(n_trees=len(trees), max_depth=max_depth,
@@ -130,6 +134,37 @@ def test_any_float_reads_back_bit_for_bit(model):
     assert _flat_bytes(fast) == _flat_bytes(model)
     assert serialize_model(fast) == blob
     assert _assert_same_as_reference(blob)[4] == _flat_bytes(model)
+
+
+@pytest.mark.parametrize("trees", [
+    [{"v": 1e308}, {"v": 1e308}],
+    [{"v": -1e308}, {"v": 1e308}],  # predict would add 0, but the check takes the largest |leaf|
+    [{"v": 1e308}, {"v": 1e308}, {"v": -1e308}, {"v": -1e308}],  # mean 0, yet the sum overflows
+    [{"f": 0, "t": 5.0, "l": {"v": 1.0}, "r": {"v": 1e308}}] * 2,
+    [{"f": 0, "t": 5.0, "l": {"v": -1.7e308}, "r": {"v": 1.0}}, {"v": 2e307}],
+])
+def test_leaves_that_add_past_the_float64_maximum_are_corrupt_on_both_paths(trees):
+    doc = json.loads(serialize_model(ForestModel(({"v": 1.0},) * len(trees), Hyperparams(n_trees=len(trees)),
+                                                 0, "quality", "none")))
+    blob = json.dumps({**doc, "trees": trees}, separators=(",", ":")).encode()
+    message = "leaf values add past the float64 maximum"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert forest._read_canonical(blob) is None
+        for data in (blob, b" " + blob):  # canonical text, and text json.loads reads
+            assert _assert_same_as_reference(data) == (CorruptModel, message)
+        with pytest.raises(CorruptModel, match=f"^{message}$"):
+            ForestModel(tuple(trees), Hyperparams(n_trees=len(trees)), 0, "quality", "none")
+    assert caught == []
+
+
+def test_leaves_that_add_up_to_the_float64_maximum_load_and_predict_without_warning():
+    trees = ({"v": 1e308}, {"v": -7.9e307})  # the largest |leaf| values add to 1.79e308
+    model = deserialize_model(serialize_model(ForestModel(trees, Hyperparams(n_trees=2), 0, "time", "none")))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert forest.predict(model, [1.0] * 5) == (1e308 - 7.9e307) / 2
+    assert caught == []
 
 
 def test_integer_numbers_are_left_to_json_loads():
