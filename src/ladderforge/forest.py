@@ -26,19 +26,20 @@ partitions those orders stably (the presorted CART of SLIQ), so a node
 scores all its candidate features in one 2-D pass without sorting.
 ``fit`` refuses targets whose squared sums would overflow.
 
-Trees are stored in their wire format: internal nodes
-``{"f": idx, "t": thr, "l": ..., "r": ...}`` (x[f] <= thr goes left) and
-leaves ``{"v": mean}``.  ``serialize_model`` emits versioned canonical JSON,
-so equal seeds yield byte-identical artifacts.
+A model is one form: its trees as flat preorder arrays, which ``fit`` grows
+directly and ``predict`` walks (see :func:`_linked`).  The wire format is a
+view of them: internal nodes ``{"f": idx, "t": thr, "l": ..., "r": ...}``
+(x[f] <= thr goes left) and leaves ``{"v": mean}``, which ``ForestModel.trees``
+builds when first read.  ``serialize_model`` writes that view as versioned
+canonical JSON, so equal seeds yield byte-identical artifacts.
 
-``deserialize_model`` has two paths to the same model.  Text exactly as
+``deserialize_model`` has two paths to the same arrays.  Text exactly as
 ``serialize_model`` writes it (compact, keys in their fixed order, ASCII),
-followed by provenance keys, is read straight into the flat arrays that
-``predict`` walks, with no dict per node (:mod:`.treetext` reads the trees);
-such a model builds its ``trees`` from the arrays when first asked for them.
-Any other text, valid or not, goes through ``json.loads`` and the
-``ForestModel`` constructor, which own every error and its message: the fast
-path only accepts what that path accepts, to the same arrays.
+followed by provenance keys, is read straight into them, with no dict per
+node (:mod:`.treetext` reads the trees).  Any other text, valid or not, goes
+through ``json.loads`` and ``ForestModel.from_trees``, whose ``_compile``
+checks and flattens dict trees and owns every error and its message: the
+fast path only accepts what that path accepts.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ import json
 import math
 from array import array
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from itertools import repeat
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -204,36 +206,37 @@ class EvaluationStats:
     sd: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ForestModel:
-    """A bag of regression trees plus everything needed to reproduce it; building
-    one checks the trees (else :class:`CorruptModel`) and flattens them."""
+    """A bag of regression trees as ``_compile``'s checked preorder arrays,
+    plus everything needed to reproduce it.  :meth:`from_trees` builds one of
+    wire-format trees; ``trees`` is that view of the arrays."""
 
-    trees: tuple[dict, ...]
     hyperparams: Hyperparams
     seed: int
     target_kind: str
     vsr_tag: str
-    _flat: tuple = field(init=False, repr=False, compare=False)  # what _compile returns
-
-    def __post_init__(self):
-        object.__setattr__(self, "_flat", _compile(self.trees, self.hyperparams.max_depth))
+    _flat: tuple = field(repr=False)  # what _compile returns
 
     @classmethod
-    def _from_flat(cls, flat: tuple, hyperparams: Hyperparams, seed: int,
+    def from_trees(cls, trees: Sequence[object], hyperparams: Hyperparams, seed: int,
                    target_kind: str, vsr_tag: str) -> "ForestModel":
-        """A model of trees that were checked and flattened as they were read;
-        its ``trees`` are built from the arrays when first asked for."""
-        model = object.__new__(cls)
-        vars(model).update(_flat=flat, hyperparams=hyperparams, seed=seed,
-                           target_kind=target_kind, vsr_tag=vsr_tag)
-        return model
+        """The model of wire-format trees, which are checked (else
+        :class:`CorruptModel`) and flattened."""
+        return cls(hyperparams, seed, target_kind, vsr_tag, _compile(trees, hyperparams.max_depth))
 
-    def __getattr__(self, name: str):  # reached only for a _from_flat model's trees
-        if name != "trees":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        vars(self)["trees"] = trees = _unflatten(self._flat)
-        return trees
+    @cached_property
+    def trees(self) -> tuple[dict, ...]:
+        """The wire-format trees, built from the arrays when first read."""
+        feature, threshold, children, _, roots, _ = self._flat
+        feature, threshold, right = feature.tolist(), threshold.tolist(), children[::2].tolist()
+
+        def node(i: int) -> dict:
+            if right[i] == i:
+                return {"v": threshold[i]}
+            return {"f": feature[i], "t": threshold[i], "l": node(i + 1), "r": node(right[i])}
+
+        return tuple(node(root) for root in roots.tolist())
 
 
 def feature_rows(
@@ -287,24 +290,35 @@ def _records_matrix(records: Sequence[TrainingRecord]) -> tuple[np.ndarray, np.n
     return x, np.array([rec.target for rec in records], dtype=np.float64)
 
 
-def _grow_tree(x: np.ndarray, y: np.ndarray, hp: Hyperparams, seed: int) -> dict:
+def _grow_tree(x: np.ndarray, y: np.ndarray, hp: Hyperparams, seed: int) -> tuple:
     """Grow one tree, drawing from the stream of its own seed, on a bootstrap
     sample of n positions, presorted as in SLIQ (Mehta et al., EDBT 1996).  A
     node is a ``(N_FEATURES + 1, m)`` matrix of its positions: row f sorted by
     feature f with ties in bootstrap order, the last row in bootstrap order.
     A split partitions every row stably, so the children stay sorted and no
-    node sorts anything.  A module-level function, so a process pool can run it."""
+    node sorts anything.  Each node is appended as it is grown, left subtree
+    first, to the tree's preorder ``(feature, threshold, right)`` arrays laid
+    out as ``_compile`` lays them out; those and the deepest leaf's depth are
+    returned.  A module-level function, so a process pool can run it."""
     n, k, rng = x.shape[0], hp.features_per_split, SplitMix64(seed)
     idx = rng.integers_below(n, n) if hp.bootstrap else np.arange(n, dtype=np.intp)
     xb, yb = x[idx].T, y[idx]
     counts = np.arange(1.0, n + 1.0)  # counts[c] = c + 1, as float64 like the sums
     goes_left = np.empty(n, dtype=bool)
+    feature, threshold, right = array("b"), array("d"), array("i")
 
-    def grow(rows: np.ndarray, depth: int) -> dict:
+    def leaf(yv: np.ndarray, depth: int) -> int:
+        right.append(len(feature))  # a leaf links to itself
+        feature.append(0)
+        threshold.append(float(yv.sum() / yv.size))  # equals yv.mean(), without its overhead
+        return depth
+
+    def grow(rows: np.ndarray, depth: int) -> int:
+        """Append the subtree of ``rows``; return its deepest leaf's depth."""
         yv = yb[rows[-1]]
         m = yv.size
         if depth >= hp.max_depth or m < 2 * hp.min_samples_leaf or yv.min() == yv.max():
-            return {"v": float(yv.sum() / m)}  # equals yv.mean(), without its overhead
+            return leaf(yv, depth)
         features = sorted(rng.subset(k, N_FEATURES))
         order = rows[features, :]
         xs = xb[np.array(features)[:, None], order]
@@ -323,19 +337,23 @@ def _grow_tree(x: np.ndarray, y: np.ndarray, hp: Hyperparams, seed: int) -> dict
         sse = np.where(xs[:, lo:hi] < xs[:, lo + 1:hi + 1], sse, np.inf)
         j, cut = divmod(int(sse.argmin()), hi - lo)
         if sse[j, cut] == np.inf:
-            return {"v": float(yv.sum() / m)}
+            return leaf(yv, depth)
         n_left = lo + cut + 1  # the positions sorted below the cut go left
         a, b = float(xs[j, n_left - 1]), float(xs[j, n_left])
         mid = (a + b) / 2.0
-        threshold = mid if a <= mid < b else a  # a where the midpoint rounds up or overflows
+        index = len(feature)
+        feature.append(features[j])
+        threshold.append(mid if a <= mid < b else a)  # a where the midpoint rounds up or overflows
+        right.append(-1)  # linked once the left subtree is grown
         goes_left[order[j, :n_left]] = True
         goes_left[order[j, n_left:]] = False
         left = goes_left[rows]  # a mask's entries keep each row's order
-        return {"f": features[j], "t": threshold,
-                "l": grow(rows[left].reshape(N_FEATURES + 1, n_left), depth + 1),
-                "r": grow(rows[~left].reshape(N_FEATURES + 1, m - n_left), depth + 1)}
+        deepest = grow(rows[left].reshape(N_FEATURES + 1, n_left), depth + 1)
+        right[index] = len(feature)
+        return max(deepest, grow(rows[~left].reshape(N_FEATURES + 1, m - n_left), depth + 1))
 
-    return grow(np.vstack([np.argsort(xb, axis=1, kind="stable"), np.arange(n)]), 0)
+    deepest = grow(np.vstack([np.argsort(xb, axis=1, kind="stable"), np.arange(n)]), 0)
+    return feature, threshold, right, deepest
 
 
 def fit(
@@ -366,14 +384,14 @@ def fit(
         raise InvalidRecord(f"targets up to {top:g} overflow the split search over {len(y)} records")
     master = SplitMix64(seed)
     tree_seeds = [master.next_u64() for _ in range(hp.n_trees)]
-    trees = tuple(map(_grow_tree, repeat(x), repeat(y), repeat(hp), tree_seeds))
-    return ForestModel(
-        trees=trees,
-        hyperparams=hp,
-        seed=seed,
-        target_kind=records[0].target_kind,
-        vsr_tag=records[0].vsr_tag,
-    )
+    features, thresholds, rights, depths = zip(*map(_grow_tree, repeat(x), repeat(y),
+                                                    repeat(hp), tree_seeds))
+    sizes = np.array([len(tree) for tree in features], np.intp)
+    roots = np.cumsum(sizes) - sizes  # each tree's right links count from its root
+    right = np.concatenate(rights).astype(np.intp) + np.repeat(roots, sizes)
+    flat = _linked(np.concatenate(features).astype(np.intp), np.concatenate(thresholds),
+                   right, roots, max(depths))
+    return ForestModel(hp, seed, records[0].target_kind, records[0].vsr_tag, flat)
 
 
 def predict(model: ForestModel, x: Sequence[float]) -> Union[float, np.ndarray]:
@@ -492,10 +510,10 @@ def _linked(feature: np.ndarray, threshold: np.ndarray, right: np.ndarray,
             roots: np.ndarray, deepest: int) -> tuple:
     """``_compile``'s result from the preorder arrays, in which a leaf links
     to itself and keeps its value in ``threshold``: the left links (the next
-    node, for a split) and the leaf values are derived here, so the readers
-    fill fewer arrays.  ``children[2 * i]`` is node i's right child and
-    ``children[2 * i + 1]`` its left one, so a walk steps to ``children[2 * i
-    + (x[f] <= t)]``.  A forest whose trees' largest leaves add past the
+    node, for a split) and the leaf values are derived here, so ``fit`` and
+    the readers fill fewer arrays.  ``children[2 * i]`` is node i's right
+    child and ``children[2 * i + 1]`` its left one, so a walk steps to
+    ``children[2 * i + (x[f] <= t)]``.  A forest whose trees' largest leaves add past the
     float64 maximum, in ``predict``'s tree order, is :class:`CorruptModel`."""
     nodes = np.arange(right.size)
     leaf = right == nodes
@@ -507,19 +525,6 @@ def _linked(feature: np.ndarray, threshold: np.ndarray, right: np.ndarray,
     if reach == math.inf:
         raise CorruptModel("leaf values add past the float64 maximum")
     return feature, threshold, children, value, roots, deepest
-
-
-def _unflatten(flat: tuple) -> tuple[dict, ...]:
-    """The wire-format trees of ``_compile``'s arrays."""
-    feature, threshold, children, _, roots, _ = flat
-    feature, threshold, right = feature.tolist(), threshold.tolist(), children[::2].tolist()
-
-    def node(i: int) -> dict:
-        if right[i] == i:
-            return {"v": threshold[i]}
-        return {"f": feature[i], "t": threshold[i], "l": node(i + 1), "r": node(right[i])}
-
-    return tuple(node(root) for root in roots.tolist())
 
 
 def _read_canonical(data: Union[bytes, str]) -> ForestModel | None:
@@ -538,7 +543,7 @@ def _read_canonical(data: Union[bytes, str]) -> ForestModel | None:
         return None
     if deepest > hp.max_depth:  # fit never splits a node at depth max_depth
         return None
-    return ForestModel._from_flat(flat, hp, seed, target_kind, vsr_tag)
+    return ForestModel(hp, seed, target_kind, vsr_tag, flat)
 
 
 def _model_fields(doc: object) -> tuple[list, Hyperparams, int, str, str]:
@@ -577,7 +582,7 @@ def deserialize_model(data: Union[bytes, str]) -> ForestModel:
     Unknown top-level keys are ignored (the CLI adds provenance there);
     per-node structure is validated strictly.  Canonical text is read
     straight into arrays; anything else, and every error, goes through
-    ``json.loads`` and the ``ForestModel`` constructor.
+    ``json.loads`` and ``ForestModel.from_trees``.
     """
     model = _read_canonical(data)
     if model is not None:
@@ -589,13 +594,7 @@ def deserialize_model(data: Union[bytes, str]) -> ForestModel:
     except RecursionError:
         raise CorruptModel("JSON is nested too deeply to be a model") from None
     trees, hp, seed, target_kind, vsr_tag = _model_fields(doc)
-    return ForestModel(
-        trees=tuple(trees),
-        hyperparams=hp,
-        seed=seed,
-        target_kind=target_kind,
-        vsr_tag=vsr_tag,
-    )
+    return ForestModel.from_trees(trees, hp, seed, target_kind, vsr_tag)
 
 
 def load_training_csv(

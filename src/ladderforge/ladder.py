@@ -164,7 +164,11 @@ class PredictionGrid:
             raise LadderError("grid needs at least one resolution and one bitrate")
         if list(resolutions) != sorted(resolutions) or list(bitrates) != sorted(bitrates):
             raise LadderError("grid axes must be sorted ascending")
-        qualities, times = self.qualities, self.times
+        try:  # copies, so that no later write gets past the checks below
+            qualities, times = np.array(self.qualities, np.float64), np.array(self.times, np.float64)
+        except (TypeError, ValueError) as exc:
+            raise LadderError(f"grid arrays must be numeric: {exc}") from None
+        qualities.flags.writeable = times.flags.writeable = False
         if qualities.shape != times.shape or qualities.shape[-2:] != (len(resolutions), len(bitrates)):
             raise LadderError(f"grid arrays must be shaped [..., {len(resolutions)}, {len(bitrates)}], "
                               f"got {qualities.shape} and {times.shape}")
@@ -179,6 +183,8 @@ class PredictionGrid:
             raise LadderError(f"grid time at ({r}, {b}) out of range: {times[at]}")
         object.__setattr__(self, "resolutions", resolutions)
         object.__setattr__(self, "bitrates", bitrates)
+        object.__setattr__(self, "qualities", qualities)
+        object.__setattr__(self, "times", times)
 
     @classmethod
     def from_entries(cls, resolutions: Sequence[int], bitrates: Sequence[float],

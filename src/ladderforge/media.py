@@ -67,6 +67,7 @@ _CHROMA_SUBSAMPLING = {
 }
 
 SYNTHETIC_PATTERNS = ("constant", "checkerboard", "noise", "moving_gradient")
+MAX_SYNTHETIC_SAMPLES = 2**31
 
 
 class MediaError(LadderforgeError):
@@ -369,6 +370,8 @@ class SyntheticSpec:
                          all frames draw from one seeded stream.
         moving_gradient: ``(i + j + round(velocity * t)) mod 256`` for frame
                          index t, a diagonal ramp sliding over time.
+
+    A spec holds at most ``MAX_SYNTHETIC_SAMPLES`` (2**31) samples, ``width * height * frames``.
     """
 
     width: int
@@ -387,6 +390,9 @@ class SyntheticSpec:
             raise InvalidSpec(f"dimensions must be positive, got {self.width}x{self.height}")
         if self.frames <= 0:
             raise InvalidSpec(f"frame count must be positive, got {self.frames}")
+        if self.width * self.height * self.frames > MAX_SYNTHETIC_SAMPLES:
+            raise InvalidSpec(f"sample count must be at most {MAX_SYNTHETIC_SAMPLES}, "
+                              f"got {self.width}x{self.height}x{self.frames}")
         if self.pattern not in SYNTHETIC_PATTERNS:
             raise InvalidSpec(
                 f"unknown pattern {self.pattern!r}; expected one of {SYNTHETIC_PATTERNS}"

@@ -28,7 +28,7 @@ def run(*argv):
 def _write_models(models_dir, quality=70.0, time=1.0, vsr="none"):
     models_dir.mkdir(parents=True, exist_ok=True)
     for kind, value in (("quality", quality), ("time", time)):
-        model = ForestModel(({"v": float(value)},), Hyperparams(n_trees=1), 0, kind, vsr)
+        model = ForestModel.from_trees(({"v": float(value)},), Hyperparams(n_trees=1), 0, kind, vsr)
         path = models_dir / f"model_{kind}_{vsr}.json"
         path.write_bytes(serialize_model(model))
     return models_dir
@@ -119,6 +119,15 @@ def test_analyze_continues_past_bad_files(tmp_path, capsys):
     with open(out / "features.csv") as handle:
         rows = read_features_csv(handle)
     assert len(rows) == 1
+
+
+@pytest.mark.parametrize("token", ["synth:noise:99999999x99999999x1@30",
+                                   "synth:constant:99999999x99999999x1@30"])
+def test_analyze_rejects_a_synthetic_spec_too_large_to_hold(tmp_path, capsys, token):
+    """The spec is refused before anything is allocated."""
+    assert run("analyze", token, "--out", str(tmp_path)) == 2
+    assert capsys.readouterr().err == (f"error: {token}: sample count must be at most 2147483648, "
+                                       "got 99999999x99999999x1\n")
 
 
 def test_analyze_reads_y4m_and_raw_files(tmp_path):
@@ -670,14 +679,14 @@ def test_worker_count_follows_cpu_affinity(monkeypatch):
 
 # A model whose one tree nests 3,000 levels deep: too deep for json.loads.
 _DEEP_MODEL = serialize_model(
-    ForestModel(({"v": 1.0},), Hyperparams(n_trees=1), 0, "time", "none")
+    ForestModel.from_trees(({"v": 1.0},), Hyperparams(n_trees=1), 0, "time", "none")
 ).replace(b'{"v":1.0}', b'{"f":0,"t":0.0,"l":{"v":0.0},"r":' * 3000 + b'{"v":1.0}' + b"}" * 3000)
 # Two trees whose right leaves add past the float64 maximum.
-_OVERFLOWING = serialize_model(ForestModel(
+_OVERFLOWING = serialize_model(ForestModel.from_trees(
     ({"f": 0, "t": 5.0, "l": {"v": 1.0}, "r": {"v": 1.0}},) * 2, Hyperparams(n_trees=2), 0, "time", "none")
 ).replace(b'"r":{"v":1.0}', b'"r":{"v":1e+308}')
 # JSON booleans where the wire format wants numbers.
-_STUMP = serialize_model(ForestModel(
+_STUMP = serialize_model(ForestModel.from_trees(
     ({"f": 0, "t": 1.0, "l": {"v": 0.5}, "r": {"v": 2.0}},), Hyperparams(n_trees=1), 0, "time", "none"))
 
 

@@ -142,20 +142,20 @@ def test_training_is_deterministic_for_fixed_seed():
 
 
 def test_single_leaf_model_predicts_its_mean():
-    model = ForestModel(({"v": 42.0},), Hyperparams(n_trees=1), 0, "quality", "none")
+    model = ForestModel.from_trees(({"v": 42.0},), Hyperparams(n_trees=1), 0, "quality", "none")
     assert predict(model, (0, 0, 0, 0, 0)) == 42.0
     assert predict(model, (9, 9, 9, 9, 9)) == 42.0
 
 
 def test_forest_prediction_is_mean_of_trees():
-    model = ForestModel(({"v": 10.0}, {"v": 20.0}), Hyperparams(n_trees=2), 0, "quality", "none")
+    model = ForestModel.from_trees(({"v": 10.0}, {"v": 20.0}), Hyperparams(n_trees=2), 0, "quality", "none")
     assert predict(model, (0, 0, 0, 0, 0)) == 15.0
 
 
 def test_prediction_clamps_by_target_kind():
-    quality = ForestModel(({"v": 120.0},), Hyperparams(n_trees=1), 0, "quality", "none")
+    quality = ForestModel.from_trees(({"v": 120.0},), Hyperparams(n_trees=1), 0, "quality", "none")
     assert predict(quality, (0,) * 5) == 100.0
-    time = ForestModel(({"v": -3.0},), Hyperparams(n_trees=1), 0, "time", "none")
+    time = ForestModel.from_trees(({"v": -3.0},), Hyperparams(n_trees=1), 0, "time", "none")
     assert predict(time, (0,) * 5) == 0.0
 
 
@@ -255,7 +255,7 @@ def test_hyperparams_reject_values_of_the_wrong_type(field, value, message):
 def test_evaluate_exact_values():
     # One split on log2(bitrate): predictions are 1.0 left, 3.0 right.
     tree = {"f": 4, "t": 0.0, "l": {"v": 1.0}, "r": {"v": 3.0}}
-    model = ForestModel((tree,), Hyperparams(n_trees=1), 0, "quality", "none")
+    model = ForestModel.from_trees((tree,), Hyperparams(n_trees=1), 0, "quality", "none")
     records = [_record(b=0.5, target=0.0), _record(b=2.0, target=0.0)]
     stats = evaluate(model, records)
     assert stats.mae == 2.0
@@ -288,7 +288,7 @@ def test_serialization_roundtrip_predicts_identically():
 
 
 def test_deserialize_rejects_bad_payloads():
-    model = ForestModel(({"v": 1.0},), Hyperparams(n_trees=1), 0, "quality", "none")
+    model = ForestModel.from_trees(({"v": 1.0},), Hyperparams(n_trees=1), 0, "quality", "none")
     blob = serialize_model(model)
     with pytest.raises(CorruptModel):
         deserialize_model(blob[: len(blob) // 2])
@@ -403,7 +403,7 @@ def test_blocked_predict_equals_row_by_row_across_block_edges():
         "bool-threshold", "huge-threshold", "nested-bad-leaf", "nested-null"])
 def test_constructing_a_model_checks_its_trees(tree, message):
     with pytest.raises(CorruptModel, match=message):
-        ForestModel((tree,), Hyperparams(n_trees=1), 0, "quality", "none")
+        ForestModel.from_trees((tree,), Hyperparams(n_trees=1), 0, "quality", "none")
 
 
 def test_too_deep_tree_error_names_its_full_path():
@@ -412,14 +412,14 @@ def test_too_deep_tree_error_names_its_full_path():
         deep = {"f": 2, "t": 0.5, "l": {"f": 1, "t": 0.0, "l": {"v": 0.0}, "r": {"v": 3.0}}, "r": deep}
     trees = ({"v": 1.0}, {"f": 0, "t": 0.0, "l": {"v": 0.0}, "r": deep})
     with pytest.raises(CorruptModel) as excinfo:
-        ForestModel(trees, Hyperparams(n_trees=2, max_depth=4), 0, "time", "none")
+        ForestModel.from_trees(trees, Hyperparams(n_trees=2, max_depth=4), 0, "time", "none")
     assert str(excinfo.value) == "trees[1].r.r.r.l: tree is deeper than max_depth 4"
-    model = ForestModel(trees, Hyperparams(n_trees=2, max_depth=9), 0, "time", "none")
+    model = ForestModel.from_trees(trees, Hyperparams(n_trees=2, max_depth=9), 0, "time", "none")
     assert predict(model, (1.0, 1.0, 0.0, 0.0, 0.0)) == 2.0
 
 
 def test_deserialize_ignores_unknown_toplevel_keys():
-    model = ForestModel(({"v": 7.0},), Hyperparams(n_trees=1), 0, "quality", "none")
+    model = ForestModel.from_trees(({"v": 7.0},), Hyperparams(n_trees=1), 0, "quality", "none")
     doc = json.loads(serialize_model(model))
     doc["config"] = {"anything": True}
     clone = deserialize_model(json.dumps(doc))
@@ -496,8 +496,16 @@ def test_fit_through_a_process_pool_gives_the_same_bytes():
     records = _random_records(np.random.default_rng(3), 80)
     hp = Hyperparams(n_trees=6, max_depth=6)
     with ProcessPoolExecutor(2) as pool:
-        pooled = serialize_model(fit(records, hp, seed=11, map=pool.map))
-    assert pooled == serialize_model(fit(records, hp, seed=11))
+        pooled = fit(records, hp, seed=11, map=pool.map)
+    serial = fit(records, hp, seed=11)
+    assert serialize_model(pooled) == serialize_model(serial)
+    compiled = ForestModel.from_trees(serial.trees, hp, 11, serial.target_kind, serial.vsr_tag)
+    # fit's own arrays, laid out bit for bit as _compile lays out the same trees
+    assert _flat_bytes(pooled) == _flat_bytes(serial) == _flat_bytes(compiled)
+
+
+def _flat_bytes(model):
+    return [(a.dtype.str, a.tobytes()) if isinstance(a, np.ndarray) else a for a in model._flat]
 
 
 # The per-feature recursive builder that fit used before it presorted, kept
@@ -559,7 +567,7 @@ def _reference_fit_bytes(records, hp, seed):
         idx = rng.integers_below(len(records), len(records)) if hp.bootstrap else np.arange(len(records))
         trees.append(_reference_node(x, y, idx, 0, hp, rng))
     rec = records[0]
-    return serialize_model(ForestModel(tuple(trees), hp, seed, rec.target_kind, rec.vsr_tag))
+    return serialize_model(ForestModel.from_trees(tuple(trees), hp, seed, rec.target_kind, rec.vsr_tag))
 
 
 @st.composite

@@ -59,12 +59,15 @@ def test_artifacts_match_the_golden_hashes(tmp_path, monkeypatch):
     def arrays(model):
         return [(np.asarray(a).dtype, np.asarray(a).tobytes()) for a in model._flat]
 
+    def header(model):
+        return model.hyperparams, model.seed, model.target_kind, model.vsr_tag
+
     for path in sorted((tmp_path / "models").glob("*.json")):
         text = path.read_text(encoding="utf-8")
         fast, doc = forest._read_canonical(text), json.loads(text)
-        slow = forest.ForestModel(tuple(doc["trees"]), fast.hyperparams, fast.seed, fast.target_kind,
-                                  fast.vsr_tag)
-        assert arrays(fast) == arrays(slow) and fast == slow, path.name
+        slow = forest.ForestModel.from_trees(doc["trees"], fast.hyperparams, fast.seed, fast.target_kind,
+                                             fast.vsr_tag)
+        assert arrays(fast) == arrays(slow) and header(fast) == header(slow), path.name
 
 
 if __name__ == "__main__":

@@ -34,7 +34,7 @@ from ladderforge.ladder import (
 
 
 def _leaf_model(value, kind, vsr="none"):
-    return ForestModel(({"v": float(value)},), Hyperparams(n_trees=1), 0, kind, vsr)
+    return ForestModel.from_trees(({"v": float(value)},), Hyperparams(n_trees=1), 0, kind, vsr)
 
 
 def _grid(entries, resolutions=None, bitrates=None):
@@ -86,7 +86,7 @@ def test_grid_entries_equal_elementwise_prediction():
          "l": {"v": float(rng.uniform(0, 100))}, "r": {"v": float(rng.uniform(0, 100))}}
         for _ in range(5)
     )
-    quality = ForestModel(trees, Hyperparams(n_trees=5), 0, "quality", "none")
+    quality = ForestModel.from_trees(trees, Hyperparams(n_trees=5), 0, "quality", "none")
     time = _leaf_model(0.5, "time")
     features = SegmentFeatures(2.0, 0.7, 90.0)
     grid = predict_grid(quality, time, features, DEFAULT_RESOLUTIONS, DEFAULT_BITRATES_MBPS)
@@ -115,8 +115,8 @@ def _forest(kind, leaves):
     """Random forests whose leaves come from ``leaves``: a few values make
     ties between resolutions common."""
     trees = st.lists(_tree(leaves, 5), min_size=1, max_size=4)
-    return trees.map(lambda t: ForestModel(tuple(t), Hyperparams(n_trees=len(t), max_depth=5),
-                                           0, kind, "none"))
+    return trees.map(lambda t: ForestModel.from_trees(tuple(t), Hyperparams(n_trees=len(t), max_depth=5),
+                                                      0, kind, "none"))
 
 
 _FEW = st.sampled_from
@@ -134,9 +134,9 @@ _SEGMENT = st.builds(SegmentFeatures, st.floats(0.0, 70.0), st.floats(0.0, 15.0)
     v_t=st.one_of(_FEW([70.0, 96.0, 100.0]), st.floats(0.0, 101.0)),
 )
 @example(  # every rung over budget
-    quality=ForestModel(({"v": 50.0},), Hyperparams(n_trees=1), 0, "quality", "none"),
-    time=ForestModel(({"f": 3, "t": 9.5, "l": {"v": 3.0}, "r": {"v": 5.0}},),
-                     Hyperparams(n_trees=1), 0, "time", "none"),
+    quality=ForestModel.from_trees(({"v": 50.0},), Hyperparams(n_trees=1), 0, "quality", "none"),
+    time=ForestModel.from_trees(({"f": 3, "t": 9.5, "l": {"v": 3.0}, "r": {"v": 5.0}},),
+                                Hyperparams(n_trees=1), 0, "time", "none"),
     segments=[SegmentFeatures(1.0, 1.0, 100.0)], tau=2.0, v_j=2.0, v_t=98.0,
 )
 def test_catalog_path_equals_the_per_cell_reference(quality, time, segments, tau, v_j, v_t):
@@ -171,7 +171,7 @@ def test_catalog_grid_holds_each_segment_grid_and_every_cell():
          "l": {"v": float(rng.uniform(0, 100))}, "r": {"v": float(rng.uniform(0, 100))}}
         for _ in range(5)
     )
-    quality = ForestModel(trees, Hyperparams(n_trees=5), 0, "quality", "none")
+    quality = ForestModel.from_trees(trees, Hyperparams(n_trees=5), 0, "quality", "none")
     time = _leaf_model(0.5, "time")
     segments = [SegmentFeatures(float(e), 0.5, 90.0) for e in range(4)]
     catalog = predict_grid(quality, time, segments, DEFAULT_RESOLUTIONS, DEFAULT_BITRATES_MBPS)
@@ -246,6 +246,32 @@ def test_grid_constructor_takes_the_edges_of_the_ranges():
         grid.times = times  # frozen
     with pytest.raises(LadderError, match=r"got \(2,\) and \(2,\)"):
         list(next(grid.segments()).segments())  # a segment's grid has no segment axis
+
+
+def test_grid_holds_read_only_copies_of_its_arrays():
+    qualities, times = np.full((2, 2), 50.0), np.full((2, 2), 1.0)
+    grid = PredictionGrid((360, 720), (1.0, 2.0), qualities, times)
+    qualities[0, 0] = times[0, 0] = math.nan  # the caller's arrays, after the checks
+    assert build_ladder(grid).reps[0].predicted_vmaf == 50.0
+    assert grid.entries[360, 1.0] == (50.0, 1.0)
+    for array in (grid.qualities, grid.times):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = math.nan
+    from_lists = PredictionGrid((360, 720), (1.0, 2.0), [[50, 60], [70, 80]], [[1, 2], [3, 4]])
+    assert from_lists.qualities.dtype == from_lists.times.dtype == np.float64
+    assert from_lists.entries[720, 2.0] == (80.0, 4.0)
+
+
+@pytest.mark.parametrize("qualities, message", [
+    ([["a", "b"], ["c", "d"]], "grid arrays must be numeric: could not convert string to float: 'a'"),
+    ([[50.0, 60.0], [70.0]], "grid arrays must be numeric: setting an array element with a sequence"),
+    ([[50.0, object()], [70.0, 80.0]], "grid arrays must be numeric: float() argument must be"),
+    (None, r"grid arrays must be shaped [..., 2, 2], got () and (2, 2)"),
+])
+def test_grid_rejects_arrays_that_are_not_numeric(qualities, message):
+    with pytest.raises(LadderError) as caught:
+        PredictionGrid((360, 720), (1.0, 2.0), qualities, np.ones((2, 2)))
+    assert str(caught.value).startswith(message)
 
 
 def test_grid_errors_name_the_first_bad_cell_in_axis_order():

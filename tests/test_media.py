@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from ladderforge.complexity import segment_features
 from ladderforge.media import (
+    MAX_SYNTHETIC_SAMPLES,
     InvalidSpec,
     LumaFrame,
     MalformedHeader,
@@ -203,6 +204,16 @@ def test_checkerboard_period_beyond_the_frame_is_one_tile():
 def test_invalid_synthetic_specs(kwargs):
     with pytest.raises(InvalidSpec):
         generate_synthetic(SyntheticSpec(**{"framerate": 30, "pattern": "constant", **kwargs}))
+
+
+def test_synthetic_specs_hold_at_most_two_to_the_31_samples():
+    # Specs only: none of these is generated.
+    spec = SyntheticSpec(65536, 32768, 1)  # exactly the cap
+    assert spec.width * spec.height * spec.frames == MAX_SYNTHETIC_SAMPLES == 2**31
+    for width, height, frames in ((65536, 32768, 2), (65537, 32768, 1), (99999999, 99999999, 1)):
+        with pytest.raises(InvalidSpec, match=f"^sample count must be at most 2147483648, "
+                                              f"got {width}x{height}x{frames}$"):
+            SyntheticSpec(width, height, frames)
 
 
 def test_luma_frame_validation():

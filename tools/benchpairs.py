@@ -1,19 +1,25 @@
 """Paired parent/change perfbench runs, collated into a ``BENCH_<n>.json`` file.
 
 Each side is a checkout of its own (the parent commit and the change), so the
-two sides run identical benchmark code with only ``src/`` differing::
+two sides run identical benchmark code with only ``src/`` differing.  A third
+side, the control, is a byte-copy of the parent: it shows how far runs of the
+same code drift apart on the machine that runs them::
 
     python3 tools/benchpairs.py run --parent PARENT --change CHANGE \\
-        --workload ingest-uhd --seeds 201-210 --seconds 15 --log runs.jsonl
+        --control CONTROL --workload ingest-uhd --seeds 201-210 --seconds 15 \\
+        --log runs.jsonl
     python3 tools/benchpairs.py collate --parent PARENT --change CHANGE \\
         --log runs.jsonl --hash-seeds 1-3 --out BENCH_8.json \\
         --title "what changed" --host "the machine" --method "how it was run"
 
-``run`` runs one parent and one change run per seed, alternating which side
-goes first, and appends each run's result line to the log.  ``collate``
+``run`` runs each side once per seed, in an order rotated from seed to seed
+(parent/change/control, then change/control/parent, then
+control/parent/change; without a control, parent/change then
+change/parent), and appends each run's result line to the log.  ``collate``
 reports, for each workload and trace mode, each side's median and inclusive
-quartiles per metric, the change/parent ratio of the medians, the pairs the
-change won (its figure lower), the failed share, and every run's figure.  It
+quartiles per metric, the change/parent and control/parent ratios of the
+medians, the seeds on which the change and the control won against the
+parent (their figure lower), the failed share, and every run's figure.  It
 then compares the input and artifact sha256 that each checkout's
 ``perfbench/out/records`` hold for the hash seeds.
 
@@ -44,7 +50,7 @@ import sys
 import time
 from pathlib import Path
 
-SIDES = ("parent", "change")
+SIDES = ("parent", "change", "control")
 
 
 def seed_range(text: str) -> list[int]:
@@ -52,9 +58,17 @@ def seed_range(text: str) -> list[int]:
     return list(range(int(first), int(last or first) + 1))
 
 
+def rotation(sides: tuple[str, ...], i: int) -> tuple[str, ...]:
+    """The order in which round ``i`` runs the sides: rotated left by ``i``."""
+    k = i % len(sides)
+    return sides[k:] + sides[:k]
+
+
 def run(args) -> None:
+    sides = SIDES if args.control else SIDES[:2]
     for i, seed in enumerate(args.seeds):
-        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+        order = rotation(sides, i)
+        for side in order:
             argv = [sys.executable, "perfbench/run.py", "--workload", args.workload,
                     "--seed", str(seed), "--seconds", str(args.seconds), "--trace", str(args.trace)]
             done = subprocess.run(argv, cwd=getattr(args, side), capture_output=True, text=True)
@@ -62,7 +76,7 @@ def run(args) -> None:
             if done.returncode or not lines:
                 sys.exit(f"{side} seed {seed} exited {done.returncode}:\n{done.stderr}")
             entry = {"side": side, "workload": args.workload, "seed": seed, "trace": args.trace,
-                     "first": i % 2 == SIDES.index(side), "result": json.loads(lines[-1])}
+                     "position": order.index(side), "result": json.loads(lines[-1])}
             with open(args.log, "a", encoding="utf-8") as log:
                 log.write(json.dumps(entry) + "\n")
             print(side, args.workload, seed, json.dumps(entry["result"]["metrics"])[:200])
@@ -75,7 +89,7 @@ def tree_cpu(args) -> None:
                         "--seed", str(seed), "--out", str(inputs)],
                        cwd=args.change, check=True, capture_output=True)
         figures, models = {}, {}
-        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+        for side in rotation(SIDES[:2], i):
             out = inputs / side
             argv = [sys.executable, "-m", "ladderforge", "train", str(inputs / "train.csv"),
                     "--out", str(out), "--seed", str(seed), "--n-trees", "20"]  # as train-forest
@@ -89,7 +103,7 @@ def tree_cpu(args) -> None:
                              "tree_cpu_s": {"value": cpu, "unit": "s"}}
             models[side] = {p.name: p.read_bytes() for p in sorted(out.glob("model_*.json"))}
         with open(args.log, "a", encoding="utf-8") as log:
-            for side in SIDES:
+            for side in SIDES[:2]:
                 result = {"correct": models["parent"] == models["change"], "attempted": 1,
                           "failed": 0, "metrics": figures[side]}
                 log.write(json.dumps({"side": side, "workload": "train (fresh process tree)",
@@ -105,6 +119,17 @@ def summary(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def against_parent(runs: dict, seeds: list[int], side: str, name: str) -> dict:
+    """``side``'s figures for metric ``name`` on those of ``seeds`` it ran,
+    beside the parent's: the ratio of the medians and the seeds won."""
+    seeds = [s for s in seeds if (side, s) in runs]
+    parent = [runs["parent", s]["metrics"][name]["value"] for s in seeds]
+    other = [runs[side, s]["metrics"][name]["value"] for s in seeds]
+    middle, base = summary(other), summary(parent)["median"]
+    return {side: middle, f"{side}_over_parent": middle["median"] / base if base else None,
+            f"{side}_wins": sum(o < p for p, o in zip(parent, other)), f"{side}_runs": other}
+
+
 def collate_runs(entries: list[dict]) -> dict:
     groups: dict[str, dict] = {}
     for e in entries:
@@ -112,25 +137,20 @@ def collate_runs(entries: list[dict]) -> dict:
         groups.setdefault(key, {})[(e["side"], e["seed"])] = e["result"]
     out = {}
     for key, runs in sorted(groups.items()):
-        seeds = sorted({seed for side, seed in runs if (SIDES[1 - SIDES.index(side)], seed) in runs})
-        pairs = [(runs["parent", s], runs["change", s]) for s in seeds]
+        seeds = sorted(seed for side, seed in runs if side == "change" and ("parent", seed) in runs)
+        sides = [side for side in SIDES if any((side, s) in runs for s in seeds)]
         metrics = {}
-        for name, first in pairs[0][0]["metrics"].items():
-            sides = {side: [pair[i]["metrics"][name]["value"] for pair in pairs]
-                     for i, side in enumerate(SIDES)}
-            parent, change = summary(sides["parent"]), summary(sides["change"])
-            metrics[name] = {
-                "unit": first["unit"], "parent": parent, "change": change,
-                "change_over_parent": (change["median"] / parent["median"]
-                                       if parent["median"] else None),
-                "change_wins": sum(c < p for p, c in zip(sides["parent"], sides["change"])),
-                "parent_runs": sides["parent"], "change_runs": sides["change"],
-            }
+        for name, first in runs["parent", seeds[0]]["metrics"].items():
+            parent = [runs["parent", s]["metrics"][name]["value"] for s in seeds]
+            metrics[name] = {"unit": first["unit"], "parent": summary(parent), "parent_runs": parent}
+            for side in sides[1:]:
+                metrics[name].update(against_parent(runs, seeds, side, name))
+        results = [runs[side, s] for side in sides for s in seeds if (side, s) in runs]
         out[key] = {
-            "seeds": seeds, "pairs": len(pairs),
-            "failed": {side: [sum(pair[i][k] for pair in pairs) for k in ("failed", "attempted")]
-                       for i, side in enumerate(SIDES)},
-            "all_correct": all(pair[i]["correct"] for pair in pairs for i in range(2)),
+            "seeds": seeds, "pairs": len(seeds),
+            "failed": {side: [sum(runs[side, s][k] for s in seeds if (side, s) in runs)
+                              for k in ("failed", "attempted")] for side in sides},
+            "all_correct": all(result["correct"] for result in results),
             "metrics": metrics,
         }
     return out
@@ -180,6 +200,8 @@ def main() -> None:
         sub.add_argument("--log", type=Path, required=True)
     for sub in (run_parser, tree_parser):
         sub.add_argument("--seeds", type=seed_range, required=True)
+    run_parser.add_argument("--control", type=Path,
+                            help="a byte-copy of the parent checkout, run as a third side")
     run_parser.add_argument("--workload", required=True)
     run_parser.add_argument("--seconds", type=float, required=True)
     run_parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
