@@ -9,7 +9,9 @@ provenance (JSON artifacts get a ``config`` key, CSV artifacts a leading
 Exit codes: 0 success, 1 usage error, 2 data error, 3 internal invariant
 violation.  ``LADDERFORGE_THREADS`` caps the number of ``analyze`` threads
 and of ``train`` worker processes (default: the CPUs this process may run
-on); features are gathered in input order and trees in seed order, so it
+on).  ``train`` hands each worker one task per model group, a run of
+consecutive tree seeds, so the group's rows travel to a worker once.
+Features are gathered in input order and trees in seed order, so the cap
 never changes output.
 """
 
@@ -25,6 +27,7 @@ import traceback
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 from typing import Callable, Sequence, TextIO
 
@@ -272,10 +275,12 @@ def cmd_train(args) -> int:
     for record in records:
         groups.setdefault((record.target_kind, record.vsr_tag), []).append(record)
     # Trees grow in worker processes, since their split search holds the GIL.
+    # One task per worker per group: a group's rows are pickled once a task.
     workers = _worker_count(config.n_trees)
     if workers > 1:  # only here, so that other commands do not load multiprocessing
         from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        grow = partial(pool.map, chunksize=-(-config.n_trees // workers)) if pool else map
         # Bootstrap indexes rows, so the same rows in a different order are a
         # different (still deterministic) training run.
         for (target_kind, vsr_tag), group in sorted(groups.items()):
@@ -283,8 +288,7 @@ def cmd_train(args) -> int:
             train_set = [group[i] for i in train_idx]
             test_set = [group[i] for i in test_idx]
             try:
-                model = forest.fit(train_set, config.hyperparams(), seed=config.seed,
-                                   map=pool.map if pool else map)
+                model = forest.fit(train_set, config.hyperparams(), seed=config.seed, map=grow)
             except forest.InvalidRecord as exc:
                 raise forest.InvalidRecord(f"{args.training_csv}: {exc}") from None
             path = out_dir / f"model_{target_kind}_{vsr_tag}.json"

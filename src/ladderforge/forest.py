@@ -29,9 +29,12 @@ scores all its candidate features in one 2-D pass without sorting.
 A model is one form: its trees as flat preorder arrays, which ``fit`` grows
 directly and ``predict`` walks (see :func:`_linked`).  The wire format is a
 view of them: internal nodes ``{"f": idx, "t": thr, "l": ..., "r": ...}``
-(x[f] <= thr goes left) and leaves ``{"v": mean}``, which ``ForestModel.trees``
-builds when first read.  ``serialize_model`` writes that view as versioned
-canonical JSON, so equal seeds yield byte-identical artifacts.
+(x[f] <= thr goes left) and leaves ``{"v": mean}``.  ``serialize_model``
+writes that view as versioned canonical JSON straight from the arrays (see
+:func:`_trees_text`), so equal seeds yield byte-identical artifacts and no
+dict per node is built.  ``ForestModel.trees`` builds the view as dicts
+when first read, for callers that walk trees: the tests and perfbench's
+tracer.
 
 ``deserialize_model`` has two paths to the same arrays.  Text exactly as
 ``serialize_model`` writes it (compact, keys in their fixed order, ASCII),
@@ -48,8 +51,8 @@ import json
 import math
 from array import array
 from dataclasses import asdict, dataclass, field
-from functools import cached_property
-from itertools import repeat
+from functools import cached_property, lru_cache
+from itertools import chain, repeat
 from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
@@ -57,7 +60,7 @@ import numpy as np
 from . import treetext
 from .complexity import SegmentFeatures
 from .errors import LadderforgeError
-from .rng import SplitMix64
+from .rng import SplitMix64, partial_shuffle
 from .table import finite_float, read_table
 
 __all__ = [
@@ -293,40 +296,48 @@ def _records_matrix(records: Sequence[TrainingRecord]) -> tuple[np.ndarray, np.n
 def _grow_tree(x: np.ndarray, y: np.ndarray, hp: Hyperparams, seed: int) -> tuple:
     """Grow one tree, drawing from the stream of its own seed, on a bootstrap
     sample of n positions, presorted as in SLIQ (Mehta et al., EDBT 1996).  A
-    node is a ``(N_FEATURES + 1, m)`` matrix of its positions: row f sorted by
-    feature f with ties in bootstrap order, the last row in bootstrap order.
-    A split partitions every row stably, so the children stay sorted and no
-    node sorts anything.  Each node is appended as it is grown, left subtree
-    first, to the tree's preorder ``(feature, threshold, right)`` arrays laid
-    out as ``_compile`` lays them out; those and the deepest leaf's depth are
-    returned.  A module-level function, so a process pool can run it."""
+    node is a ``(N_FEATURES + 2, m)`` matrix of its positions: row f sorted by
+    feature f, then a row in bootstrap order and one sorted by target, ties
+    in bootstrap order.  A split partitions every row stably, so the
+    children stay sorted and no node sorts anything; the split search reads
+    its features' x, y and y * y in their sorted orders with one ``take``
+    from a table of the sample, and sums them with one ``cumsum``.  Each
+    node is appended as it is grown, left subtree first, to the tree's
+    preorder ``(feature, threshold, right)`` arrays laid out as ``_compile``
+    lays them out; those and the deepest leaf's depth are returned.  A
+    module-level function, so a process pool can run it."""
     n, k, rng = x.shape[0], hp.features_per_split, SplitMix64(seed)
     idx = rng.integers_below(n, n) if hp.bootstrap else np.arange(n, dtype=np.intp)
-    xb, yb = x[idx].T, y[idx]
+    xb, yb = np.ascontiguousarray(x[idx].T), y[idx]
+    table = np.concatenate([xb.ravel(), yb, yb * yb])  # cell r * n + p holds row r at position p
     counts = np.arange(1.0, n + 1.0)  # counts[c] = c + 1, as float64 like the sums
-    goes_left = np.empty(n, dtype=bool)
+    subsets = _feature_subsets(rng, k, n)
     feature, threshold, right = array("b"), array("d"), array("i")
+    boot, by_y = N_FEATURES, N_FEATURES + 1  # the position rows after the features'
 
-    def leaf(yv: np.ndarray, depth: int) -> int:
+    def leaf(positions: np.ndarray, depth: int) -> int:
         right.append(len(feature))  # a leaf links to itself
         feature.append(0)
+        yv = yb.take(positions)  # in bootstrap order, as the sum's bytes depend on it
         threshold.append(float(yv.sum() / yv.size))  # equals yv.mean(), without its overhead
         return depth
 
     def grow(rows: np.ndarray, depth: int) -> int:
         """Append the subtree of ``rows``; return its deepest leaf's depth."""
-        yv = yb[rows[-1]]
-        m = yv.size
-        if depth >= hp.max_depth or m < 2 * hp.min_samples_leaf or yv.min() == yv.max():
-            return leaf(yv, depth)
-        features = sorted(rng.subset(k, N_FEATURES))
-        order = rows[features, :]
-        xs = xb[np.array(features)[:, None], order]
-        ys = yb[order]
-        csum, csum2 = ys.cumsum(1), (ys * ys).cumsum(1)
+        m = rows.shape[1]
+        if (depth >= hp.max_depth or m < 2 * hp.min_samples_leaf
+                or yb[rows[by_y, 0]] == yb[rows[by_y, -1]]):  # the least and greatest target
+            return leaf(rows[boot], depth)
+        features, at, offsets = next(subsets)
+        # Each chosen feature's x, then its y, then its y * y, in its sorted order.
+        cells = table.take(rows.take(at, axis=0) + offsets)
+        xs = cells[:k]
+        sums = cells[k:].cumsum(1)
+        csum, csum2 = sums[:k], sums[k:]
         # Cut c sends the c + 1 lowest positions left; each side keeps min_samples_leaf.
         lo, hi = hp.min_samples_leaf - 1, m - hp.min_samples_leaf
-        left_n, right_n = counts[lo:hi], counts[m - hi - 1:m - lo - 1][::-1]
+        left_n = counts[lo:hi]
+        right_n = left_n[::-1]  # cut c leaves m - (lo + c + 1) = hi - c positions right
         left_sum, left_sum2 = csum[:, lo:hi], csum2[:, lo:hi]
         sse = (
             (left_sum2 - left_sum * left_sum / left_n)
@@ -334,10 +345,10 @@ def _grow_tree(x: np.ndarray, y: np.ndarray, hp: Hyperparams, seed: int) -> tupl
         )
         # Only cuts between distinct values count.  The first minimum in row-major
         # order is the lowest feature, then the lowest threshold, among equal SSEs.
-        sse = np.where(xs[:, lo:hi] < xs[:, lo + 1:hi + 1], sse, np.inf)
+        sse[~(xs[:, lo:hi] < xs[:, lo + 1:hi + 1])] = np.inf
         j, cut = divmod(int(sse.argmin()), hi - lo)
         if sse[j, cut] == np.inf:
-            return leaf(yv, depth)
+            return leaf(rows[boot], depth)
         n_left = lo + cut + 1  # the positions sorted below the cut go left
         a, b = float(xs[j, n_left - 1]), float(xs[j, n_left])
         mid = (a + b) / 2.0
@@ -345,15 +356,39 @@ def _grow_tree(x: np.ndarray, y: np.ndarray, hp: Hyperparams, seed: int) -> tupl
         feature.append(features[j])
         threshold.append(mid if a <= mid < b else a)  # a where the midpoint rounds up or overflows
         right.append(-1)  # linked once the left subtree is grown
-        goes_left[order[j, :n_left]] = True
-        goes_left[order[j, n_left:]] = False
-        left = goes_left[rows]  # a mask's entries keep each row's order
-        deepest = grow(rows[left].reshape(N_FEATURES + 1, n_left), depth + 1)
+        left = xb[features[j]].take(rows) <= a  # exactly the positions sorted below the cut
+        deepest = grow(rows[left].reshape(-1, n_left), depth + 1)
         right[index] = len(feature)
-        return max(deepest, grow(rows[~left].reshape(N_FEATURES + 1, m - n_left), depth + 1))
+        np.logical_not(left, out=left)
+        return max(deepest, grow(rows[left].reshape(-1, m - n_left), depth + 1))
 
-    deepest = grow(np.vstack([np.argsort(xb, axis=1, kind="stable"), np.arange(n)]), 0)
+    rows = np.vstack([np.argsort(xb, axis=1, kind="stable"), np.arange(n),
+                      np.argsort(yb, kind="stable")])
+    deepest = grow(rows, 0)
     return feature, threshold, right, deepest
+
+
+def _feature_subsets(rng: SplitMix64, k: int, n: int):
+    """The endless run of ``rng.subset(k, N_FEATURES)`` draws, made from
+    blocks of raw draws, each as :func:`_subset_cells` gives it."""
+    moduli = np.arange(N_FEATURES, N_FEATURES - k, -1, dtype=np.uint64)  # below(5), below(4), ...
+    while True:
+        draws = (rng.block(64 * k).reshape(64, k) % moduli).tolist()
+        yield from (_subset_cells(tuple(offsets), n) for offsets in draws)
+
+
+@lru_cache(maxsize=1024)
+def _subset_cells(offsets: tuple, n: int) -> tuple:
+    """The subset that ``partial_shuffle(offsets, N_FEATURES)`` draws, sorted,
+    with what ``_grow_tree`` reads for it on n positions: the position rows
+    of its x, y and y * y cells, and as a column those cells' offsets in the
+    table, ``n`` times the table's row."""
+    features = tuple(sorted(partial_shuffle(offsets, N_FEATURES)))
+    k = len(features)
+    rows, cells = np.array(features * 3, np.intp), n * np.array(
+        features + (N_FEATURES,) * k + (N_FEATURES + 1,) * k, np.intp)[:, None]
+    rows.flags.writeable = cells.flags.writeable = False  # shared by every caller
+    return features, rows, cells
 
 
 def fit(
@@ -437,16 +472,56 @@ def evaluate(model: ForestModel, records: Sequence[TrainingRecord]) -> Evaluatio
 
 def serialize_model(model: ForestModel, provenance: Mapping[str, object] | None = None) -> bytes:
     """Canonical versioned JSON; byte-stable for identical training runs.
-    ``provenance`` adds top-level keys after ``trees``, which loading ignores."""
+    ``provenance`` adds top-level keys after ``trees``, which loading ignores;
+    one that repeats a key of the model's takes its value in its place.  The
+    trees are written from the model's arrays (see :func:`_trees_text`)."""
     doc = {
         "version": MODEL_FORMAT_VERSION,
         "target_kind": model.target_kind,
         "vsr_tag": model.vsr_tag,
         "hyperparams": {**asdict(model.hyperparams), "seed": model.seed},
-        "trees": list(model.trees),
+        "trees": None,  # holds the place of the trees, written apart below
         **(provenance or {}),
     }
-    return json.dumps(doc, separators=(",", ":"), allow_nan=False).encode("ascii")
+    items = list(doc.items())
+    head, tail = _json(dict(items[:4]))[:-1], _json(dict(items[5:]))[1:]
+    if provenance and "trees" in provenance:
+        trees = _json(doc["trees"])
+    else:
+        trees = f"[{_trees_text(model._flat)}]"
+    return f'{head},"trees":{trees}{"," if len(items) > 5 else ""}{tail}'.encode("ascii")
+
+
+def _json(value: object) -> str:
+    return json.dumps(value, separators=(",", ":"), allow_nan=False)
+
+
+# The text that opens a split on each feature, then a leaf, before its number.
+_OPENS = tuple(f'{{"f":{f},"t":' for f in range(N_FEATURES)) + ('{"v":',)
+
+
+def _trees_text(flat: tuple) -> str:
+    """The trees' wire format, comma-separated, written from ``_compile``'s
+    arrays in preorder: a split opens ``{"f":F,"t":T,"l":``, and a leaf writes
+    ``{"v":V}``, closes each split whose subtree it ends, then opens the
+    next right subtree (``,"r":``) or, at the end of its tree, the next tree.
+    Numbers are written as ``json.dumps`` writes them."""
+    feature, threshold, children, _, roots, deepest = flat
+    right = children[::2]
+    split = right != np.arange(right.size)
+    last = right  # each subtree's last node: right links lead to it, and a leaf to itself
+    for _ in range(deepest):
+        last = right[last]
+    closes = np.bincount(last[split], minlength=right.size)  # the splits each leaf closes
+    tree_end = np.zeros(right.size, np.intp)
+    tree_end[np.append(roots[1:], right.size) - 1] = 1
+    # A split's suffix is entry 0; a leaf's the one for its closes and tree_end.
+    suffixes = [',"l":'] + ["}" * (c + 1) + end for c in range(deepest + 1) for end in (',"r":', ",")]
+    codes = np.where(split, 0, 1 + 2 * closes + tree_end)
+    numbers = json.dumps(threshold.tolist())[1:-1].split(", ")
+    opens = map(_OPENS.__getitem__, np.where(split, feature, N_FEATURES).tolist())
+    ends = map(suffixes.__getitem__, codes.tolist())
+    return "".join(chain.from_iterable(zip(opens, numbers, ends)))[:-1]  # no comma after the last tree
 
 
 _LEAF_KEYS = frozenset({"v"})

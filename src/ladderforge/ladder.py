@@ -165,6 +165,8 @@ class PredictionGrid:
         if list(resolutions) != sorted(resolutions) or list(bitrates) != sorted(bitrates):
             raise LadderError("grid axes must be sorted ascending")
         try:  # copies, so that no later write gets past the checks below
+            if np.iscomplexobj(self.qualities) or np.iscomplexobj(self.times):
+                raise TypeError("complex values")  # numpy would drop the imaginary parts with a warning
             qualities, times = np.array(self.qualities, np.float64), np.array(self.times, np.float64)
         except (TypeError, ValueError) as exc:
             raise LadderError(f"grid arrays must be numeric: {exc}") from None

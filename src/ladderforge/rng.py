@@ -14,11 +14,13 @@ reproduce across platforms and implementations:
   draws regardless of parity
 - ``permutation(n)`` -> Fisher-Yates from the top, one ``below`` per swap
 - ``subset(k, n)``   -> partial Fisher-Yates, one ``below`` per slot
+  (:func:`partial_shuffle` of those draws)
 """
 
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 import numpy as np
 
@@ -50,8 +52,8 @@ class SplitMix64:
             raise ValueError(f"bound must be positive, got {bound}")
         return self.next_u64() % bound
 
-    def _block(self, count: int) -> np.ndarray:
-        """`count` raw outputs, equal to that many next_u64() calls."""
+    def block(self, count: int) -> np.ndarray:
+        """`count` raw outputs as uint64, equal to that many next_u64() calls."""
         steps = np.arange(1, count + 1, dtype=np.uint64)
         z = np.uint64(self._state) + steps * np.uint64(_GAMMA)
         z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
@@ -64,11 +66,11 @@ class SplitMix64:
         """Vectorised ``below``: `count` integers in ``[0, bound)``."""
         if bound <= 0:
             raise ValueError(f"bound must be positive, got {bound}")
-        return (self._block(count) % np.uint64(bound)).astype(np.intp)
+        return (self.block(count) % np.uint64(bound)).astype(np.intp)
 
     def uniforms(self, count: int) -> np.ndarray:
         """`count` float64 values in ``[0, 1)`` with 53-bit resolution."""
-        return (self._block(count) >> np.uint64(11)) * 2.0**-53
+        return (self.block(count) >> np.uint64(11)) * 2.0**-53
 
     def normals(self, count: int, sigma: float = 1.0) -> np.ndarray:
         """Gaussian draws with mean 0 via Box-Muller pairs."""
@@ -92,8 +94,15 @@ class SplitMix64:
         """`k` distinct indices drawn from ``range(n)``."""
         if not 0 <= k <= n:
             raise ValueError(f"cannot draw {k} distinct items from {n}")
-        pool = list(range(n))
-        for i in range(k):
-            j = i + self.below(n - i)
-            pool[i], pool[j] = pool[j], pool[i]
-        return pool[:k]
+        return partial_shuffle([self.below(n - i) for i in range(k)], n)
+
+
+def partial_shuffle(offsets: Sequence[int], n: int) -> list[int]:
+    """The ``len(offsets)`` indices that ``subset`` draws from ``range(n)``
+    when its ``below`` calls return ``offsets``: slot i swaps with slot
+    ``i + offsets[i]``, where ``offsets[i] < n - i``."""
+    pool = list(range(n))
+    for i, offset in enumerate(offsets):
+        j = i + offset
+        pool[i], pool[j] = pool[j], pool[i]
+    return pool[:len(offsets)]

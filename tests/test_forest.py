@@ -2,6 +2,8 @@ import json
 import math
 import re
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
+from functools import partial
 
 import numpy as np
 import pytest
@@ -495,13 +497,16 @@ def test_split_threshold_separates_the_values_it_was_scored_on(low, high, thresh
 def test_fit_through_a_process_pool_gives_the_same_bytes():
     records = _random_records(np.random.default_rng(3), 80)
     hp = Hyperparams(n_trees=6, max_depth=6)
-    with ProcessPoolExecutor(2) as pool:
-        pooled = fit(records, hp, seed=11, map=pool.map)
     serial = fit(records, hp, seed=11)
-    assert serialize_model(pooled) == serialize_model(serial)
+    # one tree per task, runs of 3 trees, and all the trees in one task
+    with ProcessPoolExecutor(2) as pool:
+        pooled = [fit(records, hp, seed=11, map=partial(pool.map, chunksize=size))
+                  for size in (1, 3, hp.n_trees)]
     compiled = ForestModel.from_trees(serial.trees, hp, 11, serial.target_kind, serial.vsr_tag)
-    # fit's own arrays, laid out bit for bit as _compile lays out the same trees
-    assert _flat_bytes(pooled) == _flat_bytes(serial) == _flat_bytes(compiled)
+    for model in pooled:
+        assert serialize_model(model) == serialize_model(serial)
+        # fit's own arrays, laid out bit for bit as _compile lays out the same trees
+        assert _flat_bytes(model) == _flat_bytes(serial) == _flat_bytes(compiled)
 
 
 def _flat_bytes(model):
@@ -608,3 +613,73 @@ def test_presorted_fit_equals_the_per_feature_builder(
 ):
     hp = Hyperparams(n_trees, max_depth, min_samples_leaf, features_per_split, bootstrap)
     assert serialize_model(fit(records, hp, seed)) == _reference_fit_bytes(records, hp, seed)
+
+
+# serialize_model as it was before it wrote the arrays: the dict view, merged
+# with the provenance, through json.dumps.  Its bytes are the format's.
+
+def _reference_model_bytes(model, provenance):
+    doc = {
+        "version": 1,
+        "target_kind": model.target_kind,
+        "vsr_tag": model.vsr_tag,
+        "hyperparams": {**asdict(model.hyperparams), "seed": model.seed},
+        "trees": list(model.trees),
+        **(provenance or {}),
+    }
+    return json.dumps(doc, separators=(",", ":"), allow_nan=False).encode("ascii")
+
+
+# Integers as well as floats, and -0.0, which _compile stores as float64.
+_WIRE_NUMBERS = st.one_of(st.floats(-1e300, 1e300), st.integers(-2**53, 2**53), st.just(-0.0))
+
+
+def _wire_tree(draw, depth_left):
+    if depth_left == 0 or draw(st.booleans()):
+        return {"v": draw(_WIRE_NUMBERS)}
+    return {"f": draw(st.integers(0, 4)), "t": draw(_WIRE_NUMBERS),
+            "l": _wire_tree(draw, depth_left - 1), "r": _wire_tree(draw, depth_left - 1)}
+
+
+@st.composite
+def _models(draw):
+    if draw(st.booleans()):
+        hp = Hyperparams(draw(st.integers(1, 3)), draw(st.integers(1, 8)), draw(st.integers(1, 3)),
+                         draw(st.integers(1, 5)), draw(st.booleans()))
+        return fit(draw(_training_sets()), hp, draw(st.integers(0, 2**64 - 1)))
+    max_depth = draw(st.integers(1, 6))
+    trees = draw(st.lists(st.builds(lambda: None), min_size=1, max_size=4))
+    trees = [_wire_tree(draw, max_depth) for _ in trees]
+    if draw(st.booleans()):  # a tree as deep as max_depth allows
+        deepest = {"v": draw(_WIRE_NUMBERS)}
+        for _ in range(max_depth):
+            deepest = {"f": draw(st.integers(0, 4)), "t": draw(_WIRE_NUMBERS), "l": {"v": 1}, "r": deepest}
+        trees.insert(draw(st.integers(0, len(trees))), deepest)
+    hp = Hyperparams(n_trees=len(trees), max_depth=max_depth)
+    return ForestModel.from_trees(trees, hp, draw(st.integers(0, 2**64 - 1)),
+                                  draw(st.sampled_from(["quality", "time"])), draw(st.sampled_from(["none", "fsrcnn"])))
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+# Keys that repeat the model's own, whose values provenance replaces in place, and others.
+_PROVENANCE = st.none() | st.dictionaries(
+    st.sampled_from(["version", "target_kind", "vsr_tag", "hyperparams", "trees", "config"]) | st.text(max_size=4),
+    _JSON_VALUES, max_size=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(model=_models(), provenance=_PROVENANCE)
+def test_serialize_model_writes_the_bytes_of_the_dict_view(model, provenance):
+    blob = serialize_model(model, provenance)
+    assert "trees" not in vars(model)  # the view was not built
+    assert blob == _reference_model_bytes(model, provenance)
+
+
+def test_serializing_a_fitted_model_builds_no_dict_view():
+    model = fit(_random_records(np.random.default_rng(5), 60), Hyperparams(n_trees=4), seed=3)
+    deserialize_model(serialize_model(model, {"config": {"seed": 3}}))
+    assert "trees" not in vars(model)

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -272,6 +273,20 @@ def test_grid_rejects_arrays_that_are_not_numeric(qualities, message):
     with pytest.raises(LadderError) as caught:
         PredictionGrid((360, 720), (1.0, 2.0), qualities, np.ones((2, 2)))
     assert str(caught.value).startswith(message)
+
+
+@pytest.mark.parametrize("values", [
+    np.array([[50 + 3j]]),
+    np.array([[50 + 0j]]),  # a zero imaginary part is still a complex array
+    [[np.complex64(50)]],
+])
+def test_grid_rejects_complex_arrays_without_a_warning(values, capfd):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for qualities, times in ((values, np.array([[1.0]])), (np.array([[50.0]]), values)):
+            with pytest.raises(LadderError, match="^grid arrays must be numeric: complex values$"):
+                PredictionGrid((360,), (1.0,), qualities, times)
+    assert capfd.readouterr() == ("", "")
 
 
 def test_grid_errors_name_the_first_bad_cell_in_axis_order():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ladderforge.rng import SplitMix64
+from ladderforge.rng import SplitMix64, partial_shuffle
 
 
 def test_known_reference_outputs():
@@ -27,6 +27,23 @@ def test_vectorised_draws_equal_scalar_stream():
     assert block.tolist() == scalars
     # both streams advanced identically
     assert a.next_u64() == b.next_u64()
+
+
+def test_raw_block_equals_next_u64_calls_and_advances_the_stream_as_far():
+    a, b = SplitMix64(123), SplitMix64(123)
+    for count in (0, 1, 7):
+        block = a.block(count)
+        assert block.dtype == np.uint64
+        assert block.tolist() == [b.next_u64() for _ in range(count)]
+    assert a.next_u64() == b.next_u64()
+
+
+def test_subset_is_partial_shuffle_of_its_below_draws():
+    a, b = SplitMix64(31), SplitMix64(31)
+    for k in range(6):
+        assert a.subset(k, 5) == partial_shuffle([b.below(5 - i) for i in range(k)], 5)
+    # slot 0 swaps with 4: [4, 1, 2, 3, 0]; slot 1 with itself; slot 2 with 4: [4, 1, 0, 3, 2]
+    assert partial_shuffle([4, 0, 2], 5) == [4, 1, 0]
 
 
 def test_uniforms_range_and_stream_position():

@@ -18,10 +18,12 @@ control/parent/change; without a control, parent/change then
 change/parent), and appends each run's result line to the log.  ``collate``
 reports, for each workload and trace mode, each side's median and inclusive
 quartiles per metric, the change/parent and control/parent ratios of the
-medians, the seeds on which the change and the control won against the
-parent (their figure lower), the failed share, and every run's figure.  It
-then compares the input and artifact sha256 that each checkout's
-``perfbench/out/records`` hold for the hash seeds.
+medians, the median of the per-seed ratios to the parent with its bootstrap
+95 % interval (see :func:`bootstrap_interval`), the seeds on which the
+change and the control won against the parent (their figure lower), the
+failed share, and every run's figure.  It then compares the input and
+artifact sha256 that each checkout's ``perfbench/out/records`` hold for the
+hash seeds.
 
 perfbench's ``cpu_p50_s`` counts the benchmark process alone, so the CPU time
 of ``train``'s worker processes does not show in it.  ``tree-cpu`` measures
@@ -43,6 +45,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import resource
 import statistics
 import subprocess
@@ -51,6 +54,7 @@ import time
 from pathlib import Path
 
 SIDES = ("parent", "change", "control")
+RESAMPLES = 2000
 
 
 def seed_range(text: str) -> list[int]:
@@ -119,14 +123,29 @@ def summary(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def bootstrap_interval(values: list[float], resamples: int = RESAMPLES) -> list[float]:
+    """A 95 % percentile-bootstrap interval of the median of ``values``: of
+    the medians of ``resamples`` resamples with replacement, drawn by
+    ``random.Random(0)``, the ``floor(0.025 * resamples)``-th and the
+    ``ceil(0.975 * resamples)``-th, counting from 0 and from 1."""
+    draw = random.Random(0)
+    medians = sorted(statistics.median(draw.choices(values, k=len(values))) for _ in range(resamples))
+    return [medians[int(0.025 * resamples)], medians[-int(-0.975 * resamples) - 1]]
+
+
 def against_parent(runs: dict, seeds: list[int], side: str, name: str) -> dict:
     """``side``'s figures for metric ``name`` on those of ``seeds`` it ran,
-    beside the parent's: the ratio of the medians and the seeds won."""
+    beside the parent's: the ratio of the medians, the median per-seed
+    ratio with its bootstrap interval (seeds where the parent read 0 left
+    out), and the seeds won."""
     seeds = [s for s in seeds if (side, s) in runs]
     parent = [runs["parent", s]["metrics"][name]["value"] for s in seeds]
     other = [runs[side, s]["metrics"][name]["value"] for s in seeds]
     middle, base = summary(other), summary(parent)["median"]
+    ratios = [o / p for p, o in zip(parent, other) if p]
     return {side: middle, f"{side}_over_parent": middle["median"] / base if base else None,
+            f"{side}_ratio_median": statistics.median(ratios) if ratios else None,
+            f"{side}_ratio_95": bootstrap_interval(ratios) if ratios else None,
             f"{side}_wins": sum(o < p for p, o in zip(parent, other)), f"{side}_runs": other}
 
 
