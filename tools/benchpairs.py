@@ -12,18 +12,21 @@ same code drift apart on the machine that runs them::
         --log runs.jsonl --hash-seeds 1-3 --out BENCH_8.json \\
         --title "what changed" --host "the machine" --method "how it was run"
 
-``run`` runs each side once per seed, in an order rotated from seed to seed
-(parent/change/control, then change/control/parent, then
-control/parent/change; without a control, parent/change then
-change/parent), and appends each run's result line to the log.  ``collate``
-reports, for each workload and trace mode, each side's median and inclusive
-quartiles per metric, the change/parent and control/parent ratios of the
-medians, the median of the per-seed ratios to the parent with its bootstrap
-95 % interval (see :func:`bootstrap_interval`), the seeds on which the
-change and the control won against the parent (their figure lower), the
-failed share, and every run's figure.  It then compares the input and
-artifact sha256 that each checkout's ``perfbench/out/records`` hold for the
-hash seeds.
+``run`` runs each side once per seed, in an order rotated by the seed
+(parent/change/control for a seed divisible by 3, then change/control/parent,
+then control/parent/change; without a control, parent/change for an even
+seed, change/parent for an odd one), and appends each run's result line to
+the log.  Since the order follows the seed, runs of a few seeds at a time,
+interleaved across workloads, still rotate.
+
+``collate`` reports, for each workload and trace mode, each side's median
+and inclusive quartiles per metric, the change/parent and control/parent
+ratios of the medians, the median of the per-seed ratios to the parent with
+its bootstrap 95 % interval (see :func:`bootstrap_interval`), the seeds on
+which the change and the control won against the parent (their figure
+lower), the failed share, and every run's figure.  It then compares the
+input and artifact sha256 that each checkout's ``perfbench/out/records``
+hold for the hash seeds.
 
 perfbench's ``cpu_p50_s`` counts the benchmark process alone, so the CPU time
 of ``train``'s worker processes does not show in it.  ``tree-cpu`` measures
@@ -62,16 +65,16 @@ def seed_range(text: str) -> list[int]:
     return list(range(int(first), int(last or first) + 1))
 
 
-def rotation(sides: tuple[str, ...], i: int) -> tuple[str, ...]:
-    """The order in which round ``i`` runs the sides: rotated left by ``i``."""
-    k = i % len(sides)
+def rotation(sides: tuple[str, ...], seed: int) -> tuple[str, ...]:
+    """The order in which the round of ``seed`` runs the sides: rotated left by ``seed``."""
+    k = seed % len(sides)
     return sides[k:] + sides[:k]
 
 
 def run(args) -> None:
     sides = SIDES if args.control else SIDES[:2]
-    for i, seed in enumerate(args.seeds):
-        order = rotation(sides, i)
+    for seed in args.seeds:
+        order = rotation(sides, seed)
         for side in order:
             argv = [sys.executable, "perfbench/run.py", "--workload", args.workload,
                     "--seed", str(seed), "--seconds", str(args.seconds), "--trace", str(args.trace)]
@@ -87,13 +90,13 @@ def run(args) -> None:
 
 
 def tree_cpu(args) -> None:
-    for i, seed in enumerate(args.seeds):
+    for seed in args.seeds:
         inputs = args.scratch / f"train-forest-seed{seed}"
         subprocess.run([sys.executable, "perfbench/inputs.py", "--workload", "train-forest",
                         "--seed", str(seed), "--out", str(inputs)],
                        cwd=args.change, check=True, capture_output=True)
         figures, models = {}, {}
-        for side in rotation(SIDES[:2], i):
+        for side in rotation(SIDES[:2], seed):
             out = inputs / side
             argv = [sys.executable, "-m", "ladderforge", "train", str(inputs / "train.csv"),
                     "--out", str(out), "--seed", str(seed), "--n-trees", "20"]  # as train-forest
