@@ -328,9 +328,9 @@ def _grow_tree(x: np.ndarray, y: np.ndarray, hp: Hyperparams, seed: int) -> tupl
         if (depth >= hp.max_depth or m < 2 * hp.min_samples_leaf
                 or yb[rows[by_y, 0]] == yb[rows[by_y, -1]]):  # the least and greatest target
             return leaf(rows[boot], depth)
-        features, at, offsets = next(subsets)
+        features, at, base = next(subsets)
         # Each chosen feature's x, then its y, then its y * y, in its sorted order.
-        cells = table.take(rows.take(at, axis=0) + offsets)
+        cells = table.take(rows.take(at, axis=0) + base)
         xs = cells[:k]
         sums = cells[k:].cumsum(1)
         csum, csum2 = sums[:k], sums[k:]
@@ -381,14 +381,14 @@ def _feature_subsets(rng: SplitMix64, k: int, n: int):
 def _subset_cells(offsets: tuple, n: int) -> tuple:
     """The subset that ``partial_shuffle(offsets, N_FEATURES)`` draws, sorted,
     with what ``_grow_tree`` reads for it on n positions: the position rows
-    of its x, y and y * y cells, and as a column those cells' offsets in the
-    table, ``n`` times the table's row."""
+    of its x, y and y * y cells, and as a column where each of those rows
+    starts in the table, ``n`` times the table's row."""
     features = tuple(sorted(partial_shuffle(offsets, N_FEATURES)))
     k = len(features)
-    rows, cells = np.array(features * 3, np.intp), n * np.array(
-        features + (N_FEATURES,) * k + (N_FEATURES + 1,) * k, np.intp)[:, None]
-    rows.flags.writeable = cells.flags.writeable = False  # shared by every caller
-    return features, rows, cells
+    rows = np.array(features * 3, np.intp)
+    base = n * np.array(features + (N_FEATURES,) * k + (N_FEATURES + 1,) * k, np.intp)[:, None]
+    rows.flags.writeable = base.flags.writeable = False  # shared by every caller
+    return features, rows, base
 
 
 def fit(
@@ -401,7 +401,8 @@ def fit(
 
     ``map`` grows the trees, one call per tree seed, and must yield them in
     seed order, as the built-in and ``Executor.map`` do; a process pool's
-    ``map`` grows them in parallel, to the same bytes."""
+    ``map``, with any ``chunksize``, grows them in parallel, to the same
+    bytes."""
     hp = hyperparams if hyperparams is not None else Hyperparams()
     if len(records) < 2:
         raise EmptyDataset(f"training needs at least 2 records, got {len(records)}")
