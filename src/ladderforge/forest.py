@@ -39,10 +39,14 @@ tracer.
 ``deserialize_model`` has two paths to the same arrays.  Text exactly as
 ``serialize_model`` writes it (compact, keys in their fixed order, ASCII),
 followed by provenance keys, is read straight into them, with no dict per
-node (:mod:`.treetext` reads the trees).  Any other text, valid or not, goes
-through ``json.loads`` and ``ForestModel.from_trees``, whose ``_compile``
-checks and flattens dict trees and owns every error and its message: the
-fast path only accepts what that path accepts.
+node (the flat-array reading of Treelite, Cho & Li, SysML 2018): the node
+kinds give the preorder arrays and JSON's own parser the numbers, and the
+text is accepted only if ``_trees_text`` writes those arrays, with the
+text's own number tokens, back to the same bytes, so the writer is the one
+statement of the layout.  Any other text, valid or not, goes through
+``json.loads`` and ``ForestModel.from_trees``, whose ``_compile`` checks and
+flattens dict trees and owns every error and its message: the fast path
+only accepts what that path accepts.
 """
 
 from __future__ import annotations
@@ -52,12 +56,11 @@ import math
 from array import array
 from dataclasses import asdict, dataclass, field
 from functools import cached_property, lru_cache
-from itertools import chain, repeat
+from itertools import repeat
 from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
-from . import treetext
 from .complexity import SegmentFeatures
 from .errors import LadderforgeError
 from .rng import SplitMix64, partial_shuffle
@@ -164,12 +167,12 @@ class TrainingRecord:
             raise InvalidRecord(f"target_kind must be one of {TARGET_KINDS}, got {self.target_kind!r}")
         if self.vsr_tag not in VSR_TAGS:
             raise InvalidRecord(f"vsr_tag must be one of {VSR_TAGS}, got {self.vsr_tag!r}")
-        if self.resolution <= 0:
-            raise InvalidRecord(f"resolution must be positive, got {self.resolution}")
-        if self.bitrate <= 0:
-            raise InvalidRecord(f"bitrate must be positive, got {self.bitrate}")
-        if not math.isfinite(self.target):
-            raise InvalidRecord(f"target must be finite, got {self.target}")
+        for name in ("texture_energy", "temporal_gradient", "brightness", "target"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidRecord(f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("resolution", "bitrate"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise InvalidRecord(f"{name} must be finite and positive, got {getattr(self, name)}")
         if self.target_kind == "quality":
             object.__setattr__(self, "target", min(100.0, max(0.0, float(self.target))))
         elif self.target <= 0:
@@ -251,9 +254,10 @@ def feature_rows(
     bitrate) pair: an ``(n_segments * n_resolutions * n_bitrates, 5)`` matrix
     ordered by segment, then resolution, then bitrate, built by broadcasting.
     Each resolution's and bitrate's log2 is taken once, with ``math.log2``."""
-    bad = next(((r, b) for r in resolutions for b in bitrates if r <= 0 or b <= 0), None)
+    bad = next(((r, b) for r in resolutions for b in bitrates
+                if not (0 < r < math.inf and 0 < b < math.inf)), None)
     if bad is not None:
-        raise InvalidRecord(f"resolution and bitrate must be positive, got {bad[0]}, {bad[1]}")
+        raise InvalidRecord(f"resolution and bitrate must be finite and positive, got {bad[0]}, {bad[1]}")
     rows = _rows(_content(features)[:, None, None], _log2(resolutions)[:, None], _log2(bitrates))
     return rows.reshape(-1, N_FEATURES)
 
@@ -489,7 +493,8 @@ def serialize_model(model: ForestModel, provenance: Mapping[str, object] | None 
     if provenance and "trees" in provenance:
         trees = _json(doc["trees"])
     else:
-        trees = f"[{_trees_text(model._flat)}]"
+        numbers = _json(model._flat[1].tolist())[1:-1].split(",")
+        trees = f"[{_trees_text(model._flat, numbers)}]"
     return f'{head},"trees":{trees}{"," if len(items) > 5 else ""}{tail}'.encode("ascii")
 
 
@@ -498,16 +503,16 @@ def _json(value: object) -> str:
 
 
 # The text that opens a split on each feature, then a leaf, before its number.
-_OPENS = tuple(f'{{"f":{f},"t":' for f in range(N_FEATURES)) + ('{"v":',)
+_OPENS = np.array([f'{{"f":{f},"t":' for f in range(N_FEATURES)] + ['{"v":'], object)
 
 
-def _trees_text(flat: tuple) -> str:
+def _trees_text(flat: tuple, numbers: Sequence[str]) -> str:
     """The trees' wire format, comma-separated, written from ``_compile``'s
-    arrays in preorder: a split opens ``{"f":F,"t":T,"l":``, and a leaf writes
-    ``{"v":V}``, closes each split whose subtree it ends, then opens the
-    next right subtree (``,"r":``) or, at the end of its tree, the next tree.
-    Numbers are written as ``json.dumps`` writes them."""
-    feature, threshold, children, _, roots, deepest = flat
+    arrays in preorder with ``numbers`` as each node's threshold or leaf
+    value: a split opens ``{"f":F,"t":T,"l":``, and a leaf writes ``{"v":V}``,
+    closes each split whose subtree it ends, then opens the next right
+    subtree (``,"r":``) or, at the end of its tree, the next tree."""
+    feature, _, children, _, roots, deepest = flat
     right = children[::2]
     split = right != np.arange(right.size)
     last = right  # each subtree's last node: right links lead to it, and a leaf to itself
@@ -519,10 +524,12 @@ def _trees_text(flat: tuple) -> str:
     # A split's suffix is entry 0; a leaf's the one for its closes and tree_end.
     suffixes = [',"l":'] + ["}" * (c + 1) + end for c in range(deepest + 1) for end in (',"r":', ",")]
     codes = np.where(split, 0, 1 + 2 * closes + tree_end)
-    numbers = json.dumps(threshold.tolist())[1:-1].split(", ")
-    opens = map(_OPENS.__getitem__, np.where(split, feature, N_FEATURES).tolist())
-    ends = map(suffixes.__getitem__, codes.tolist())
-    return "".join(chain.from_iterable(zip(opens, numbers, ends)))[:-1]  # no comma after the last tree
+    pieces = [""] * (3 * right.size)
+    pieces[0::3] = _OPENS[np.where(split, feature, N_FEATURES)].tolist()
+    pieces[1::3] = numbers
+    pieces[2::3] = np.array(suffixes, object)[codes].tolist()
+    pieces[-1] = pieces[-1][:-1]  # no comma after the last tree
+    return "".join(pieces)  # str: bytes.join would hold an 80-byte buffer view per piece while it joins
 
 
 _LEAF_KEYS = frozenset({"v"})
@@ -603,21 +610,88 @@ def _linked(feature: np.ndarray, threshold: np.ndarray, right: np.ndarray,
     return feature, threshold, children, value, roots, deepest
 
 
+# serialize_model writes these header keys in this order, then the trees.
+_HEADER_KEYS = ["version", "target_kind", "vsr_tag", "hyperparams"]
+_TREES_KEY = b',"trees":['
+# Every byte but a number's becomes a space, so that the numbers split apart.
+_NUMBERS_ONLY = bytes(c if c in b"0123456789+-.eE" else ord(" ") for c in range(256))
+# json.loads gives up on nesting near the recursion limit; deeper trees are
+# left to it, so that both readers agree.
+FAST_DEPTH = 100
+
+
 def _read_canonical(data: Union[bytes, str]) -> ForestModel | None:
     """The model in ``data``, read without a dict per node, if ``data`` is
-    exactly the text ``serialize_model`` writes, provenance keys and trailing
-    whitespace aside; else None."""
-    read = treetext.read_canonical(data, N_FEATURES)
-    if read is None:
+    exactly the text ``serialize_model`` writes, provenance keys after the
+    trees and trailing whitespace aside; else None.  The arrays come from
+    the node kinds alone and the numbers from ``json.loads``; the trees'
+    text must then be what ``_trees_text`` writes of them."""
+    if not data.isascii():
         return None
-    header, arrays = read
-    roots, deepest = arrays[3:]
+    text = data.encode("ascii") if isinstance(data, str) else data
+    cut = text.find(_TREES_KEY)
+    end = text.find(b"]", cut)
+    if cut < 0 or end < 0:
+        return None
+    head, body, tail = text[:cut] + b"}", text[cut + len(_TREES_KEY):end], text[end + 1:]
+    del text  # the body holds all that is left to read; a copy of str data costs memory
+    more = tail[:1] == b","
+    try:
+        header, extra = json.loads(head), json.loads(b"{" + (tail[1:] if more else tail))
+        canonical = _json(header).encode() == head
+    except (ValueError, RecursionError):
+        return None
+    # A key the tail repeats would override the one before it in json.loads.
+    if (not canonical or list(header) != _HEADER_KEYS
+            or bool(extra) != more or not extra.keys().isdisjoint([*_HEADER_KEYS, "trees"])):
+        return None
+    chars = np.frombuffer(body, np.uint8)
+    opens = np.flatnonzero(chars == ord("{"))  # each node's first byte, in preorder
+    if not opens.size or opens[-1] + 5 >= chars.size:
+        return None
+    split = chars[opens + 2] == ord("f")  # '{"f' opens a split; anything else is read as a leaf
+    balance = np.cumsum(np.where(split, 1, -1))  # splits less leaves, up to each node
+    # A tree ends where the balance first reaches a new low below 0.
+    ends = np.flatnonzero(np.diff(np.minimum(np.minimum.accumulate(balance), 0), prepend=0))
+    if not ends.size or ends[-1] != opens.size - 1:
+        return None
+    roots = np.append(0, ends[:-1] + 1)
     try:  # the roots stand in for the trees, whose number is checked there
         _, hp, seed, target_kind, vsr_tag = _model_fields({**header, "trees": roots.tolist()})
-        flat = _linked(*arrays)
     except ForestError:
         return None
-    if deepest > hp.max_depth:  # fit never splits a node at depth max_depth
+    n, at = opens.size, np.flatnonzero(split)
+    # A split's right child is the first later node with the balance before it
+    # that the split has: its successor in (balance before, position) order.
+    order = np.sort(np.append(0, balance) * (n + 1) + np.arange(n + 1)) % (n + 1)
+    successor = np.empty_like(order)
+    successor[order[:-1]] = order[1:]
+    nodes = np.arange(n)
+    right = nodes.copy()  # a leaf links to itself
+    right[at] = successor[at]
+    parent = nodes.copy()  # a root is its own parent
+    parent[at + 1] = parent[right[at]] = at
+    walk, deepest = nodes.compress(~split), 0  # the leaves, walked up to their roots
+    while (walk := walk.compress(parent[walk] != walk)).size:
+        if deepest == min(hp.max_depth, FAST_DEPTH):  # fit never splits a node at depth max_depth
+            return None
+        walk, deepest = parent[walk], deepest + 1
+    feature = np.where(split, chars[opens + 5] - np.intp(ord("0")), 0)  # a split's digit
+    if not ((0 <= feature) & (feature < N_FEATURES)).all():
+        return None
+    blanked = bytearray(body)
+    np.frombuffer(blanked, np.uint8)[opens[at] + 5] = ord(" ")
+    numbers = blanked.translate(_NUMBERS_ONLY).decode("ascii").split()
+    if len(numbers) != n:
+        return None
+    try:  # JSON's own number grammar and conversion; integers, which fit never writes, read as NaN
+        threshold = np.array(json.loads(f"[{','.join(numbers)}]", parse_int=lambda _: math.nan))
+        if not np.isfinite(threshold).all():
+            return None
+        flat = _linked(feature, threshold, right, roots, deepest)
+    except (ValueError, CorruptModel):
+        return None
+    if _trees_text(flat, numbers).encode("ascii") != body:
         return None
     return ForestModel(hp, seed, target_kind, vsr_tag, flat)
 

@@ -32,3 +32,40 @@ def test_collate_reports_the_per_seed_ratios():
     assert metric["change_ratio_median"] == 0.5
     assert metric["change_ratio_95"] == [0.5, 1.5]
     assert metric["change_wins"] == 2
+
+
+def _collated(parent, change, control=None):
+    def entry(side, seed, value):
+        result = {"correct": True, "attempted": 1, "failed": 0,
+                  "metrics": {"call_p50_s": {"value": value, "unit": "s"}}}
+        return {"side": side, "workload": "w", "seed": seed, "trace": 0, "result": result}
+
+    entries = [entry("parent", s, v) for s, v in enumerate(parent)]
+    entries += [entry("change", s, v) for s, v in enumerate(change)]
+    entries += [entry("control", s, v) for s, v in enumerate(control or [])]
+    return benchpairs.collate_runs(entries)["w"]["metrics"]["call_p50_s"]
+
+
+def test_claim_met_of_hand_checked_cases():
+    # Parent 1.0 to 2.125 in steps of 1/8: median 1.5625, inclusive quartiles
+    # 1.28125 and 1.84375, so the change's median must be below 1.0.
+    parent = [1.0 + i / 8 for i in range(10)]
+    half = [p / 2 for p in parent]  # every ratio 0.5: median 0.78125, interval [0.5, 0.5]
+    assert _collated(parent, half)["claim_met"]
+    # The control's ratios, five 63/64 and five 65/64, have a resampled median
+    # of 63/64, 1 or 65/64, each often enough to hold the ends.
+    steady = [p * (63 / 64 if i % 2 else 65 / 64) for i, p in enumerate(parent)]
+    metric = _collated(parent, half, steady)
+    assert metric["control_ratio_95"] == [63 / 64, 65 / 64] and metric["claim_met"]
+    # A control that drifts as far as the change does: its interval excludes 1.
+    assert not _collated(parent, half, half)["claim_met"]
+    # 9 wins of 10 still claim; 8 do not.
+    assert _collated(parent, half[:9] + [3.0])["claim_met"]
+    assert not _collated(parent, half[:8] + [3.0, 3.0])["claim_met"]
+    # Ten wins, every ratio below 1, but a gap of 0.375 under the quartile distance of 0.5625.
+    closer = [p - 0.375 for p in parent]
+    metric = _collated(parent, closer)
+    assert metric["change_wins"] == 10 and metric["change_ratio_95"][1] < 1
+    assert not metric["claim_met"]
+    # Nine pairs, all won by a wide margin, are too few.
+    assert not _collated(parent[:9], half[:9])["claim_met"]

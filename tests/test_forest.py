@@ -98,6 +98,38 @@ def test_feature_rows_name_the_first_cell_with_a_non_positive_axis_value():
         feature_vector(features[0], 0, 4.0)
 
 
+@pytest.mark.parametrize("resolutions, bitrates, first", [
+    ((720, math.nan), (1.0, 2.0), "nan, 1.0"),
+    ((720, 1080), (2.0, math.inf), "720, inf"),
+    ((math.inf,), (1.0,), "inf, 1.0"),
+    ((1080,), (math.nan,), "1080, nan"),
+])
+def test_feature_rows_reject_a_nan_or_infinite_axis_value(resolutions, bitrates, first):
+    with pytest.raises(InvalidRecord, match=rf"^resolution and bitrate must be finite and positive, got {first}$"):
+        feature_rows([SegmentFeatures(1.0, 0.0, 1.0)], resolutions, bitrates)
+    with pytest.raises(InvalidRecord, match="must be finite and positive"):
+        feature_vector(SegmentFeatures(1.0, 0.0, 1.0), resolutions[-1], bitrates[-1])
+
+
+@pytest.mark.parametrize("field, value", [
+    ("e", math.nan), ("h", math.inf), ("l", -math.inf),
+    ("r", math.nan), ("r", math.inf), ("r", 0), ("b", math.nan), ("b", math.inf), ("b", -1.0),
+])
+def test_records_reject_non_finite_features_and_axis_values(field, value):
+    name = {"e": "texture_energy", "h": "temporal_gradient", "l": "brightness",
+            "r": "resolution", "b": "bitrate"}[field]
+    with pytest.raises(InvalidRecord, match=f"^{name} must be finite"):
+        _record(**{field: value})
+
+
+def test_fit_refuses_records_with_nan_features():
+    """20 records whose E_Y is NaN in every other row and whose bitrate is
+    NaN in every third: no record is made, so no model is fitted on them."""
+    with pytest.raises(InvalidRecord, match="must be finite"):
+        fit([_record(e=math.nan if i % 2 else 1.0 + i, b=math.nan if i % 3 == 0 else 2.4,
+                     target=40.0 + i) for i in range(20)], Hyperparams(n_trees=2))
+
+
 def test_training_rows_are_feature_vector_bit_for_bit():
     records = _random_records(np.random.default_rng(8), 40)
     x, _ = forest._records_matrix(records)

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ladderforge import forest, treetext
+from ladderforge import forest
 from ladderforge.forest import (
     CorruptModel,
     ForestModel,
@@ -197,7 +197,10 @@ def test_hyperparams_of_the_wrong_type_are_corrupt_on_both_paths(field, value, m
     model = ForestModel.from_trees(({"v": 1.0},), Hyperparams(n_trees=1), 0, "time", "none")
     blob = re.sub(rb'"%s":[^,}]*' % field.encode(), b'"%s":%s' % (field.encode(), value),
                   serialize_model(model, PROVENANCE))
-    assert treetext.read_canonical(blob, forest.N_FEATURES) is not None  # reaches the fast reader
+    with mock.patch.object(forest, "_model_fields", wraps=forest._model_fields) as fields:
+        assert forest._read_canonical(blob) is None
+    # The text reaches the fast reader's header check, which refuses it.
+    assert fields.call_args.args[0]["hyperparams"] == json.loads(blob)["hyperparams"]
     for text in (blob, blob.replace(b":", b": ")):  # canonical, then json.loads alone
         with pytest.raises(CorruptModel, match=f"^bad model structure: {re.escape(message)}$"):
             deserialize_model(text)
@@ -290,6 +293,9 @@ def _doc(trees=b'{"v":1.0}', max_depth=b"12", tail=b"}", n_trees=b"1"):
     # numbers: malformed, integer, not a number, spaced, missing
     *(_doc(b'{"v":%s}' % number) for number in
       (b"01.0", b"1.", b"-.5", b"+1.5", b"1", b"1e999", b"true", b'"1.0"', b" 1.0", b"1.0 ", b"")),
+    _doc(b'{"f":0,"t":1e999,"l":{"v":1.0},"r":{"v":2.0}}'),  # an infinite threshold
+    # node kinds, feature digits and numbers as canonical, but a "}" moved to another leaf
+    _doc(b'{"f":0,"t":1.0,"l":{"f":1,"t":2.0,"l":{"v":1.0}},"r":{"v":2.0},"r":{"v":3.0}}'),
     # key spelling and order, and structure that json.loads may still accept
     _doc(b'{"f":0,"t":1.0,"l":{"v":1.0},"r":{"v":2.0},"r":{"v":3.0}}'),
     _doc(b'{"f":0,"t":1.0,"l":{"v":1.0}}'),
@@ -322,11 +328,11 @@ def test_text_that_is_not_canonical_goes_to_json_loads(text):
 
 def test_trees_deeper_than_the_fast_reader_reads_go_to_json_loads():
     tree = {"v": 1.0}
-    for depth in range(1, treetext.FAST_DEPTH + 2):
+    for depth in range(1, forest.FAST_DEPTH + 2):
         tree = {"f": 0, "t": 0.5, "l": {"v": 0.0}, "r": tree}
         text = _doc(json.dumps(tree, separators=(",", ":")).encode(), max_depth=b"200")
-        assert (forest._read_canonical(text) is None) == (depth > treetext.FAST_DEPTH)
-    assert _assert_same_as_reference(text)[4][-1] == treetext.FAST_DEPTH + 1  # the depth
+        assert (forest._read_canonical(text) is None) == (depth > forest.FAST_DEPTH)
+    assert _assert_same_as_reference(text)[4][-1] == forest.FAST_DEPTH + 1  # the depth
 
 
 @st.composite

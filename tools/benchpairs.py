@@ -24,9 +24,10 @@ and inclusive quartiles per metric, the change/parent and control/parent
 ratios of the medians, the median of the per-seed ratios to the parent with
 its bootstrap 95 % interval (see :func:`bootstrap_interval`), the seeds on
 which the change and the control won against the parent (their figure
-lower), the failed share, and every run's figure.  It then compares the
-input and artifact sha256 that each checkout's ``perfbench/out/records``
-hold for the hash seeds.
+lower), whether the change meets the rule for claiming a gain
+(:func:`claim_met`), the failed share, and every run's figure.  It then
+compares the input and artifact sha256 that each checkout's
+``perfbench/out/records`` hold for the hash seeds.
 
 perfbench's ``cpu_p50_s`` counts the benchmark process alone, so the CPU time
 of ``train``'s worker processes does not show in it.  ``tree-cpu`` measures
@@ -152,6 +153,20 @@ def against_parent(runs: dict, seeds: list[int], side: str, name: str) -> dict:
             f"{side}_wins": sum(o < p for p, o in zip(parent, other)), f"{side}_runs": other}
 
 
+def claim_met(metric: dict) -> bool:
+    """Whether a ``collate_runs`` metric supports claiming that the change
+    lowers it: the change won at least 9 in 10 of at least 10 pairs, the
+    parent's median exceeds the change's by more than the parent's quartile
+    distance, the change's ``ratio_95`` lies wholly below 1, and the
+    control's, if a control ran, holds 1."""
+    parent, runs, interval = metric["parent"], metric["change_runs"], metric["change_ratio_95"]
+    control = metric.get("control_ratio_95", [1, 1])
+    return (len(runs) >= 10 and 10 * metric["change_wins"] >= 9 * len(runs)
+            and parent["median"] - metric["change"]["median"] > parent["q3"] - parent["q1"]
+            and interval is not None and interval[1] < 1
+            and control is not None and control[0] <= 1 <= control[1])
+
+
 def collate_runs(entries: list[dict]) -> dict:
     groups: dict[str, dict] = {}
     for e in entries:
@@ -167,6 +182,7 @@ def collate_runs(entries: list[dict]) -> dict:
             metrics[name] = {"unit": first["unit"], "parent": summary(parent), "parent_runs": parent}
             for side in sides[1:]:
                 metrics[name].update(against_parent(runs, seeds, side, name))
+            metrics[name]["claim_met"] = claim_met(metrics[name])
         results = [runs[side, s] for side in sides for s in seeds if (side, s) in runs]
         out[key] = {
             "seeds": seeds, "pairs": len(seeds),
