@@ -4,7 +4,11 @@ Every command is deterministic given (inputs, config, seed) and emits
 byte-stable artifacts: JSON with fixed key order, floats as shortest
 round-trip decimals, and the effective config echoed into each artifact for
 provenance (JSON artifacts get a ``config`` key, CSV artifacts a leading
-``#`` comment line).
+``#`` comment line).  ``ladder`` writes every manifest from one template,
+with the values of all of them encoded by one ``json.dumps`` call; the text
+is what ``json.dumps(manifest, indent=2)`` writes.  Each file is written to
+a temp file beside it and renamed into place, so a failed write leaves any
+earlier file whole.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 internal invariant
 violation.  ``LADDERFORGE_THREADS`` caps the number of ``analyze`` threads
@@ -19,8 +23,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import io
 import json
 import mmap
+import operator
 import os
 import sys
 import traceback
@@ -28,8 +34,9 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from fractions import Fraction
 from functools import partial
+from itertools import islice
 from pathlib import Path
-from typing import Callable, Sequence, TextIO
+from typing import Sequence
 
 from . import complexity, forest, ladder as ladder_mod, metrics
 from .config import ConfigError, RunConfig, parse_tau
@@ -126,13 +133,19 @@ def _out_dir(path: str) -> Path:
     return out_dir
 
 
-def _write_file(path: Path, write: Callable[[TextIO], object]) -> None:
-    """Run ``write`` on a temp file beside ``path``, then rename it over ``path``,
-    so a failed write leaves any earlier file whole and no temp file behind."""
+def _write_file(path: Path, text: str) -> None:
+    """Write ``text`` as UTF-8 to a temp file beside ``path``, then rename it
+    over ``path``, so a failed write leaves any earlier file whole and no temp
+    file behind."""
     temp = path.with_name(f".{path.name}.tmp")
     try:
-        with open(temp, "w", encoding="utf-8") as handle:
-            write(handle)
+        fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+        try:
+            data = memoryview(text.encode("utf-8"))
+            while data:
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
         os.replace(temp, path)
     except BaseException:
         temp.unlink(missing_ok=True)
@@ -140,8 +153,32 @@ def _write_file(path: Path, write: Callable[[TextIO], object]) -> None:
 
 
 def _write_json(path: Path, doc: dict) -> None:
-    text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
-    _write_file(path, lambda handle: handle.write(text))
+    _write_file(path, json.dumps(doc, indent=2, allow_nan=False) + "\n")
+
+
+_REP_KEYS = ("bitrate_mbps", "resolution", "predicted_vmaf", "predicted_time_s", "over_budget")
+_REP_VALUES = operator.itemgetter(*_REP_KEYS)
+_REP_TEXT = "    {{\n" + ",\n".join(f'      "{key}": {{}}' for key in _REP_KEYS) + "\n    }}"
+_MANIFEST_TEXT = ('{{\n  "segment_id": {},\n  "vsr_tag": {},\n  "tau_L": {},\n  "v_J": {},\n'
+                  '  "v_T": {},\n  "reps": [\n{}\n  ],\n  "config": {}\n}}\n')
+
+
+def _manifest_texts(manifests: Sequence[dict], config_doc: dict) -> list[str]:
+    """Each ``ladder_to_manifest`` dict with ``config`` added, as
+    ``json.dumps(..., indent=2, allow_nan=False) + "\\n"`` would write it.
+    One ``json.dumps`` call encodes every value of every manifest; an
+    encoded value holds no raw newline, so newlines split them apart."""
+    values: list = []
+    for manifest in manifests:
+        values += (manifest["segment_id"], manifest["vsr_tag"], manifest["tau_L"],
+                   manifest["v_J"], manifest["v_T"])
+        for rep in manifest["reps"]:
+            values += _REP_VALUES(rep)
+    tokens = iter(json.dumps(values, allow_nan=False, separators=("\n", ":"))[1:-1].split("\n"))
+    config_text = json.dumps(config_doc, indent=2, allow_nan=False).replace("\n", "\n  ")
+    return [_MANIFEST_TEXT.format(*islice(tokens, 5), ",\n".join(
+                [_REP_TEXT.format(*islice(tokens, 5)) for _ in manifest["reps"]]), config_text)
+            for manifest in manifests]
 
 
 def _safe_filename(segment_id: str) -> str:
@@ -249,8 +286,9 @@ def cmd_analyze(args) -> int:
     seen = {sid for sid, _ in rows}
     if len(seen) != len(rows):
         raise LadderforgeError("duplicate segment ids among inputs; use id= to disambiguate")
-    _write_file(out_dir / "features.csv", lambda handle: complexity.write_features_csv(
-        rows, handle, comment=_config_comment(config)))
+    csv_text = io.StringIO()
+    complexity.write_features_csv(rows, csv_text, comment=_config_comment(config))
+    _write_file(out_dir / "features.csv", csv_text.getvalue())
     print(f"analyzed {len(rows)} segment(s) -> {out_dir / 'features.csv'}")
     return EXIT_DATA if failures else EXIT_OK
 
@@ -292,8 +330,8 @@ def cmd_train(args) -> int:
             except forest.InvalidRecord as exc:
                 raise forest.InvalidRecord(f"{args.training_csv}: {exc}") from None
             path = out_dir / f"model_{target_kind}_{vsr_tag}.json"
-            text = forest.serialize_model(model, {"config": config.to_dict()}).decode("ascii") + "\n"
-            _write_file(path, lambda handle: handle.write(text))
+            text = forest.serialize_model(model, {"config": config.to_dict()}).decode("ascii")
+            _write_file(path, text + "\n")
             if test_set:
                 stats = forest.evaluate(model, test_set)
                 print(
@@ -348,7 +386,6 @@ def cmd_ladder(args) -> int:
         baseline = ladder_mod.default_hls_ladder(config.bitrates_mbps, pairing, config.vsr_tag)
         ladders.append(("baseline", baseline))
     # Distinct ids can share a file name; refuse that before writing anything.
-    config_doc = config.to_dict()
     manifests: dict[Path, dict] = {}
     for segment_id, built in ladders:
         path = out_dir / f"ladder_{_safe_filename(segment_id)}.json"
@@ -356,9 +393,8 @@ def cmd_ladder(args) -> int:
             raise LadderforgeError(f"ladders {manifests[path]['segment_id']!r} and "
                                    f"{segment_id!r} would both be written to {path}")
         manifests[path] = ladder_mod.ladder_to_manifest(built, segment_id)
-        manifests[path]["config"] = config_doc
-    for path, manifest in manifests.items():
-        _write_json(path, manifest)
+    for path, text in zip(manifests, _manifest_texts(list(manifests.values()), config.to_dict())):
+        _write_file(path, text)
     print(f"built {len(catalog)} ladder manifest(s) in {out_dir}")
     return EXIT_OK
 

@@ -676,12 +676,14 @@ def _read_canonical(data: Union[bytes, str]) -> ForestModel | None:
         if deepest == min(hp.max_depth, FAST_DEPTH):  # fit never splits a node at depth max_depth
             return None
         walk, deepest = parent[walk], deepest + 1
+    del order, successor, parent, nodes, balance, walk  # node-sized; free before the peak
     feature = np.where(split, chars[opens + 5] - np.intp(ord("0")), 0)  # a split's digit
     if not ((0 <= feature) & (feature < N_FEATURES)).all():
         return None
     blanked = bytearray(body)
     np.frombuffer(blanked, np.uint8)[opens[at] + 5] = ord(" ")
     numbers = blanked.translate(_NUMBERS_ONLY).decode("ascii").split()
+    del blanked, opens, split, at
     if len(numbers) != n:
         return None
     try:  # JSON's own number grammar and conversion; integers, which fit never writes, read as NaN

@@ -15,6 +15,17 @@ one form, :class:`RdCurve`: the checked quality and log10-rate arrays, built
 once and read by both BD metrics.  Each fit takes ``np.polyfit``'s own steps
 (and the integral ``np.polyval``'s), so the results are bitwise numpy's.
 
+:func:`compare_schemes` computes every fit and mean of a comparison at once:
+one LAPACK call for all the fits of one curve length, then each Horner step
+of all the means as one array operation.  The solve is
+``numpy.linalg._umath_linalg.lstsq``, the gufunc that ``np.linalg.lstsq``
+itself calls: only it solves a stack of matrices with ``lstsq``'s own LAPACK
+routine (``gelsd``) and ``rcond``, where the public function takes one
+matrix.  That gufunc is one function only from numpy 2.1 on (numpy 1 split
+it into ``lstsq_m`` and ``lstsq_n``), hence the ``numpy>=2.1`` floor.
+``bd_rate`` and ``bd_quality`` go through the same functions with one pair
+of curves.
+
 Per-segment accounting assumes representations encode concurrently: wall
 time is the maximum over rungs, while energy is ``kappa`` joules per second
 of summed encode time (energy is additive across concurrent jobs).  Storage
@@ -25,9 +36,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import LadderforgeError
 from .ladder import EmptyLadder, Ladder
@@ -119,26 +131,60 @@ class RdCurve:
         return cls(np.array([q for _, q in pairs]), np.log10([b for b, _ in pairs]), metric_kind)
 
 
-def _fit_cubic(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``np.polyfit(x, y, 3)`` by its own steps, so bitwise equal to it, with
-    a column scale that overflows or vanishes, a rank below 4 or an
-    unconverged solve raised as :class:`DegenerateFit`."""
-    x, y = x + 0.0, y + 0.0
-    with np.errstate(over="ignore", invalid="ignore"):  # checked on the scale
-        lhs = np.vander(x, 4)
-        scale = np.sqrt((lhs * lhs).sum(axis=0))
-    if not all(map(math.isfinite, scale.tolist())):  # lists: quicker for 4 values
-        raise DegenerateFit(f"cubic fit overflows float64 (abscissae up to {float(abs(x).max())})")
-    if 0.0 in scale.tolist():  # every abscissa 0, or too near it to square
-        raise DegenerateFit("cubic fit is rank-deficient (duplicate abscissae?)")
-    lhs /= scale
-    try:
-        coeffs, _residuals, rank, _sv = np.linalg.lstsq(lhs, y, len(x) * np.finfo(x.dtype).eps)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateFit(f"cubic fit failed: {exc}") from None
-    if rank < 4:
-        raise DegenerateFit("cubic fit is rank-deficient (duplicate abscissae?)")
-    return coeffs / scale
+def _raise_unconverged(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+
+_RANK_DEFICIENT = "cubic fit is rank-deficient (duplicate abscissae?)"
+_EPS = float(np.finfo(np.float64).eps)
+
+
+def _fit_cubics(pairs: Sequence[tuple[np.ndarray, np.ndarray]]) -> list[np.ndarray | DegenerateFit]:
+    """``np.polyfit(x, y, 3)`` of every ``(x, y)`` by its own steps, so bitwise
+    equal to it, with one LAPACK call for all the curves of one length.  A
+    curve whose column scale overflows or vanishes, whose rank is below 4 or
+    whose solve does not converge gets a :class:`DegenerateFit` in its place."""
+    fits: list = [None] * len(pairs)
+    by_length: dict[int, list[int]] = {}
+    for i, (x, _) in enumerate(pairs):
+        by_length.setdefault(len(x), []).append(i)
+    for m, members in by_length.items():
+        x = np.array([pairs[i][0] for i in members]) + 0.0
+        y = np.array([pairs[i][1] for i in members]) + 0.0
+        with np.errstate(over="ignore", invalid="ignore"):  # checked on the scale
+            lhs = np.empty((len(members), m, 4))  # np.vander(x, 4) of each row
+            powers = lhs[..., ::-1]
+            powers[..., 0] = 1
+            powers[..., 1:] = x[..., None]
+            np.multiply.accumulate(powers[..., 1:], axis=-1, out=powers[..., 1:])
+            scale = np.sqrt((lhs * lhs).sum(axis=1))
+        solvable = []
+        for k, row in enumerate(scale.tolist()):  # lists: quicker for 4 values
+            if not all(map(math.isfinite, row)):
+                fits[members[k]] = DegenerateFit(
+                    f"cubic fit overflows float64 (abscissae up to {float(abs(x[k]).max())})")
+            elif 0.0 in row:  # every abscissa 0, or too near it to square
+                fits[members[k]] = DegenerateFit(_RANK_DEFICIENT)
+            else:
+                solvable.append(k)
+        if not solvable:
+            continue
+        if len(solvable) < len(members):
+            lhs, y, scale = lhs[solvable], y[solvable], scale[solvable]
+        lhs /= scale[:, None]
+        try:  # np.linalg.lstsq's own gufunc call, on every curve at once
+            with np.errstate(call=_raise_unconverged, invalid="call",
+                             over="ignore", divide="ignore", under="ignore"):
+                coeffs, _residuals, ranks, _sv = _umath_linalg.lstsq(
+                    lhs, y[..., None], m * _EPS, signature="ddd->ddid")
+        except np.linalg.LinAlgError as exc:
+            for k in solvable:  # one at a time, to name the curve that failed
+                fits[members[k]] = (DegenerateFit(f"cubic fit failed: {exc}") if len(solvable) == 1
+                                    else _fit_cubics([pairs[members[k]]])[0])
+            continue
+        for k, rank, fit in zip(solvable, ranks.tolist(), coeffs[..., 0] / scale):
+            fits[members[k]] = fit if rank == 4 else DegenerateFit(_RANK_DEFICIENT)
+    return fits
 
 
 def _overlap(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
@@ -150,22 +196,92 @@ def _overlap(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     return float(lo), float(hi)
 
 
-def _mean_poly_difference(p_test: np.ndarray, p_ref: np.ndarray, lo: float, hi: float) -> float:
-    """The mean of ``p_test - p_ref`` over [lo, hi]: ``np.polyint(np.polysub(p_test,
-    p_ref))`` at both ends by ``np.polyval``'s Horner steps, on Python floats."""
+def _mean_poly_difference(p_test: np.ndarray, p_ref: np.ndarray, lo, hi):
+    """The mean of ``p_test - p_ref`` over [lo, hi], row by row:
+    ``np.polyint(np.polysub(p_test, p_ref))`` at both ends by ``np.polyval``'s
+    Horner steps, each an IEEE operation on every row at once."""
+    coeffs = (p_test - p_ref) / np.arange(4, 0, -1)
     at_lo = at_hi = 0.0
-    for c in [*((p_test - p_ref) / np.arange(4, 0, -1)).tolist(), 0.0]:
-        at_lo, at_hi = at_lo * lo + c, at_hi * hi + c
-    return (at_hi - at_lo) / (hi - lo)
+    with np.errstate(over="ignore", invalid="ignore"):  # a mean that is not finite is checked
+        for c in [*np.moveaxis(coeffs, -1, 0), 0.0]:
+            at_lo, at_hi = at_lo * lo + c, at_hi * hi + c
+        return (at_hi - at_lo) / (hi - lo)
+
+
+def _bd_means(cases: Sequence[tuple]) -> list[float | MetricsError]:
+    """For each ``(fit_ref, fit_test, x_ref, x_test)``, the mean of the test
+    fit minus the reference fit over the overlap of the abscissae, or the
+    error that stops it: a degenerate fit, no overlap, a mean that is not
+    finite."""
+    out: list = [None] * len(cases)
+    rows, refs, tests, ends = [], [], [], []
+    for i, (fit_ref, fit_test, x_ref, x_test) in enumerate(cases):
+        try:
+            for fit in (fit_ref, fit_test):
+                if isinstance(fit, DegenerateFit):
+                    raise fit
+            ends.append(_overlap(x_ref, x_test))
+        except MetricsError as exc:
+            out[i] = exc
+            continue
+        rows.append(i)
+        refs.append(fit_ref)
+        tests.append(fit_test)
+    if rows:
+        lo, hi = np.array(ends).T
+        for i, mean in zip(rows, _mean_poly_difference(np.array(tests), np.array(refs), lo, hi).tolist()):
+            out[i] = mean if math.isfinite(mean) else MetricsError(
+                f"mean curve difference is not finite ({mean})")
+    return out
+
+
+def _raised(value):
+    """``value``, raised instead if it is an error."""
+    if isinstance(value, MetricsError):
+        raise value
+    return value
+
+
+def _rate_change(avg: float) -> float:
+    rate = (10.0 ** min(avg, 308.0) - 1.0) * 100.0  # inf above 306.25; ** raises above 308.25
+    if not math.isfinite(rate):
+        raise MetricsError(f"BD-rate overflows (mean log10 rate difference {avg})")
+    return rate
 
 
 def _bd(x_ref: np.ndarray, y_ref: np.ndarray, x_test: np.ndarray, y_test: np.ndarray) -> float:
     """Mean of the test curve's cubic fit minus the reference's over their overlap."""
-    p_ref, p_test = _fit_cubic(x_ref, y_ref), _fit_cubic(x_test, y_test)
-    mean = _mean_poly_difference(p_test, p_ref, *_overlap(x_ref, x_test))
-    if not math.isfinite(mean):
-        raise MetricsError(f"mean curve difference is not finite ({mean})")
-    return mean
+    return _raised(_bd_means([(*_fit_cubics([(x_ref, y_ref), (x_test, y_test)]), x_ref, x_test)])[0])
+
+
+def _bd_deltas(requests: Sequence[tuple["EvaluatedSegment", "EvaluatedSegment", str]]
+               ) -> list[tuple[float, float] | MetricsError]:
+    """``(bd_rate(ref, test), bd_quality(ref, test))`` of the ``kind`` curves
+    ``ref`` and ``test`` of each ``(baseline, candidate, kind)``, or the first
+    error that those steps raise, in the same order; every fit and mean of
+    all the requests is computed at once."""
+    out: list = []
+    pairs = []  # per request: the rate fits' (x, y), then the quality fits'
+    for b_seg, c_seg, kind in requests:
+        try:
+            ref, test = b_seg.curve(kind), c_seg.curve(kind)
+        except MetricsError as exc:
+            out.append(exc)
+            continue
+        out.append(None)
+        pairs += [(ref.qualities, ref.log_rates), (test.qualities, test.log_rates),
+                  (ref.log_rates, ref.qualities), (test.log_rates, test.qualities)]
+    fits = _fit_cubics(pairs)
+    means = iter(_bd_means([(fits[i], fits[i + 1], pairs[i][0], pairs[i + 1][0])
+                            for i in range(0, len(pairs), 2)]))
+    for i, found in enumerate(out):
+        if found is None:
+            rate_mean, quality_mean = next(means), next(means)
+            try:
+                out[i] = _rate_change(_raised(rate_mean)), _raised(quality_mean)
+            except MetricsError as exc:
+                out[i] = exc
+    return out
 
 
 def _same_kind(reference: RdCurve, test: RdCurve) -> None:
@@ -177,11 +293,7 @@ def _same_kind(reference: RdCurve, test: RdCurve) -> None:
 def bd_rate(reference: RdCurve, test: RdCurve) -> float:
     """Average bitrate change of ``test`` vs ``reference`` at equal quality, percent."""
     _same_kind(reference, test)
-    avg = _bd(reference.qualities, reference.log_rates, test.qualities, test.log_rates)
-    rate = (10.0 ** min(avg, 308.0) - 1.0) * 100.0  # inf above 306.25; ** raises above 308.25
-    if not math.isfinite(rate):
-        raise MetricsError(f"BD-rate overflows (mean log10 rate difference {avg})")
-    return rate
+    return _rate_change(_bd(reference.qualities, reference.log_rates, test.qualities, test.log_rates))
 
 
 def bd_quality(reference: RdCurve, test: RdCurve) -> float:
@@ -190,19 +302,28 @@ def bd_quality(reference: RdCurve, test: RdCurve) -> float:
     return _bd(reference.log_rates, reference.qualities, test.log_rates, test.qualities)
 
 
+def _check_time(t: float) -> None:
+    if not 0 <= t < math.inf:
+        raise MetricsError(f"encode time must be finite and nonnegative, got {t}")
+
+
 def _encode_times(times: Iterable[float]) -> list[float]:
     values = list(times)
     if not values:
         raise EmptyLadder("no representation times supplied")
     for t in values:
-        if not 0 <= t < math.inf:
-            raise MetricsError(f"encode time must be finite and nonnegative, got {t}")
+        _check_time(t)
     return values
 
 
 def _check_duration(duration_s: float) -> None:
     if not 0 < duration_s < math.inf:
         raise MetricsError(f"duration must be finite and positive, got {duration_s}")
+
+
+def _check_kappa(kappa: float) -> None:
+    if not 0 < kappa < math.inf:
+        raise MetricsError(f"kappa must be finite and positive, got {kappa}")
 
 
 def segment_encode_time(times: Iterable[float]) -> float:
@@ -212,8 +333,7 @@ def segment_encode_time(times: Iterable[float]) -> float:
 
 def encoding_energy(times: Iterable[float], kappa: float) -> float:
     """Total joules: ``kappa`` times the summed encode seconds."""
-    if not 0 < kappa < math.inf:
-        raise MetricsError(f"kappa must be finite and positive, got {kappa}")
+    _check_kappa(kappa)
     return float(kappa * sum(_encode_times(times)))
 
 
@@ -235,8 +355,7 @@ class EvaluatedRep:
     def __post_init__(self):
         if not 0 < self.bitrate < math.inf:
             raise MetricsError(f"bitrate must be finite and positive, got {self.bitrate}")
-        if not 0 <= self.encode_time < math.inf:
-            raise MetricsError(f"encode time must be finite and nonnegative, got {self.encode_time}")
+        _check_time(self.encode_time)
         for kind in self.qualities:
             if kind not in METRIC_KINDS:
                 raise MetricKindMismatch(f"unknown quality metric {kind!r}")
@@ -327,30 +446,33 @@ def compare_schemes(
         raise SegmentMismatch(
             f"segment sets differ (baseline-only {only_base}, candidate-only {only_cand})"
         )
+    _check_kappa(kappa)
+    segment_ids = sorted(base)
+    deltas = iter(_bd_deltas([(base[segment_id], cand[segment_id], kind)
+                              for segment_id in segment_ids for kind in METRIC_KINDS]))
     bd_sums = {f"bd{m}_{k}": [] for m in ("_rate", "") for k in METRIC_KINDS}
     breakdown: list[dict] = []
     base_energy = base_storage = 0.0
     cand_energy = cand_storage = 0.0
     cand_times: list[float] = []
-    for segment_id in sorted(base):
+    for segment_id in segment_ids:
         b_seg, c_seg = base[segment_id], cand[segment_id]
         entry: dict = {"segment_id": segment_id}
         for kind in METRIC_KINDS:
-            try:
-                ref, test = b_seg.curve(kind), c_seg.curve(kind)
-                rate_delta, quality_delta = bd_rate(ref, test), bd_quality(ref, test)
-            except MetricsError as exc:
-                entry[f"bd_error_{kind}"] = str(exc)
+            found = next(deltas)
+            if isinstance(found, MetricsError):
+                entry[f"bd_error_{kind}"] = str(found)
                 continue
-            for name, value in ((f"bd_rate_{kind}", rate_delta), (f"bd_{kind}", quality_delta)):
+            for name, value in zip((f"bd_rate_{kind}", f"bd_{kind}"), found):
                 entry[name] = value
                 bd_sums[name].append(value)
+        # Every encode time was checked finite and nonnegative by EvaluatedRep.
         b_times, c_times = b_seg.times, c_seg.times
-        entry["baseline_time_s"] = segment_encode_time(b_times)
-        entry["candidate_time_s"] = segment_encode_time(c_times)
+        entry["baseline_time_s"] = float(max(b_times))
+        entry["candidate_time_s"] = float(max(c_times))
         cand_times.append(entry["candidate_time_s"])
-        base_energy += encoding_energy(b_times, kappa)
-        cand_energy += encoding_energy(c_times, kappa)
+        base_energy += float(kappa * sum(b_times))
+        cand_energy += float(kappa * sum(c_times))
         base_storage += b_seg.total_bitrate * segment_duration_s
         cand_storage += c_seg.total_bitrate * segment_duration_s
         breakdown.append(entry)
@@ -398,7 +520,7 @@ def load_evaluation_csv(source: Iterable[str]) -> tuple[str, list[EvaluatedSegme
             if known is None:
                 reps[bitrate, resolution] = EvaluatedRep(bitrate, resolution, time, {metric: quality})
                 continue
-            _encode_times((time,))  # its bitrate matched a checked one
+            _check_time(time)  # its bitrate matched a checked one
         except (ValueError, MetricsError) as exc:
             raise SegmentMismatch(f"line {lineno}: {exc}") from None
         if known.encode_time != time:

@@ -1,4 +1,6 @@
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 _SPEC = importlib.util.spec_from_file_location(
@@ -69,3 +71,29 @@ def test_claim_met_of_hand_checked_cases():
     assert not metric["claim_met"]
     # Nine pairs, all won by a wide margin, are too few.
     assert not _collated(parent[:9], half[:9])["claim_met"]
+
+
+def test_run_interleaves_workloads_seed_by_seed(tmp_path, monkeypatch):
+    calls = []
+
+    def fake_run(argv, cwd, capture_output, text):
+        calls.append((cwd.name, argv[argv.index("--workload") + 1], int(argv[argv.index("--seed") + 1])))
+        result = {"correct": True, "attempted": 1, "failed": 0, "metrics": {}}
+        return subprocess.CompletedProcess(argv, 0, "progress\n" + json.dumps(result) + "\n", "")
+
+    monkeypatch.setattr(benchpairs.subprocess, "run", fake_run)
+    log = tmp_path / "runs.jsonl"
+    args = benchpairs.argparse.Namespace(
+        parent=tmp_path / "parent", change=tmp_path / "change", control=tmp_path / "control",
+        log=log, seeds=[4, 5], workload=["catalog-ladder", "live-segment"], seconds=1.0, trace=0)
+    benchpairs.run(args)
+    # Seed 4 rotates the sides by one, seed 5 by two; each seed runs both workloads.
+    assert calls == [
+        ("change", "catalog-ladder", 4), ("control", "catalog-ladder", 4), ("parent", "catalog-ladder", 4),
+        ("change", "live-segment", 4), ("control", "live-segment", 4), ("parent", "live-segment", 4),
+        ("control", "catalog-ladder", 5), ("parent", "catalog-ladder", 5), ("change", "catalog-ladder", 5),
+        ("control", "live-segment", 5), ("parent", "live-segment", 5), ("change", "live-segment", 5),
+    ]
+    entries = [json.loads(line) for line in log.read_text().splitlines()]
+    assert [(e["side"], e["workload"], e["seed"]) for e in entries] == calls
+    assert [e["position"] for e in entries] == [0, 1, 2] * 4

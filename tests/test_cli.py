@@ -13,8 +13,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import write_reference_y4m
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ladderforge import cli
+from ladderforge import cli, ladder as ladder_mod
 from ladderforge.complexity import read_features_csv, segment_features
 from ladderforge.config import DEFAULT_BITRATES_MBPS, RunConfig
 from ladderforge.forest import ForestModel, Hyperparams, serialize_model
@@ -623,22 +625,109 @@ def test_write_json_refuses_non_finite_numbers(tmp_path):
     assert not (tmp_path / "x.json").exists()
 
 
-def test_failed_write_keeps_the_old_file_and_leaves_no_temp_file(tmp_path):
+def test_failed_write_keeps_the_old_file_and_leaves_no_temp_file(tmp_path, monkeypatch):
     path = tmp_path / "report.json"
     path.write_text("old\n")
+    real_write = os.write
 
-    def write_half(handle):
-        handle.write("new, but only half of it")
-        handle.flush()
+    def write_half(fd, data):
+        real_write(fd, data[:len(data) // 2])
         raise OSError(28, "No space left on device")
 
+    monkeypatch.setattr(cli.os, "write", write_half)
     with pytest.raises(OSError, match="No space left"):
-        cli._write_file(path, write_half)
+        cli._write_file(path, "new, but only half of it")
+    monkeypatch.undo()
     assert path.read_text() == "old\n"
     assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
     cli._write_json(path, {"delta": 1.5})
     assert json.loads(path.read_text()) == {"delta": 1.5}
     assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
+def test_short_writes_are_resumed(tmp_path, monkeypatch):
+    real_write = os.write
+    monkeypatch.setattr(cli.os, "write", lambda fd, data: real_write(fd, data[:3]))
+    cli._write_file(tmp_path / "x.json", "é, then the rest of the text\n")
+    monkeypatch.undo()
+    assert (tmp_path / "x.json").read_text(encoding="utf-8") == "é, then the rest of the text\n"
+
+
+# Floats whose shortest repr is long, exponent-form or the smallest subnormal.
+_AWKWARD = st.sampled_from([5e-324, 1e16, 0.1 + 0.2, 1e-7, 1.7976931348623157e308]) | st.floats(
+    allow_nan=False, allow_infinity=False)
+_POSITIVE = st.sampled_from([5e-324, 1e16, 0.1 + 0.2]) | st.floats(1e-300, 1e300)
+_SEGMENT_IDS = st.sampled_from(['say "hi"', "back\\slash", "café", "☃, \"x\", ", "", "a\nb"]) | st.text()
+
+
+@st.composite
+def _manifests(draw):
+    """ladder_to_manifest of a segment ladder, pruned or not, or of a baseline
+    ladder, whose predictions are None."""
+    bitrates = sorted(set(draw(st.lists(_POSITIVE, min_size=1, max_size=6))))
+    baseline = draw(st.booleans())
+    reps = tuple(ladder_mod.Representation(
+        resolution=draw(st.sampled_from([360, 720, 1080, 2160]) | st.integers(1, 10**9)),
+        bitrate=b,
+        predicted_vmaf=None if baseline else draw(_AWKWARD),
+        predicted_time=None if baseline else draw(_AWKWARD),
+        over_budget=not baseline and draw(st.booleans()),
+    ) for b in bitrates)
+    vsr_tag = draw(st.sampled_from(["none", "fsrcnn"]))
+    if baseline:
+        params = ladder_mod.LadderParams(vsr_tag=vsr_tag)
+    elif draw(st.booleans()):  # pruned
+        params = ladder_mod.LadderParams(draw(st.just(math.inf) | _POSITIVE), draw(_POSITIVE),
+                                         draw(_AWKWARD), vsr_tag)
+    else:
+        params = ladder_mod.LadderParams(tau_l=draw(st.just(math.inf) | _POSITIVE), vsr_tag=vsr_tag)
+    return ladder_mod.ladder_to_manifest(ladder_mod.Ladder(reps, params), draw(_SEGMENT_IDS))
+
+
+_CONFIG_DOCS = [RunConfig().to_dict(),
+                dataclasses.replace(RunConfig(), tau_l=math.inf, v_j=None, v_t=None).to_dict()]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_manifests(), max_size=5), st.sampled_from(_CONFIG_DOCS))
+def test_manifest_texts_are_json_dumps_with_an_indent_of_2(manifests, config_doc):
+    assert cli._manifest_texts(manifests, config_doc) == [
+        json.dumps({**manifest, "config": config_doc}, indent=2, allow_nan=False) + "\n"
+        for manifest in manifests]
+
+
+def test_manifest_texts_refuse_non_finite_numbers():
+    manifest = ladder_mod.ladder_to_manifest(ladder_mod.Ladder(
+        (ladder_mod.Representation(720, 1.0, math.nan, 1.0),)), "s")
+    with pytest.raises(ValueError):
+        cli._manifest_texts([manifest], RunConfig().to_dict())
+
+
+def test_a_failed_manifest_write_keeps_earlier_manifests_whole(tmp_path, monkeypatch):
+    features = tmp_path / "features.csv"
+    features.write_text("segment_id,E_Y,h,L_Y\n" + "".join(f"s{i},{i}.0,0.5,100.0\n" for i in range(4)))
+    models = _write_models(tmp_path / "models")
+    out, fresh = tmp_path / "ladders", tmp_path / "fresh"
+    argv = ["ladder", str(features), "--models", str(models), "--emit-baseline"]
+    assert run(*argv, "--out", str(out)) == 0
+    old = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert run(*argv, "--out", str(fresh), "--tau-l", "5") == 0
+    new = {path.name: path.read_bytes() for path in fresh.iterdir()}
+    real_replace, replaced = os.replace, []
+
+    def fail_the_third(src, dst):
+        if len(replaced) == 2:
+            raise OSError(28, "No space left on device")
+        real_replace(src, dst)
+        replaced.append(Path(dst).name)
+
+    monkeypatch.setattr(cli.os, "replace", fail_the_third)
+    assert run(*argv, "--out", str(out), "--tau-l", "5") != cli.EXIT_OK
+    monkeypatch.undo()
+    assert sorted(path.name for path in out.iterdir()) == sorted(old)  # no temp file
+    for name in old:
+        assert (out / name).read_bytes() == (new[name] if name in replaced else old[name])
+    assert len(replaced) == 2 and all(old[name] != new[name] for name in replaced)
 
 
 def test_oversized_field_and_undecodable_bytes_are_data_errors(tmp_path, capsys):

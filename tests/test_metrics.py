@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -27,7 +28,7 @@ from ladderforge.metrics import (
     segment_encode_time,
     storage,
 )
-from ladderforge.metrics import _fit_cubic, _mean_poly_difference
+from ladderforge.metrics import _fit_cubics, _mean_poly_difference
 
 CURVE = [(0.5, 34.0), (1.2, 38.5), (3.0, 42.0), (7.5, 45.0), (15.0, 46.5)]
 
@@ -183,14 +184,14 @@ def _fit_inputs(draw):
 @example((np.array([1e-60, 2e-60, 3e-60, 4e-60]), np.array([1.0, 2.0, 3.0, 4.0]), False))
 def test_fit_cubic_is_polyfit_bit_for_bit(inputs):
     x, y, near = inputs
+    [fit] = _fit_cubics([(x, y)])
     with np.errstate(all="ignore"):
         lhs = np.vander(x + 0.0, 4)
         scale = np.sqrt((lhs * lhs).sum(axis=0))
     if 0.0 in scale and x.any():
         # np.polyfit divides by the zero column scale, and LAPACK's solve
         # then never returns: only the reference is skipped.
-        with pytest.raises(DegenerateFit):
-            _fit_cubic(x, y)
+        assert isinstance(fit, DegenerateFit)
         return
     try:
         with np.errstate(all="ignore"):  # numpy warns on scales it divides by 0
@@ -198,11 +199,10 @@ def test_fit_cubic_is_polyfit_bit_for_bit(inputs):
     except np.linalg.LinAlgError:
         rank = None
     if rank is None or rank < 4:
-        with pytest.raises(DegenerateFit):
-            _fit_cubic(x, y)
+        assert isinstance(fit, DegenerateFit)
     else:
         assert not near
-        assert _fit_cubic(x, y).tobytes() == coeffs.tobytes()
+        assert fit.tobytes() == coeffs.tobytes()
 
 
 _COEFFS = st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=4, max_size=4).map(np.array)
@@ -215,6 +215,98 @@ def test_horner_integral_is_polyval_of_polyint_bit_for_bit(a, b, lo, width):
     integral = np.polyint(np.polysub(a, b))
     want = float((np.polyval(integral, hi) - np.polyval(integral, lo)) / (hi - lo))
     assert np.float64(_mean_poly_difference(a, b, lo, hi)).tobytes() == np.float64(want).tobytes()
+
+
+_RANK_DEFICIENT = "cubic fit is rank-deficient (duplicate abscissae?)"
+
+
+def _polyfit_or_error(x, y):
+    """``np.polyfit(x, y, 3)``, or the text of the DegenerateFit that the fit
+    of (x, y) reports: a column scale that overflows or vanishes (on which
+    polyfit would hand LAPACK a NaN it never returns from), an unconverged
+    solve, a rank below 4."""
+    x = np.asarray(x) + 0.0
+    with np.errstate(all="ignore"):
+        lhs = np.vander(x, 4)
+        scale = np.sqrt((lhs * lhs).sum(axis=0))
+    if not np.isfinite(scale).all():
+        return f"cubic fit overflows float64 (abscissae up to {float(abs(x).max())})"
+    if 0.0 in scale:
+        return _RANK_DEFICIENT
+    try:
+        coeffs, _residuals, rank, _sv, _rcond = np.polyfit(x, y, 3, full=True)
+    except np.linalg.LinAlgError as exc:
+        return f"cubic fit failed: {exc}"
+    return coeffs if rank == 4 else _RANK_DEFICIENT
+
+
+def _assert_fit(fit, want):
+    if isinstance(want, str):
+        assert isinstance(fit, DegenerateFit) and str(fit) == want
+    else:
+        assert isinstance(fit, np.ndarray) and fit.tobytes() == want.tobytes()
+
+
+_SIGNED_ZERO = st.sampled_from([0.0, -0.0])
+
+
+@st.composite
+def _batch_curve(draw):
+    n = draw(st.integers(4, 12))
+    shape = draw(st.sampled_from(["plain", "repeated", "near", "cube-overflow", "square-overflow",
+                                  "vanishing", "integer"]))
+    if shape == "plain":
+        x = draw(st.lists(_VALUES | _SIGNED_ZERO, min_size=n, max_size=n))
+    elif shape == "repeated":  # duplicate abscissae: rank below 4
+        pool = draw(st.lists(_VALUES | _SIGNED_ZERO, min_size=1, max_size=3))
+        x = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    elif shape == "near":
+        x, _ = draw(_near_duplicates(n))
+    elif shape == "cube-overflow":  # x**3 is inf
+        x = draw(st.lists(st.floats(1e103, 1e300) | st.floats(-1e300, -1e103), min_size=n, max_size=n))
+    elif shape == "square-overflow":  # x**3 is finite, its square is not
+        x = draw(st.lists(st.floats(1e52, 1e102), min_size=n, max_size=n))
+    elif shape == "vanishing":  # the squares of the cubes underflow to 0
+        x = draw(st.lists(st.floats(-1e-60, 1e-60) | _SIGNED_ZERO, min_size=n, max_size=n))
+    else:
+        x = np.array(draw(st.lists(st.integers(-10**6, 10**6), min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        y = [draw(_VALUES | _SIGNED_ZERO)] * n  # a constant curve
+    else:
+        y = draw(st.lists(_VALUES | _SIGNED_ZERO, min_size=n, max_size=n))
+    return np.asarray(x), np.array(y)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_batch_curve(), min_size=1, max_size=16))
+def test_batched_fits_are_polyfit_bit_for_bit(curves):
+    fits = _fit_cubics(curves)
+    assert len(fits) == len(curves)
+    for fit, (x, y) in zip(fits, curves):
+        _assert_fit(fit, _polyfit_or_error(x, y))
+
+
+def test_a_batch_that_does_not_converge_is_solved_one_curve_at_a_time(monkeypatch):
+    x = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+    marked = 123.0  # the solve of the curve holding this value fails to converge
+    curves = [(x, x ** 2), (x, np.array([marked, 1.0, 0.0, 2.0, 5.0])), (x, x ** 3 - x),
+              (np.arange(6.0), np.arange(6.0) ** 2)]
+    real, batches = metrics._umath_linalg, []
+
+    class Unconverged:
+        @staticmethod
+        def lstsq(lhs, rhs, rcond, signature):
+            batches.append(len(lhs))
+            if (rhs[:, 0, 0] == marked).any():
+                raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+            return real.lstsq(lhs, rhs, rcond, signature=signature)
+
+    monkeypatch.setattr(metrics, "_umath_linalg", Unconverged)
+    fits = _fit_cubics(curves)
+    assert batches == [3, 1, 1, 1, 1]  # the length-5 group, its curves one by one, the length-6 group
+    _assert_fit(fits[1], "cubic fit failed: SVD did not converge in Linear Least Squares")
+    for i in (0, 2, 3):
+        _assert_fit(fits[i], _polyfit_or_error(*curves[i]))
 
 
 def test_bd_error_text_and_precedence_for_segments_with_several_faults():
@@ -255,6 +347,175 @@ def test_bd_error_text_and_precedence_for_segments_with_several_faults():
          "bd_error_vmaf": "curves do not overlap (intersection [50.0, 40.0])"},
         {"bd_error_psnr": "bitrates must strictly increase, got 2.0 then 2.0",
          "bd_error_vmaf": "a curve needs >= 4 points, got 0"},
+    ]
+
+
+# compare_schemes as it was before its fits were batched: each segment's
+# curves, then bd_rate's fits, overlap and mean, then bd_quality's, one
+# np.linalg.lstsq call per fit.
+
+
+def _reference_fit(x, y):
+    x, y = x + 0.0, y + 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs = np.vander(x, 4)
+        scale = np.sqrt((lhs * lhs).sum(axis=0))
+    if not all(map(math.isfinite, scale.tolist())):
+        raise DegenerateFit(f"cubic fit overflows float64 (abscissae up to {float(abs(x).max())})")
+    if 0.0 in scale.tolist():
+        raise DegenerateFit(_RANK_DEFICIENT)
+    lhs /= scale
+    try:
+        coeffs, _residuals, rank, _sv = np.linalg.lstsq(lhs, y, len(x) * np.finfo(x.dtype).eps)
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateFit(f"cubic fit failed: {exc}") from None
+    if rank < 4:
+        raise DegenerateFit(_RANK_DEFICIENT)
+    return coeffs / scale
+
+
+def _reference_bd(x_ref, y_ref, x_test, y_test):
+    p_ref, p_test = _reference_fit(x_ref, y_ref), _reference_fit(x_test, y_test)
+    a, b = x_ref.tolist(), x_test.tolist()
+    lo, hi = max(min(a), min(b)), min(max(a), max(b))
+    if not lo < hi:
+        raise NoOverlap(f"curves do not overlap (intersection [{lo}, {hi}])")
+    at_lo = at_hi = 0.0
+    for c in [*((p_test - p_ref) / np.arange(4, 0, -1)).tolist(), 0.0]:
+        at_lo, at_hi = at_lo * lo + c, at_hi * hi + c
+    mean = (at_hi - at_lo) / (hi - lo)
+    if not math.isfinite(mean):
+        raise MetricsError(f"mean curve difference is not finite ({mean})")
+    return mean
+
+
+def _reference_report(baseline, candidate, kappa, duration):
+    base = {seg.segment_id: seg for seg in baseline}
+    cand = {seg.segment_id: seg for seg in candidate}
+    sums = {f"bd{m}_{k}": [] for m in ("_rate", "") for k in ("psnr", "vmaf")}
+    breakdown, energy, stored, cand_times = [], [0.0, 0.0], [0.0, 0.0], []
+    for segment_id in sorted(base):
+        b_seg, c_seg = base[segment_id], cand[segment_id]
+        entry = {"segment_id": segment_id}
+        for kind in ("psnr", "vmaf"):
+            try:
+                ref, test = b_seg.curve(kind), c_seg.curve(kind)
+                avg = _reference_bd(ref.qualities, ref.log_rates, test.qualities, test.log_rates)
+                rate = (10.0 ** min(avg, 308.0) - 1.0) * 100.0
+                if not math.isfinite(rate):
+                    raise MetricsError(f"BD-rate overflows (mean log10 rate difference {avg})")
+                quality = _reference_bd(ref.log_rates, ref.qualities, test.log_rates, test.qualities)
+            except MetricsError as exc:
+                entry[f"bd_error_{kind}"] = str(exc)
+                continue
+            for name, value in ((f"bd_rate_{kind}", rate), (f"bd_{kind}", quality)):
+                entry[name] = value
+                sums[name].append(value)
+        entry["baseline_time_s"] = segment_encode_time(b_seg.times)
+        entry["candidate_time_s"] = segment_encode_time(c_seg.times)
+        cand_times.append(entry["candidate_time_s"])
+        for i, seg in enumerate((b_seg, c_seg)):
+            energy[i] += encoding_energy(seg.times, kappa)
+            stored[i] += seg.total_bitrate * duration
+        breakdown.append(entry)
+    if energy[0] == 0 or stored[0] == 0:
+        raise MetricsError("baseline energy/storage must be nonzero for relative deltas")
+
+    def finite(value):
+        return value if math.isfinite(value) else None
+
+    def mean(values):
+        with np.errstate(over="ignore"):
+            return finite(float(np.mean(values))) if values else None
+
+    return {**{name: mean(values) for name, values in sums.items()},
+            "delta_energy_pct": finite(100.0 * (energy[1] - energy[0]) / energy[0]),
+            "delta_storage_pct": finite(100.0 * (stored[1] - stored[0]) / stored[0]),
+            "mean_segment_time_s": mean(cand_times), "segments": breakdown}
+
+
+_RATES = {
+    "spread": st.floats(0.05, 40.0),
+    "repeated": st.sampled_from([0.3, 1.6, 4.5]),  # one bitrate at two resolutions
+    "tiny": st.floats(1e-300, 4e-300),  # against "huge": a BD-rate past float64
+    "huge": st.floats(1e300, 4e300),
+}
+_QUALITIES = {
+    "spread": st.floats(20.0, 60.0),
+    "wild": st.floats(-1e6, 1e6) | st.just(-0.0),
+    "flat": st.just(37.5),  # a degenerate rate fit
+    "huge": st.floats(1e52, 1e200),  # an overflowing column scale
+    "nan": st.floats(20.0, 60.0) | st.just(math.nan),
+}
+
+
+@st.composite
+def _scheme_pair(draw):
+    """Baseline and candidate segments over the same ids, each curve of its own
+    shape, so that every BD error text turns up."""
+    ids = draw(st.lists(st.sampled_from("abcdefgh"), min_size=1, max_size=5, unique=True))
+    schemes = []
+    for _ in range(2):
+        segments = []
+        for segment_id in ids:
+            n = draw(st.integers(1, 9))
+            rates = draw(st.lists(_RATES[draw(st.sampled_from(sorted(_RATES)))], min_size=n, max_size=n))
+            qualities = {kind: draw(st.lists(_QUALITIES[draw(st.sampled_from(sorted(_QUALITIES)))],
+                                             min_size=n, max_size=n)) for kind in ("psnr", "vmaf")}
+            dropped = draw(st.sampled_from([None, "psnr", "vmaf"]))  # a kind some rungs lack
+            reps = []
+            for i, b in enumerate(rates):
+                kinds = {k: qualities[k][i] for k in ("psnr", "vmaf") if k != dropped or i % 2}
+                reps.append(EvaluatedRep(b, draw(st.sampled_from([360, 720])),
+                                         draw(st.floats(0.0, 10.0)), kinds))
+            segments.append(EvaluatedSegment(segment_id, tuple(draw(st.permutations(reps)))))
+        schemes.append(segments)
+    return schemes
+
+
+@settings(max_examples=150, deadline=None)
+@given(_scheme_pair(), st.floats(0.5, 50.0), st.floats(1.0, 10.0))
+def test_compare_schemes_equals_the_per_curve_reference(schemes, kappa, duration):
+    def outcome(report):
+        try:  # the JSON text: the same keys in the same order, every float bit for bit
+            return json.dumps(report())
+        except MetricsError as exc:
+            return repr(exc)
+
+    baseline, candidate = schemes
+    assert outcome(lambda: compare_schemes(baseline, candidate, kappa=kappa,
+                                           segment_duration_s=duration).to_dict()) == outcome(
+        lambda: _reference_report(baseline, candidate, kappa, duration))
+
+
+def test_compare_schemes_equals_the_reference_on_every_bd_error():
+    def seg(segment_id, rates, psnr, vmaf=(40.0, 50.0, 60.0, 70.0, 80.0)):
+        return EvaluatedSegment(segment_id, tuple(
+            EvaluatedRep(b, 720 + i, 1.0, {"psnr": q, "vmaf": v})
+            for i, (b, q, v) in enumerate(zip(rates, psnr, vmaf))))
+
+    rates, psnr = (1.0, 2.0, 3.0, 4.0, 5.0), (30.0, 33.0, 35.0, 36.0, 37.0)
+    baseline = [
+        seg("few", rates[:3], psnr), seg("nan", rates, (30.0, math.nan, 35.0, 36.0, 37.0)),
+        seg("repeat", (1.0, 2.0, 2.0, 4.0, 5.0), psnr), seg("flat", rates, (30.0,) * 5),
+        seg("huge", rates, tuple(q * 1e100 for q in psnr)), seg("apart", rates, psnr),
+        seg("rate", tuple(b * 1e-300 for b in rates), psnr), seg("ok", rates, psnr),
+    ]
+    candidate = [seg(s.segment_id, tuple(b * 1.1 for b in rates), tuple(q + 0.5 for q in psnr))
+                 for s in baseline]
+    candidate[5] = seg("apart", rates, tuple(q + 20 for q in psnr))
+    candidate[6] = seg("rate", tuple(b * 1e300 for b in rates), psnr)
+    report = compare_schemes(baseline, candidate, kappa=3.0, segment_duration_s=2.0).to_dict()
+    assert json.dumps(report) == json.dumps(_reference_report(baseline, candidate, 3.0, 2.0))
+    assert [entry.get("bd_error_psnr") for entry in report["segments"]] == [
+        "curves do not overlap (intersection [50.0, 37.0])",
+        "a curve needs >= 4 points, got 3",
+        "cubic fit is rank-deficient (duplicate abscissae?)",
+        "cubic fit overflows float64 (abscissae up to 3.7000000000000004e+101)",
+        "quality must be finite, got nan",
+        None,
+        "BD-rate overflows (mean log10 rate difference 600.0)",
+        "bitrates must strictly increase, got 2.0 then 2.0",
     ]
 
 

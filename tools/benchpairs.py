@@ -16,8 +16,9 @@ same code drift apart on the machine that runs them::
 (parent/change/control for a seed divisible by 3, then change/control/parent,
 then control/parent/change; without a control, parent/change for an even
 seed, change/parent for an odd one), and appends each run's result line to
-the log.  Since the order follows the seed, runs of a few seeds at a time,
-interleaved across workloads, still rotate.
+the log.  ``--workload`` may name several workloads separated by commas
+(``--workload catalog-ladder,live-segment``): each seed then runs every
+workload in turn, so that drift of the machine spreads over all of them.
 
 ``collate`` reports, for each workload and trace mode, each side's median
 and inclusive quartiles per metric, the change/parent and control/parent
@@ -76,18 +77,19 @@ def run(args) -> None:
     sides = SIDES if args.control else SIDES[:2]
     for seed in args.seeds:
         order = rotation(sides, seed)
-        for side in order:
-            argv = [sys.executable, "perfbench/run.py", "--workload", args.workload,
-                    "--seed", str(seed), "--seconds", str(args.seconds), "--trace", str(args.trace)]
-            done = subprocess.run(argv, cwd=getattr(args, side), capture_output=True, text=True)
-            lines = done.stdout.strip().splitlines()
-            if done.returncode or not lines:
-                sys.exit(f"{side} seed {seed} exited {done.returncode}:\n{done.stderr}")
-            entry = {"side": side, "workload": args.workload, "seed": seed, "trace": args.trace,
-                     "position": order.index(side), "result": json.loads(lines[-1])}
-            with open(args.log, "a", encoding="utf-8") as log:
-                log.write(json.dumps(entry) + "\n")
-            print(side, args.workload, seed, json.dumps(entry["result"]["metrics"])[:200])
+        for workload in args.workload:
+            for side in order:
+                argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed",
+                        str(seed), "--seconds", str(args.seconds), "--trace", str(args.trace)]
+                done = subprocess.run(argv, cwd=getattr(args, side), capture_output=True, text=True)
+                lines = done.stdout.strip().splitlines()
+                if done.returncode or not lines:
+                    sys.exit(f"{side} {workload} seed {seed} exited {done.returncode}:\n{done.stderr}")
+                entry = {"side": side, "workload": workload, "seed": seed, "trace": args.trace,
+                         "position": order.index(side), "result": json.loads(lines[-1])}
+                with open(args.log, "a", encoding="utf-8") as log:
+                    log.write(json.dumps(entry) + "\n")
+                print(side, workload, seed, json.dumps(entry["result"]["metrics"])[:200])
 
 
 def tree_cpu(args) -> None:
@@ -240,7 +242,8 @@ def main() -> None:
         sub.add_argument("--seeds", type=seed_range, required=True)
     run_parser.add_argument("--control", type=Path,
                             help="a byte-copy of the parent checkout, run as a third side")
-    run_parser.add_argument("--workload", required=True)
+    run_parser.add_argument("--workload", type=lambda text: text.split(","), required=True,
+                            help="one workload, or several separated by commas")
     run_parser.add_argument("--seconds", type=float, required=True)
     run_parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     tree_parser.add_argument("--scratch", type=Path, required=True,
