@@ -4,11 +4,10 @@ Every command is deterministic given (inputs, config, seed) and emits
 byte-stable artifacts: JSON with fixed key order, floats as shortest
 round-trip decimals, and the effective config echoed into each artifact for
 provenance (JSON artifacts get a ``config`` key, CSV artifacts a leading
-``#`` comment line).  ``ladder`` writes every manifest from one template,
-with the values of all of them encoded by one ``json.dumps`` call; the text
-is what ``json.dumps(manifest, indent=2)`` writes.  Each file is written to
+``#`` comment line).  ``complexity``, ``forest``, ``ladder`` and ``metrics``
+lay out the features, models, manifests and report; each file is written to
 a temp file beside it and renamed into place, so a failed write leaves any
-earlier file whole.
+earlier file whole, and is a data error naming the file.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 internal invariant
 violation.  ``LADDERFORGE_THREADS`` caps the number of ``analyze`` threads
@@ -26,7 +25,6 @@ import dataclasses
 import io
 import json
 import mmap
-import operator
 import os
 import sys
 import traceback
@@ -34,7 +32,6 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from fractions import Fraction
 from functools import partial
-from itertools import islice
 from pathlib import Path
 from typing import Sequence
 
@@ -136,7 +133,7 @@ def _out_dir(path: str) -> Path:
 def _write_file(path: Path, text: str) -> None:
     """Write ``text`` as UTF-8 to a temp file beside ``path``, then rename it
     over ``path``, so a failed write leaves any earlier file whole and no temp
-    file behind."""
+    file behind, and raises a :class:`LadderforgeError` naming ``path``."""
     temp = path.with_name(f".{path.name}.tmp")
     try:
         fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
@@ -147,38 +144,11 @@ def _write_file(path: Path, text: str) -> None:
         finally:
             os.close(fd)
         os.replace(temp, path)
-    except BaseException:
+    except BaseException as exc:
         temp.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise LadderforgeError(f"cannot write {path}: {exc}") from None
         raise
-
-
-def _write_json(path: Path, doc: dict) -> None:
-    _write_file(path, json.dumps(doc, indent=2, allow_nan=False) + "\n")
-
-
-_REP_KEYS = ("bitrate_mbps", "resolution", "predicted_vmaf", "predicted_time_s", "over_budget")
-_REP_VALUES = operator.itemgetter(*_REP_KEYS)
-_REP_TEXT = "    {{\n" + ",\n".join(f'      "{key}": {{}}' for key in _REP_KEYS) + "\n    }}"
-_MANIFEST_TEXT = ('{{\n  "segment_id": {},\n  "vsr_tag": {},\n  "tau_L": {},\n  "v_J": {},\n'
-                  '  "v_T": {},\n  "reps": [\n{}\n  ],\n  "config": {}\n}}\n')
-
-
-def _manifest_texts(manifests: Sequence[dict], config_doc: dict) -> list[str]:
-    """Each ``ladder_to_manifest`` dict with ``config`` added, as
-    ``json.dumps(..., indent=2, allow_nan=False) + "\\n"`` would write it.
-    One ``json.dumps`` call encodes every value of every manifest; an
-    encoded value holds no raw newline, so newlines split them apart."""
-    values: list = []
-    for manifest in manifests:
-        values += (manifest["segment_id"], manifest["vsr_tag"], manifest["tau_L"],
-                   manifest["v_J"], manifest["v_T"])
-        for rep in manifest["reps"]:
-            values += _REP_VALUES(rep)
-    tokens = iter(json.dumps(values, allow_nan=False, separators=("\n", ":"))[1:-1].split("\n"))
-    config_text = json.dumps(config_doc, indent=2, allow_nan=False).replace("\n", "\n  ")
-    return [_MANIFEST_TEXT.format(*islice(tokens, 5), ",\n".join(
-                [_REP_TEXT.format(*islice(tokens, 5)) for _ in manifest["reps"]]), config_text)
-            for manifest in manifests]
 
 
 def _safe_filename(segment_id: str) -> str:
@@ -365,9 +335,7 @@ def cmd_ladder(args) -> int:
     quality_model = _load_model(models_dir, "quality", config.vsr_tag)
     time_model = _load_model(models_dir, "time", config.vsr_tag)
     if quality_model.vsr_tag != config.vsr_tag or time_model.vsr_tag != config.vsr_tag:
-        raise ladder_mod.ModelMismatch(
-            f"model files do not carry vsr_tag {config.vsr_tag!r}"
-        )
+        raise ladder_mod.ModelMismatch(f"model files do not carry vsr_tag {config.vsr_tag!r}")
     catalog = _read_text(args.features_csv, complexity.read_features_csv)
     pairing = _read_text(args.pairing, ladder_mod.load_pairing_csv) if args.pairing else None
 
@@ -376,9 +344,7 @@ def cmd_ladder(args) -> int:
                                     config.resolutions, config.bitrates_mbps)
     ladders = []
     for (segment_id, _), grid in zip(catalog, grids.segments()):
-        built = ladder_mod.build_ladder(
-            grid, config.bitrates_mbps, config.tau_l, config.vsr_tag
-        )
+        built = ladder_mod.build_ladder(grid, config.bitrates_mbps, config.tau_l, config.vsr_tag)
         if config.v_j is not None:
             built = ladder_mod.prune_jnd(built, config.v_j, config.v_t)
         ladders.append((segment_id, built))
@@ -386,14 +352,15 @@ def cmd_ladder(args) -> int:
         baseline = ladder_mod.default_hls_ladder(config.bitrates_mbps, pairing, config.vsr_tag)
         ladders.append(("baseline", baseline))
     # Distinct ids can share a file name; refuse that before writing anything.
-    manifests: dict[Path, dict] = {}
-    for segment_id, built in ladders:
+    paths: dict[Path, str] = {}
+    for segment_id, _ in ladders:
         path = out_dir / f"ladder_{_safe_filename(segment_id)}.json"
-        if path in manifests:
-            raise LadderforgeError(f"ladders {manifests[path]['segment_id']!r} and "
-                                   f"{segment_id!r} would both be written to {path}")
-        manifests[path] = ladder_mod.ladder_to_manifest(built, segment_id)
-    for path, text in zip(manifests, _manifest_texts(list(manifests.values()), config.to_dict())):
+        if path in paths:
+            raise LadderforgeError(f"ladders {paths[path]!r} and {segment_id!r} "
+                                   f"would both be written to {path}")
+        paths[path] = segment_id
+    manifests = [ladder_mod.ladder_to_manifest(built, segment_id) for segment_id, built in ladders]
+    for path, text in zip(paths, ladder_mod.manifest_texts(manifests, config.to_dict())):
         _write_file(path, text)
     print(f"built {len(catalog)} ladder manifest(s) in {out_dir}")
     return EXIT_OK
@@ -407,19 +374,10 @@ def cmd_evaluate(args) -> int:
     out_dir = _out_dir(args.out)
     baseline_name, baseline = _read_text(args.baseline_csv, metrics.load_evaluation_csv)
     candidate_name, candidate = _read_text(args.candidate_csv, metrics.load_evaluation_csv)
-    report = metrics.compare_schemes(
-        baseline,
-        candidate,
-        kappa=config.kappa,
-        segment_duration_s=config.segment_duration_s,
-    )
-    doc = {
-        "baseline": baseline_name,
-        "candidate": candidate_name,
-        **report.to_dict(),
-        "config": config.to_dict(),
-    }
-    _write_json(out_dir / "report.json", doc)
+    report = metrics.compare_schemes(baseline, candidate, kappa=config.kappa,
+                                     segment_duration_s=config.segment_duration_s)
+    _write_file(out_dir / "report.json",
+                metrics.report_text(baseline_name, candidate_name, report, config.to_dict()))
 
     def show(label, value, unit="", spec="+.2f"):
         text = "n/a" if value is None else f"{value:{spec}}{unit}"

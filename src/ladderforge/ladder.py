@@ -10,14 +10,20 @@ Pruning walks the bitrate-sorted ladder once: the first rung is always kept;
 a later rung survives only if its predicted quality exceeds the last kept
 rung's by at least the noticeable-difference step, and the walk ends as soon
 as a kept rung reaches the perceptually-lossless cap.
+
+:func:`manifest_texts` writes every manifest from one template of the keys
+that :func:`ladder_to_manifest` uses, with all their values encoded by one
+``json.dumps`` call; the text is what ``json.dumps(manifest, indent=2)`` writes.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import product
+from itertools import islice, product
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -49,6 +55,7 @@ __all__ = [
     "default_hls_ladder",
     "load_pairing_csv",
     "ladder_to_manifest",
+    "manifest_texts",
 ]
 
 # Fixed-ladder baseline pairing (bitrate Mbps -> encode resolution), the
@@ -272,7 +279,7 @@ def build_ladder(
     for b in targets:
         if b not in grid.bitrates:
             raise UnknownBitrate(f"bitrate {b} is not in the grid")
-        if tau_l <= 0:
+        if not tau_l > 0:
             raise LadderError(f"latency budget must be positive, got {tau_l}")
         columns.append(grid.bitrates.index(b))
     qualities, times = grid.qualities[:, columns], grid.times[:, columns]
@@ -297,8 +304,10 @@ def prune_jnd(ladder: Ladder, v_j: float, v_t: float) -> Ladder:
     soon as a kept rung reaches ``v_t``.  Output preserves input order and
     is a subsequence of the input.
     """
-    if v_j <= 0:
+    if not v_j > 0:
         raise LadderError(f"the noticeable-difference step must be positive, got {v_j}")
+    if math.isnan(v_t):
+        raise LadderError("the perceptually-lossless cap must be a number, got nan")
     for rep in ladder.reps:
         if rep.predicted_vmaf is None:
             raise MissingPrediction(
@@ -354,27 +363,39 @@ def load_pairing_csv(source: Iterable[str]) -> tuple[tuple[float, int], ...]:
     return tuple(table.items())
 
 
-def ladder_to_manifest(ladder: Ladder, segment_id: str) -> dict:
-    """Wire-format manifest for one segment's ladder.
+# The keys of a manifest and of each of its rungs, in the order they are
+# written; :func:`manifest_texts` adds ``config``.
+_MANIFEST_KEYS = ("segment_id", "vsr_tag", "tau_L", "v_J", "v_T", "reps", "config")
+_REP_KEYS = ("bitrate_mbps", "resolution", "predicted_vmaf", "predicted_time_s", "over_budget")
+_MANIFEST_TEXT = "{{\n" + ",\n".join(f'  "{key}": {{}}' for key in _MANIFEST_KEYS) + "\n}}\n"
+_REP_TEXT = "    {{\n" + ",\n".join(f'      "{key}": {{}}' for key in _REP_KEYS) + "\n    }}"
+_MANIFEST_VALUES, _REP_VALUES = itemgetter(*_MANIFEST_KEYS[:-1]), itemgetter(*_REP_KEYS)
 
-    An infinite latency budget serialises as the string ``"inf"`` because
-    JSON has no infinity literal.
-    """
+
+def ladder_to_manifest(ladder: Ladder, segment_id: str) -> dict:
+    """Wire-format manifest for one segment's ladder, ``config`` aside; an
+    infinite latency budget is the string ``"inf"``, as JSON has no infinity."""
     params = ladder.params
-    return {
-        "segment_id": segment_id,
-        "vsr_tag": params.vsr_tag,
-        "tau_L": "inf" if math.isinf(params.tau_l) else params.tau_l,
-        "v_J": params.v_j,
-        "v_T": params.v_t,
-        "reps": [
-            {
-                "bitrate_mbps": rep.bitrate,
-                "resolution": rep.resolution,
-                "predicted_vmaf": rep.predicted_vmaf,
-                "predicted_time_s": rep.predicted_time,
-                "over_budget": rep.over_budget,
-            }
-            for rep in ladder.reps
-        ],
-    }
+    reps = [dict(zip(_REP_KEYS, (rep.bitrate, rep.resolution, rep.predicted_vmaf, rep.predicted_time,
+                                 rep.over_budget))) for rep in ladder.reps]
+    tau_l = "inf" if math.isinf(params.tau_l) else params.tau_l
+    return dict(zip(_MANIFEST_KEYS, (segment_id, params.vsr_tag, tau_l, params.v_j, params.v_t, reps)))
+
+
+def manifest_texts(manifests: Sequence[dict], config_doc: dict) -> list[str]:
+    """Each :func:`ladder_to_manifest` dict with ``config`` added, as ``json.dumps(...,
+    indent=2, allow_nan=False) + "\\n"`` writes it.  An encoded value holds no raw
+    newline, so newlines split the one encoding of all the values apart."""
+    values, counts = [], []
+    for manifest in manifests:
+        *scalars, reps = _MANIFEST_VALUES(manifest)
+        values += scalars
+        counts.append(len(reps))
+        for rep in reps:
+            values += _REP_VALUES(rep)
+    tokens = iter(json.dumps(values, allow_nan=False, separators=("\n", ":"))[1:-1].split("\n"))
+    config_text = json.dumps(config_doc, indent=2, allow_nan=False).replace("\n", "\n  ")
+    n_scalars, n_rep = len(_MANIFEST_KEYS) - 2, len(_REP_KEYS)  # reps and config go apart
+    return [_MANIFEST_TEXT.format(*islice(tokens, n_scalars), "[\n" + ",\n".join(
+                [_REP_TEXT.format(*islice(tokens, n_rep)) for _ in range(count)]) + "\n  ]", config_text)
+            for count in counts]

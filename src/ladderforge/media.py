@@ -237,16 +237,11 @@ def _chroma_bytes_per_frame(colorspace: str, width: int, height: int) -> int:
     return 2 * math.ceil(width / sx) * math.ceil(height / sy)
 
 
-def parse_y4m(
-    stream: Union[bytes, bytearray, memoryview, mmap.mmap, IO[bytes]],
-    *,
-    allow_trailing: bool = False,
-) -> VideoSequence:
+def parse_y4m(stream: Union[bytes, bytearray, memoryview, mmap.mmap, IO[bytes]]) -> VideoSequence:
     """Parse a Y4M stream into a luma-only :class:`VideoSequence`.
 
     The whole stream must be consumed by valid frames; residual bytes after
-    the last frame raise :class:`TrailingData` unless ``allow_trailing`` is
-    set, in which case parsing stops at the last complete frame.
+    the last frame raise :class:`TrailingData`.
 
     Raises:
         MalformedHeader: missing magic, missing/invalid W/H/F tags, or a
@@ -297,8 +292,6 @@ def parse_y4m(
     total = len(data)
     while pos < total:
         if data[pos:pos + 5] != b"FRAME":
-            if allow_trailing:
-                break
             raise TrailingData(f"{total - pos} unparseable byte(s) after frame {len(frames)}")
         marker_end = data.find(b"\n", pos)
         if marker_end < 0:

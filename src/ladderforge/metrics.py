@@ -29,11 +29,13 @@ of curves.
 Per-segment accounting assumes representations encode concurrently: wall
 time is the maximum over rungs, while energy is ``kappa`` joules per second
 of summed encode time (energy is additive across concurrent jobs).  Storage
-is the bitrate sum times the segment duration, in megabits.
+is the bitrate sum times the segment duration, in megabits.  :func:`report_text`
+writes ``report.json``: the scheme names, a :class:`SchemeReport`, the config.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field, fields
 from typing import Iterable, Mapping, Sequence
@@ -63,6 +65,7 @@ __all__ = [
     "encoding_energy",
     "storage",
     "compare_schemes",
+    "report_text",
     "load_evaluation_csv",
 ]
 
@@ -411,6 +414,12 @@ class SchemeReport:
         doc = {f.name: getattr(self, f.name) for f in fields(self)}
         doc["segments"] = list(self.segments)
         return doc
+
+
+def report_text(baseline: str, candidate: str, report: SchemeReport, config_doc: dict) -> str:
+    """``report.json``'s text: indent-2 JSON, which refuses NaN and infinity."""
+    doc = {"baseline": baseline, "candidate": candidate, **report.to_dict(), "config": config_doc}
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 def _by_id(segments: Iterable[EvaluatedSegment], label: str) -> dict[str, EvaluatedSegment]:

@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import json
 import math
 import mmap
@@ -13,12 +14,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import write_reference_y4m
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from ladderforge import cli, ladder as ladder_mod
+from ladderforge import cli
 from ladderforge.complexity import read_features_csv, segment_features
 from ladderforge.config import DEFAULT_BITRATES_MBPS, RunConfig
+from ladderforge.errors import LadderforgeError
 from ladderforge.forest import ForestModel, Hyperparams, serialize_model
 from ladderforge.media import SyntheticSpec, generate_synthetic, serialize_y4m
 
@@ -619,12 +619,6 @@ def test_evaluate_records_extreme_but_finite_inputs_as_bd_errors(
     assert capfd.readouterr().err == ""  # no numpy warning, no LAPACK message
 
 
-def test_write_json_refuses_non_finite_numbers(tmp_path):
-    with pytest.raises(ValueError):
-        cli._write_json(tmp_path / "x.json", {"delta": float("nan")})
-    assert not (tmp_path / "x.json").exists()
-
-
 def test_failed_write_keeps_the_old_file_and_leaves_no_temp_file(tmp_path, monkeypatch):
     path = tmp_path / "report.json"
     path.write_text("old\n")
@@ -635,12 +629,13 @@ def test_failed_write_keeps_the_old_file_and_leaves_no_temp_file(tmp_path, monke
         raise OSError(28, "No space left on device")
 
     monkeypatch.setattr(cli.os, "write", write_half)
-    with pytest.raises(OSError, match="No space left"):
+    with pytest.raises(LadderforgeError, match=f"cannot write {re.escape(str(path))}: "
+                                               r"\[Errno 28\] No space left on device$"):
         cli._write_file(path, "new, but only half of it")
     monkeypatch.undo()
     assert path.read_text() == "old\n"
     assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
-    cli._write_json(path, {"delta": 1.5})
+    cli._write_file(path, '{"delta": 1.5}\n')
     assert json.loads(path.read_text()) == {"delta": 1.5}
     assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
@@ -651,56 +646,6 @@ def test_short_writes_are_resumed(tmp_path, monkeypatch):
     cli._write_file(tmp_path / "x.json", "é, then the rest of the text\n")
     monkeypatch.undo()
     assert (tmp_path / "x.json").read_text(encoding="utf-8") == "é, then the rest of the text\n"
-
-
-# Floats whose shortest repr is long, exponent-form or the smallest subnormal.
-_AWKWARD = st.sampled_from([5e-324, 1e16, 0.1 + 0.2, 1e-7, 1.7976931348623157e308]) | st.floats(
-    allow_nan=False, allow_infinity=False)
-_POSITIVE = st.sampled_from([5e-324, 1e16, 0.1 + 0.2]) | st.floats(1e-300, 1e300)
-_SEGMENT_IDS = st.sampled_from(['say "hi"', "back\\slash", "café", "☃, \"x\", ", "", "a\nb"]) | st.text()
-
-
-@st.composite
-def _manifests(draw):
-    """ladder_to_manifest of a segment ladder, pruned or not, or of a baseline
-    ladder, whose predictions are None."""
-    bitrates = sorted(set(draw(st.lists(_POSITIVE, min_size=1, max_size=6))))
-    baseline = draw(st.booleans())
-    reps = tuple(ladder_mod.Representation(
-        resolution=draw(st.sampled_from([360, 720, 1080, 2160]) | st.integers(1, 10**9)),
-        bitrate=b,
-        predicted_vmaf=None if baseline else draw(_AWKWARD),
-        predicted_time=None if baseline else draw(_AWKWARD),
-        over_budget=not baseline and draw(st.booleans()),
-    ) for b in bitrates)
-    vsr_tag = draw(st.sampled_from(["none", "fsrcnn"]))
-    if baseline:
-        params = ladder_mod.LadderParams(vsr_tag=vsr_tag)
-    elif draw(st.booleans()):  # pruned
-        params = ladder_mod.LadderParams(draw(st.just(math.inf) | _POSITIVE), draw(_POSITIVE),
-                                         draw(_AWKWARD), vsr_tag)
-    else:
-        params = ladder_mod.LadderParams(tau_l=draw(st.just(math.inf) | _POSITIVE), vsr_tag=vsr_tag)
-    return ladder_mod.ladder_to_manifest(ladder_mod.Ladder(reps, params), draw(_SEGMENT_IDS))
-
-
-_CONFIG_DOCS = [RunConfig().to_dict(),
-                dataclasses.replace(RunConfig(), tau_l=math.inf, v_j=None, v_t=None).to_dict()]
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(_manifests(), max_size=5), st.sampled_from(_CONFIG_DOCS))
-def test_manifest_texts_are_json_dumps_with_an_indent_of_2(manifests, config_doc):
-    assert cli._manifest_texts(manifests, config_doc) == [
-        json.dumps({**manifest, "config": config_doc}, indent=2, allow_nan=False) + "\n"
-        for manifest in manifests]
-
-
-def test_manifest_texts_refuse_non_finite_numbers():
-    manifest = ladder_mod.ladder_to_manifest(ladder_mod.Ladder(
-        (ladder_mod.Representation(720, 1.0, math.nan, 1.0),)), "s")
-    with pytest.raises(ValueError):
-        cli._manifest_texts([manifest], RunConfig().to_dict())
 
 
 def test_a_failed_manifest_write_keeps_earlier_manifests_whole(tmp_path, monkeypatch):
@@ -722,12 +667,82 @@ def test_a_failed_manifest_write_keeps_earlier_manifests_whole(tmp_path, monkeyp
         replaced.append(Path(dst).name)
 
     monkeypatch.setattr(cli.os, "replace", fail_the_third)
-    assert run(*argv, "--out", str(out), "--tau-l", "5") != cli.EXIT_OK
+    assert run(*argv, "--out", str(out), "--tau-l", "5") == cli.EXIT_DATA
     monkeypatch.undo()
     assert sorted(path.name for path in out.iterdir()) == sorted(old)  # no temp file
     for name in old:
         assert (out / name).read_bytes() == (new[name] if name in replaced else old[name])
     assert len(replaced) == 2 and all(old[name] != new[name] for name in replaced)
+
+
+def _install_write_faults(monkeypatch, call, fail_at):
+    """Wrap the ``os`` calls of ``_write_file`` so that the ``fail_at``-th
+    artifact write (from 1; None for none) fails with ENOSPC in ``os.<call>``.
+    Returns the list of file names renamed into place, filled as they are."""
+    real_open, real_write, real_replace = os.open, os.write, os.replace
+    temps, replaced = [], []
+
+    def fail(name, nth):
+        if name == call and nth == fail_at:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def open_(path, *args, **kwargs):
+        if not str(path).endswith(".tmp"):
+            return real_open(path, *args, **kwargs)
+        fail("open", len(temps) + 1)
+        temps.append(real_open(path, *args, **kwargs))
+        return temps[-1]
+
+    def write(fd, data):
+        if temps and fd == temps[-1]:
+            fail("write", len(temps))
+        return real_write(fd, data)
+
+    def replace(src, dst):
+        fail("replace", len(replaced) + 1)
+        real_replace(src, dst)
+        replaced.append(Path(dst).name)
+
+    for name, wrapper in (("open", open_), ("write", write), ("replace", replace)):
+        monkeypatch.setattr(cli.os, name, wrapper)
+    return replaced
+
+
+def _artifact_argv(command, tmp_path):
+    if command == "analyze":
+        return ["analyze", "synth:checkerboard:16x16x2@30:id=a", "synth:noise:16x16x2@30:id=b"]
+    if command == "train":
+        return ["train", str(_training_csv(tmp_path / "train.csv")), "--n-trees", "2"]
+    if command == "ladder":
+        features = tmp_path / "features.csv"
+        features.write_text("segment_id,E_Y,h,L_Y\n" + "".join(f"s{i},{i}.0,0.5,100.0\n" for i in range(3)))
+        return ["ladder", str(features), "--models", str(_write_models(tmp_path / "models")),
+                "--emit-baseline"]
+    return ["evaluate", str(_eval_csv(tmp_path / "base.csv", "default", 6)),
+            str(_eval_csv(tmp_path / "cand.csv", "tuned", 6))]
+
+
+@pytest.mark.parametrize("call", ["open", "write", "replace"])
+@pytest.mark.parametrize("command", ["analyze", "train", "ladder", "evaluate"])
+def test_a_failed_artifact_write_is_a_data_error_naming_the_file(tmp_path, monkeypatch, capsys,
+                                                                 command, call):
+    monkeypatch.setenv(cli.THREADS_ENV, "1")
+    argv = _artifact_argv(command, tmp_path)
+    whole, broken = tmp_path / "whole", tmp_path / "broken"
+    with monkeypatch.context() as patch:
+        order = _install_write_faults(patch, call, None)
+        assert run(*argv, "--out", str(whole)) == cli.EXIT_OK
+    assert sorted(order) == sorted(path.name for path in whole.iterdir())
+    capsys.readouterr()
+    with monkeypatch.context() as patch:
+        _install_write_faults(patch, call, len(order))  # the last artifact
+        assert run(*argv, "--out", str(broken)) == cli.EXIT_DATA
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    enospc = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+    assert errors == [f"error: cannot write {broken / order[-1]}: {enospc}"]
+    assert sorted(path.name for path in broken.iterdir()) == sorted(order[:-1])  # no temp file
+    for name in order[:-1]:
+        assert (broken / name).read_bytes() == (whole / name).read_bytes()
 
 
 def test_oversized_field_and_undecodable_bytes_are_data_errors(tmp_path, capsys):

@@ -15,6 +15,7 @@ byte change that updates ``tests/golden/sha256.json``::
 
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import tempfile
@@ -22,10 +23,15 @@ from pathlib import Path
 
 import numpy as np
 
-from ladderforge import cli, forest
+from ladderforge import cli, complexity, forest, ladder, metrics
 
 GOLDEN = Path(__file__).parent / "golden"
 SEED = "7"
+
+_SPEC = importlib.util.spec_from_file_location(
+    "tracing", Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py")
+tracing = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(tracing)
 
 
 def build_artifacts(out: Path) -> dict[str, str]:
@@ -69,6 +75,28 @@ def test_artifacts_match_the_golden_hashes(tmp_path, monkeypatch):
                                              fast.vsr_tag)
         assert arrays(fast) == arrays(slow) and header(fast) == header(slow), path.name
 
+
+
+def test_traced_artifacts_match_the_golden_hashes_and_counts(tmp_path, monkeypatch):
+    """The benchmark's tracer wraps the program's functions by name and counts
+    rungs where they are built and where their manifests are made: traced,
+    the artifacts keep their bytes and the counts are the fixture's."""
+    monkeypatch.setenv(cli.THREADS_ENV, "1")
+    tracer = tracing.Tracer()
+    tracer.install(cli, complexity, forest, ladder, metrics)
+    try:
+        got = build_artifacts(tmp_path)
+    finally:
+        tracer.uninstall()
+    assert got == json.loads((GOLDEN / "sha256.json").read_text(encoding="utf-8"))
+    _, counts = tracer.take()
+    manifests = [json.loads(path.read_text(encoding="utf-8"))
+                 for path in (tmp_path / "ladders").glob("ladder_*.json")
+                 if path.name != "ladder_baseline.json"]
+    assert len(manifests) == 3
+    assert counts["ladder.rungs_built"] == 3 * 12
+    assert counts["ladder.rungs_kept"] == sum(len(manifest["reps"]) for manifest in manifests)
+    assert counts["ladder.grid_cells"] == 3 * 4 * 12
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as scratch, contextlib.redirect_stdout(io.StringIO()):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import warnings
@@ -9,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ladderforge.complexity import SegmentFeatures
-from ladderforge.config import DEFAULT_BITRATES_MBPS, DEFAULT_RESOLUTIONS
+from ladderforge.config import DEFAULT_BITRATES_MBPS, DEFAULT_RESOLUTIONS, RunConfig
 from ladderforge.forest import ForestModel, Hyperparams, feature_vector, predict
 from ladderforge.ladder import (
     DEFAULT_HLS_PAIRING,
@@ -28,6 +29,7 @@ from ladderforge.ladder import (
     default_hls_ladder,
     ladder_to_manifest,
     load_pairing_csv,
+    manifest_texts,
     predict_grid,
     prune_jnd,
     select_resolution,
@@ -521,6 +523,30 @@ def test_kept_count_non_increasing_in_jnd_step_on_monotone_ladders():
         assert counts[0] >= counts[1] >= counts[2]
 
 
+
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("threshold", ["build_ladder-tau_l", "select_resolution-tau_l",
+                                       "prune_jnd-v_j", "prune_jnd-v_t"])
+def test_thresholds_out_of_range_are_refused(threshold, value):
+    """0, -1 and NaN are neither a latency budget nor a noticeable step.  The
+    first rung reaches a cap of 0 or -1, so only a NaN cap is refused."""
+    grid = _grid({(r, b): (60.0, 0.5) for r in (360, 720) for b in (1.0, 2.0)})
+    ladder = _ladder_from_qualities([40.0, 50.0, 60.0])
+    call, message = {
+        "build_ladder-tau_l": (lambda: build_ladder(grid, tau_l=value), "latency budget"),
+        "select_resolution-tau_l": (lambda: select_resolution(grid, 1.0, value), "latency budget"),
+        "prune_jnd-v_j": (lambda: prune_jnd(ladder, value, 94.0), "noticeable-difference step"),
+        "prune_jnd-v_t": (lambda: prune_jnd(ladder, 6.0, value), "perceptually-lossless cap"),
+    }[threshold]
+    if threshold == "prune_jnd-v_t" and value <= 0:
+        assert call().reps == ladder.reps[:1]
+    else:
+        with pytest.raises(LadderError, match=f"{message} must be .*, got {value}$"):
+            call()
+    if threshold.endswith("tau_l"):  # an unknown bitrate is still named first
+        with pytest.raises(UnknownBitrate):
+            build_ladder(grid, (9.0,), value)
+
 # ------------------------------------------------------- default_hls_ladder
 
 
@@ -579,3 +605,52 @@ def test_manifest_schema_and_infinity_encoding():
         "over_budget": False,
     }
     assert parsed["reps"][1]["over_budget"] is True
+
+
+# Floats whose shortest repr is long, exponent-form or the smallest subnormal.
+_AWKWARD = st.sampled_from([5e-324, 1e16, 0.1 + 0.2, 1e-7, 1.7976931348623157e308]) | st.floats(
+    allow_nan=False, allow_infinity=False)
+_POSITIVE = st.sampled_from([5e-324, 1e16, 0.1 + 0.2]) | st.floats(1e-300, 1e300)
+_SEGMENT_IDS = st.sampled_from(['say "hi"', "back\\slash", "café", "☃, \"x\", ", "", "a\nb"]) | st.text()
+
+
+@st.composite
+def _manifests(draw):
+    """ladder_to_manifest of a segment ladder, pruned or not, or of a baseline
+    ladder, whose predictions are None."""
+    bitrates = sorted(set(draw(st.lists(_POSITIVE, min_size=1, max_size=6))))
+    baseline = draw(st.booleans())
+    reps = tuple(Representation(
+        resolution=draw(st.sampled_from([360, 720, 1080, 2160]) | st.integers(1, 10**9)),
+        bitrate=b,
+        predicted_vmaf=None if baseline else draw(_AWKWARD),
+        predicted_time=None if baseline else draw(_AWKWARD),
+        over_budget=not baseline and draw(st.booleans()),
+    ) for b in bitrates)
+    vsr_tag = draw(st.sampled_from(["none", "fsrcnn"]))
+    if baseline:
+        params = LadderParams(vsr_tag=vsr_tag)
+    elif draw(st.booleans()):  # pruned
+        params = LadderParams(draw(st.just(math.inf) | _POSITIVE), draw(_POSITIVE), draw(_AWKWARD),
+                              vsr_tag)
+    else:
+        params = LadderParams(tau_l=draw(st.just(math.inf) | _POSITIVE), vsr_tag=vsr_tag)
+    return ladder_to_manifest(Ladder(reps, params), draw(_SEGMENT_IDS))
+
+
+_CONFIG_DOCS = [RunConfig().to_dict(),
+                dataclasses.replace(RunConfig(), tau_l=math.inf, v_j=None, v_t=None).to_dict()]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_manifests(), max_size=5), st.sampled_from(_CONFIG_DOCS))
+def test_manifest_texts_are_json_dumps_with_an_indent_of_2(manifests, config_doc):
+    assert manifest_texts(manifests, config_doc) == [
+        json.dumps({**manifest, "config": config_doc}, indent=2, allow_nan=False) + "\n"
+        for manifest in manifests]
+
+
+def test_manifest_texts_refuse_non_finite_numbers():
+    manifest = ladder_to_manifest(Ladder((Representation(720, 1.0, math.nan, 1.0),)), "s")
+    with pytest.raises(ValueError):
+        manifest_texts([manifest], RunConfig().to_dict())

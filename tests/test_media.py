@@ -109,12 +109,11 @@ def test_malformed_streams_rejected(blob, error):
         parse_y4m(blob)
 
 
-def test_trailing_garbage_detected_and_optionally_allowed():
+def test_trailing_garbage_detected():
     good = b"YUV4MPEG2 W2 H2 F30:1 Cmono\n" + b"FRAME\n" + bytes(4)
-    with pytest.raises(TrailingData):
+    assert len(parse_y4m(good)) == 1
+    with pytest.raises(TrailingData, match="4 unparseable byte"):
         parse_y4m(good + b"junk")
-    seq = parse_y4m(good + b"junk", allow_trailing=True)
-    assert len(seq) == 1
 
 
 def test_truncated_frame_header_is_truncated_frame():

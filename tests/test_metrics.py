@@ -731,6 +731,20 @@ def test_report_schema_carries_full_result_rows():
     }
 
 
+def test_report_text_is_the_names_the_report_and_the_config_with_an_indent_of_2():
+    report = metrics.SchemeReport(-24.65, None, 0.93, None, -68.21, -79.32, 0.42, ({"id": "s0"},))
+    text = metrics.report_text("hls", "visor", report, {"seed": 7})
+    assert list(json.loads(text)) == ["baseline", "candidate", *report.to_dict(), "config"]
+    assert text.startswith('{\n  "baseline": "hls",\n  "candidate": "visor",\n')
+    assert text.endswith('\n  "config": {\n    "seed": 7\n  }\n}\n')
+
+
+def test_report_text_refuses_non_finite_numbers():
+    report = metrics.SchemeReport(math.nan, None, None, None, None, None, None)
+    with pytest.raises(ValueError):
+        metrics.report_text("hls", "visor", report, {})
+
+
 def test_mean_segment_time_describes_candidate():
     base_reps = [_rep(1.0 + i, 30.0 + i, 40.0 + i, 2.0) for i in range(4)]
     cand_reps = [_rep(1.0 + i, 30.0 + i, 40.0 + i, 0.25 * (i + 1)) for i in range(4)]
