@@ -12,24 +12,21 @@ earlier file whole, and is a data error naming the file.
 Exit codes: 0 success, 1 usage error, 2 data error, 3 internal invariant
 violation.  ``LADDERFORGE_THREADS`` caps the number of ``analyze`` threads
 and of ``train`` worker processes (default: the CPUs this process may run
-on).  ``train`` hands each worker one task per model group, a run of
-consecutive tree seeds, so the group's rows travel to a worker once.
-Features are gathered in input order and trees in seed order, so the cap
-never changes output.
+on).  ``train`` checks every model group, then queues all their trees in
+one pool, one run of consecutive tree seeds per worker and group, and
+writes each model while later groups grow.  Features are gathered in input
+order and trees in seed order, so the cap never changes output.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import io
-import json
 import mmap
 import os
 import sys
 import traceback
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
@@ -115,10 +112,6 @@ def _read_text(path: str | Path, reader, **kwargs):
     except LadderforgeError as exc:
         exc.args = (f"{path}: {exc}",)
         raise
-
-
-def _config_comment(config: RunConfig) -> str:
-    return "config " + json.dumps(config.to_dict(), separators=(",", ":"))
 
 
 def _out_dir(path: str) -> Path:
@@ -256,9 +249,7 @@ def cmd_analyze(args) -> int:
     seen = {sid for sid, _ in rows}
     if len(seen) != len(rows):
         raise LadderforgeError("duplicate segment ids among inputs; use id= to disambiguate")
-    csv_text = io.StringIO()
-    complexity.write_features_csv(rows, csv_text, comment=_config_comment(config))
-    _write_file(out_dir / "features.csv", csv_text.getvalue())
+    _write_file(out_dir / "features.csv", complexity.features_text(rows, config.to_dict()))
     print(f"analyzed {len(rows)} segment(s) -> {out_dir / 'features.csv'}")
     return EXIT_DATA if failures else EXIT_OK
 
@@ -266,10 +257,10 @@ def cmd_analyze(args) -> int:
 # ------------------------------------------------------------------- train
 
 
-def _holdout_split(n: int, fraction: float, seed: int) -> tuple[list[int], list[int]]:
-    order = SplitMix64(seed).permutation(n)
-    n_test = int(n * fraction) if n >= 3 else 0
-    return order[n_test:], order[:n_test]
+def _holdout_split(group: list, fraction: float, seed: int) -> tuple[list, list]:
+    order = SplitMix64(seed).permutation(len(group))
+    n_test = int(len(group) * fraction) if len(group) >= 3 else 0
+    return [group[i] for i in order[n_test:]], [group[i] for i in order[:n_test]]
 
 
 def cmd_train(args) -> int:
@@ -282,26 +273,27 @@ def cmd_train(args) -> int:
     groups: dict[tuple[str, str], list[forest.TrainingRecord]] = {}
     for record in records:
         groups.setdefault((record.target_kind, record.vsr_tag), []).append(record)
+    # Bootstrap indexes rows, so the same rows in a different order are a
+    # different (still deterministic) training run.
+    splits = [(key, *_holdout_split(group, args.holdout, config.seed))
+              for key, group in sorted(groups.items())]
     # Trees grow in worker processes, since their split search holds the GIL.
     # One task per worker per group: a group's rows are pickled once a task.
     workers = _worker_count(config.n_trees)
     if workers > 1:  # only here, so that other commands do not load multiprocessing
         from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+    pool = ProcessPoolExecutor(workers) if workers > 1 else None
+    try:
         grow = partial(pool.map, chunksize=-(-config.n_trees // workers)) if pool else map
-        # Bootstrap indexes rows, so the same rows in a different order are a
-        # different (still deterministic) training run.
-        for (target_kind, vsr_tag), group in sorted(groups.items()):
-            train_idx, test_idx = _holdout_split(len(group), args.holdout, config.seed)
-            train_set = [group[i] for i in train_idx]
-            test_set = [group[i] for i in test_idx]
-            try:
-                model = forest.fit(train_set, config.hyperparams(), seed=config.seed, map=grow)
-            except forest.InvalidRecord as exc:
-                raise forest.InvalidRecord(f"{args.training_csv}: {exc}") from None
+        try:  # every group is checked, then all their trees queue at this one call
+            models = forest.fit_groups([train for _, train, _ in splits], config.hyperparams(),
+                                       seed=config.seed, map=grow)
+        except forest.InvalidRecord as exc:
+            raise forest.InvalidRecord(f"{args.training_csv}: {exc}") from None
+        # Each model is written and scored while later groups' trees still grow.
+        for ((target_kind, vsr_tag), train_set, test_set), model in zip(splits, models):
             path = out_dir / f"model_{target_kind}_{vsr_tag}.json"
-            text = forest.serialize_model(model, {"config": config.to_dict()}).decode("ascii")
-            _write_file(path, text + "\n")
+            _write_file(path, forest.model_text(model, config.to_dict()))
             if test_set:
                 stats = forest.evaluate(model, test_set)
                 print(
@@ -311,6 +303,9 @@ def cmd_train(args) -> int:
                 )
             else:
                 print(f"{target_kind}/{vsr_tag}: trained on {len(train_set)}, no holdout -> {path}")
+    finally:  # after an error, drop the queued trees rather than wait for them
+        if pool:
+            pool.shutdown(cancel_futures=True)
     return EXIT_OK
 
 

@@ -26,6 +26,8 @@ integer below 2^53, so every float64 partial sum is exact in any order.
 from __future__ import annotations
 
 import csv
+import io
+import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -49,6 +51,7 @@ __all__ = [
     "frame_complexity",
     "segment_features",
     "write_features_csv",
+    "features_text",
     "read_features_csv",
 ]
 
@@ -254,6 +257,13 @@ def write_features_csv(
                 repr(features.brightness),
             ]
         )
+
+
+def features_text(rows: Iterable[tuple[str, SegmentFeatures]], config_doc: dict) -> str:
+    """``features.csv``'s text: a ``# config`` line of compact JSON, then the rows."""
+    out = io.StringIO()
+    write_features_csv(rows, out, comment="config " + json.dumps(config_doc, separators=(",", ":")))
+    return out.getvalue()
 
 
 def read_features_csv(source: Union[str, IO[str]]) -> list[tuple[str, SegmentFeatures]]:

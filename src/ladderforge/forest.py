@@ -13,18 +13,18 @@ with the log2 substitutions applied at the model boundary by
 Training is fully deterministic for a fixed (record order, hyperparams,
 seed): every tree gets a bootstrap sample (u64 mod n draws) and per-node
 feature subsets from its own splitmix stream, seeded from a master stream in
-tree order.  A tree depends on nothing else, so ``fit`` may grow the trees
-in worker processes (``train`` uses up to ``LADDERFORGE_THREADS`` of them)
-and the model bytes never depend on how many.  Splits minimise the summed
-child squared error (equivalently, maximise variance reduction) over the
-midpoints of sorted unique values of each candidate feature, or the lower
-value where the midpoint would round up to the upper one or overflow; ties
-go to the lowest feature index, then the lowest threshold.  Growth stops at
-``max_depth``, ``min_samples_leaf`` or zero target variance.  Each tree
-sorts every feature once, over its bootstrap sample, and each split
-partitions those orders stably (the presorted CART of SLIQ), so a node
-scores all its candidate features in one 2-D pass without sorting.
-``fit`` refuses targets whose squared sums would overflow.
+tree order.  A tree depends on nothing else, so ``fit_groups`` may grow
+several forests' trees in worker processes at once (``train`` uses up to
+``LADDERFORGE_THREADS``), and the bytes never depend on how many.  Splits
+minimise the summed child squared error (equivalently, maximise variance
+reduction) over the midpoints of sorted unique values of each candidate
+feature, or the lower value where the midpoint would round up to the upper
+one or overflow; ties go to the lowest feature index, then the lowest
+threshold.  Growth stops at ``max_depth``, ``min_samples_leaf`` or zero
+target variance.  Each tree sorts every feature once, over its bootstrap
+sample, and each split partitions those orders stably (the presorted CART
+of SLIQ), so a node scores all its candidate features in one 2-D pass
+without sorting.  ``fit`` refuses targets whose squared sums would overflow.
 
 A model is one form: its trees as flat preorder arrays, which ``fit`` grows
 directly and ``predict`` walks (see :func:`_linked`).  The wire format is a
@@ -57,7 +57,7 @@ from array import array
 from dataclasses import asdict, dataclass, field
 from functools import cached_property, lru_cache
 from itertools import repeat
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -85,9 +85,11 @@ __all__ = [
     "feature_rows",
     "feature_vector",
     "fit",
+    "fit_groups",
     "predict",
     "evaluate",
     "serialize_model",
+    "model_text",
     "deserialize_model",
     "load_training_csv",
 ]
@@ -406,32 +408,50 @@ def fit(
     ``map`` grows the trees, one call per tree seed, and must yield them in
     seed order, as the built-in and ``Executor.map`` do; a process pool's
     ``map``, with any ``chunksize``, grows them in parallel, to the same
-    bytes."""
+    bytes.  An eager ``map`` such as ``Executor.map`` lets the groups of
+    :func:`fit_groups`, whose one-group case this is, grow together; the
+    built-in grows them one after another, to the same bytes."""
+    (model,) = fit_groups([records], hyperparams, seed, map)
+    return model
+
+
+def fit_groups(groups: Sequence[Sequence[TrainingRecord]], hyperparams: Hyperparams | None = None,
+               seed: int = 0, map=map) -> Iterator[ForestModel]:
+    """The forest :func:`fit` trains on each group, in order: every group is checked, then
+    ``map`` called once for each, then each forest assembled as the iterator reaches it."""
     hp = hyperparams if hyperparams is not None else Hyperparams()
+    matrices = [_training_matrix(records) for records in groups]
+    tree_seeds = SplitMix64(seed).block(hp.n_trees).tolist()  # as many next_u64() calls
+    grown = [map(_grow_tree, repeat(x), repeat(y), repeat(hp), tree_seeds) for x, y in matrices]
+
+    def assembled():
+        for records, trees in zip(groups, grown):
+            features, thresholds, rights, depths = zip(*trees)
+            sizes = np.array([len(tree) for tree in features], np.intp)
+            roots = np.cumsum(sizes) - sizes  # each tree's right links count from its root
+            right = np.concatenate(rights).astype(np.intp) + np.repeat(roots, sizes)
+            flat = _linked(np.concatenate(features).astype(np.intp), np.concatenate(thresholds),
+                           right, roots, max(depths))
+            yield ForestModel(hp, seed, records[0].target_kind, records[0].vsr_tag, flat)
+
+    return assembled()
+
+
+def _training_matrix(records: Sequence[TrainingRecord]) -> tuple[np.ndarray, np.ndarray]:
+    """``records``' feature rows and targets, checked to train one forest."""
     if len(records) < 2:
         raise EmptyDataset(f"training needs at least 2 records, got {len(records)}")
     kinds = {rec.target_kind for rec in records}
     tags = {rec.vsr_tag for rec in records}
     if len(kinds) != 1 or len(tags) != 1:
-        raise MixedTargets(
-            f"records mix target kinds {sorted(kinds)} / vsr tags {sorted(tags)}"
-        )
+        raise MixedTargets(f"records mix target kinds {sorted(kinds)} / vsr tags {sorted(tags)}")
     x, y = _records_matrix(records)
     # Every sum and square the split search forms is at most (n * max|y|)**2.
     top = float(np.abs(y).max())
     reach = len(y) * top
     if not math.isfinite(reach * reach):
         raise InvalidRecord(f"targets up to {top:g} overflow the split search over {len(y)} records")
-    master = SplitMix64(seed)
-    tree_seeds = [master.next_u64() for _ in range(hp.n_trees)]
-    features, thresholds, rights, depths = zip(*map(_grow_tree, repeat(x), repeat(y),
-                                                    repeat(hp), tree_seeds))
-    sizes = np.array([len(tree) for tree in features], np.intp)
-    roots = np.cumsum(sizes) - sizes  # each tree's right links count from its root
-    right = np.concatenate(rights).astype(np.intp) + np.repeat(roots, sizes)
-    flat = _linked(np.concatenate(features).astype(np.intp), np.concatenate(thresholds),
-                   right, roots, max(depths))
-    return ForestModel(hp, seed, records[0].target_kind, records[0].vsr_tag, flat)
+    return x, y
 
 
 def predict(model: ForestModel, x: Sequence[float]) -> Union[float, np.ndarray]:
@@ -496,6 +516,11 @@ def serialize_model(model: ForestModel, provenance: Mapping[str, object] | None 
         numbers = _json(model._flat[1].tolist())[1:-1].split(",")
         trees = f"[{_trees_text(model._flat, numbers)}]"
     return f'{head},"trees":{trees}{"," if len(items) > 5 else ""}{tail}'.encode("ascii")
+
+
+def model_text(model: ForestModel, config_doc: dict) -> str:
+    """A model file's text: the model with provenance key ``config``, then a newline."""
+    return serialize_model(model, {"config": config_doc}).decode("ascii") + "\n"
 
 
 def _json(value: object) -> str:

@@ -97,3 +97,34 @@ def test_run_interleaves_workloads_seed_by_seed(tmp_path, monkeypatch):
     entries = [json.loads(line) for line in log.read_text().splitlines()]
     assert [(e["side"], e["workload"], e["seed"]) for e in entries] == calls
     assert [e["position"] for e in entries] == [0, 1, 2] * 4
+
+
+def test_tree_cpu_logs_the_train_call_beside_its_whole_process(tmp_path, monkeypatch):
+    repo = Path(__file__).resolve().parents[1]
+    real_run = subprocess.run
+
+    def run_with_small_inputs(argv, **kwargs):
+        if argv[1] != "perfbench/inputs.py":
+            return real_run(argv, **kwargs)
+        out = Path(argv[argv.index("--out") + 1])
+        out.mkdir(parents=True)
+        rows = [f"s{i},{i % 7}.5,0.1,120.0,{720 + 360 * (i % 2)},{1 + i % 3}.0,{vsr},{kind},{50 + i}.0\n"
+                for i in range(30) for vsr in ("none", "fsrcnn") for kind in ("quality", "time")]
+        (out / "train.csv").write_text(
+            "segment_id,E_Y,h,L_Y,resolution,bitrate_mbps,vsr_tag,target_kind,target\n" + "".join(rows))
+        return subprocess.CompletedProcess(argv, 0)
+
+    monkeypatch.setattr(benchpairs.subprocess, "run", run_with_small_inputs)
+    log = tmp_path / "tree.jsonl"
+    benchpairs.tree_cpu(benchpairs.argparse.Namespace(
+        parent=repo, change=repo, seeds=[7], log=log, scratch=tmp_path))
+    entries = [json.loads(line) for line in log.read_text().splitlines()]
+    assert [e["side"] for e in entries] == ["parent", "change"]
+    for entry in entries:
+        figures = {name: m["value"] for name, m in entry["result"]["metrics"].items()}
+        assert sorted(figures) == ["call_cpu_s", "call_wall_s", "tree_cpu_s", "wall_s"]
+        # The call is timed inside the process, so start-up falls outside it.
+        assert 0 < figures["call_wall_s"] < figures["wall_s"]
+        assert 0 < figures["call_cpu_s"] <= figures["tree_cpu_s"]
+        assert entry["result"]["correct"]
+    assert len(list((tmp_path / "train-forest-seed7" / "change").glob("model_*.json"))) == 4

@@ -3,6 +3,7 @@ import errno
 import json
 import math
 import mmap
+import multiprocessing
 import os
 import re
 import subprocess
@@ -39,7 +40,7 @@ def _write_models(models_dir, quality=70.0, time=1.0, vsr="none"):
 TRAIN_HEADER = "segment_id,E_Y,h,L_Y,resolution,bitrate_mbps,vsr_tag,target_kind,target\n"
 
 
-def _training_csv(path, n=40, seed=0, vsr="none"):
+def _training_csv(path, n=40, seed=0, vsrs=("none",)):
     rng = np.random.default_rng(seed)
     lines = [TRAIN_HEADER]
     for i in range(n):
@@ -47,8 +48,9 @@ def _training_csv(path, n=40, seed=0, vsr="none"):
         b = float(rng.choice(DEFAULT_BITRATES_MBPS))
         r = int(rng.choice([360, 720, 1080, 2160]))
         v = 100 - 40 / math.log2(1000 * b) - e
-        lines.append(f"row{i},{e!r},0.1,120.0,{r},{b!r},{vsr},quality,{v!r}\n")
-        lines.append(f"row{i},{e!r},0.1,120.0,{r},{b!r},{vsr},time,{0.1 + b * r / 1e5!r}\n")
+        for vsr in vsrs:
+            lines.append(f"row{i},{e!r},0.1,120.0,{r},{b!r},{vsr},quality,{v!r}\n")
+            lines.append(f"row{i},{e!r},0.1,120.0,{r},{b!r},{vsr},time,{0.1 + b * r / 1e5!r}\n")
     path.write_text("".join(lines))
     return path
 
@@ -235,15 +237,22 @@ def test_train_is_deterministic(tmp_path):
     ).read_bytes()
 
 
-def test_train_bytes_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):
-    csv_path = _training_csv(tmp_path / "train.csv")
-    models = {}
-    for workers in ("1", "2"):
+def test_train_bytes_do_not_depend_on_the_worker_count(tmp_path, monkeypatch, capsys):
+    # Four groups share the pool; 7 trees make runs of 4 and 3 trees for two
+    # workers and of 3, 3 and 1 for three, so no chunk size divides the count.
+    csv_path = _training_csv(tmp_path / "train.csv", vsrs=("none", "fsrcnn"))
+    models, printed = {}, {}
+    for workers in ("1", "2", "3"):
         monkeypatch.setenv(cli.THREADS_ENV, workers)
         out = tmp_path / workers
-        assert run("train", str(csv_path), "--out", str(out), "--seed", "5", "--n-trees", "6") == 0
+        assert run("train", str(csv_path), "--out", str(out), "--seed", "5", "--n-trees", "7") == 0
         models[workers] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
-    assert len(models["1"]) == 2 and models["1"] == models["2"]
+        printed[workers] = capsys.readouterr().out.replace(str(out), "OUT")
+    assert sorted(models["1"]) == [f"model_{kind}_{vsr}.json" for kind in ("quality", "time")
+                                   for vsr in ("fsrcnn", "none")]
+    assert models["1"] == models["2"] == models["3"]
+    assert printed["1"].count("held-out MAE") == 4
+    assert printed["1"] == printed["2"] == printed["3"]
 
 
 def test_train_row_order_sensitivity_is_itself_deterministic(tmp_path):
@@ -565,6 +574,32 @@ def test_train_rejects_overflowing_targets_naming_the_file(tmp_path, capsys):
     assert run("train", str(csv_path), "--out", str(out)) == 2
     assert f"{csv_path}: targets up to 5e+200 overflow" in capsys.readouterr().err
     assert not list(out.iterdir())
+
+
+def test_train_checks_every_group_before_writing_any_model(tmp_path, capsys):
+    # The quality group sorts first and trains; the time group's targets overflow.
+    csv_path = _training_csv(tmp_path / "train.csv")
+    csv_path.write_text("".join(line if ",time," not in line else line.rsplit(",", 1)[0] + ",1e200\n"
+                                for line in csv_path.read_text().splitlines(True)))
+    out = tmp_path / "models"
+    assert run("train", str(csv_path), "--out", str(out)) == 2
+    assert f"{csv_path}: targets up to 1e+200 overflow" in capsys.readouterr().err
+    assert not list(out.iterdir())
+
+
+def test_a_failed_first_model_write_is_one_error_and_leaves_no_worker(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv(cli.THREADS_ENV, "2")
+    csv_path = _training_csv(tmp_path / "train.csv", vsrs=("none", "fsrcnn"))
+    out = tmp_path / "models"
+    with monkeypatch.context() as patch:
+        _install_write_faults(patch, "replace", 1)  # the first model, while three groups queue
+        assert run("train", str(csv_path), "--out", str(out), "--n-trees", "8") == cli.EXIT_DATA
+    assert multiprocessing.active_children() == []
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    enospc = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+    assert errors == [f"error: cannot write {out / 'model_quality_fsrcnn.json'}: {enospc}"]
+    assert not list(out.iterdir())  # no model and no temp file
 
 
 @pytest.mark.parametrize("flags, message", [

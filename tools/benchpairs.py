@@ -32,10 +32,13 @@ compares the input and artifact sha256 that each checkout's
 
 perfbench's ``cpu_p50_s`` counts the benchmark process alone, so the CPU time
 of ``train``'s worker processes does not show in it.  ``tree-cpu`` measures
-that apart: fresh ``python -m ladderforge train`` runs on the train-forest
-inputs, each timed on the wall clock and in the CPU time of its whole process
-tree (``RUSAGE_CHILDREN`` counts every descendant that was waited for), one
-parent and one change run per seed, alternating::
+that apart: fresh-process ``train`` runs on the train-forest inputs, each
+timed on the wall clock and in the CPU time of its whole process tree
+(``RUSAGE_CHILDREN`` counts every descendant that was waited for), one
+parent and one change run per seed, alternating.  Inside each process,
+:data:`CALL_TIMER` also times the ``cli.main`` call alone, on the wall clock
+and in the CPU time of the process and its workers, so that interpreter and
+numpy start-up do not dilute a change in ``train`` itself::
 
     python3 tools/benchpairs.py tree-cpu --parent PARENT --change CHANGE \
         --seeds 331-346 --log tree.jsonl --scratch /tmp/tree-cpu
@@ -60,6 +63,20 @@ from pathlib import Path
 
 SIDES = ("parent", "change", "control")
 RESAMPLES = 2000
+# Runs ``cli.main`` on its arguments, then prints the call's own figures as a
+# JSON line: wall time, and the CPU time of this process and of the workers
+# the call waited for; exits with the call's code.
+CALL_TIMER = """\
+import json, resource, sys, time
+from ladderforge import cli
+def cpu():
+    both = [resource.getrusage(who) for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)]
+    return sum(usage.ru_utime + usage.ru_stime for usage in both)
+cpu_start, wall_start = cpu(), time.perf_counter()
+code = cli.main(sys.argv[1:])
+print(json.dumps({"call_wall_s": time.perf_counter() - wall_start, "call_cpu_s": cpu() - cpu_start}))
+sys.exit(code)
+"""
 
 
 def seed_range(text: str) -> list[int]:
@@ -101,16 +118,17 @@ def tree_cpu(args) -> None:
         figures, models = {}, {}
         for side in rotation(SIDES[:2], seed):
             out = inputs / side
-            argv = [sys.executable, "-m", "ladderforge", "train", str(inputs / "train.csv"),
+            argv = [sys.executable, "-c", CALL_TIMER, "train", str(inputs / "train.csv"),
                     "--out", str(out), "--seed", str(seed), "--n-trees", "20"]  # as train-forest
             env = {**os.environ, "PYTHONPATH": str(getattr(args, side) / "src")}
             env.pop("LADDERFORGE_THREADS", None)  # the default worker count, as perfbench uses
             before, start = resource.getrusage(resource.RUSAGE_CHILDREN), time.perf_counter()
-            subprocess.run(argv, env=env, check=True, capture_output=True)
+            done = subprocess.run(argv, env=env, check=True, capture_output=True, text=True)
             wall, after = time.perf_counter() - start, resource.getrusage(resource.RUSAGE_CHILDREN)
             cpu = after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
-            figures[side] = {"wall_s": {"value": wall, "unit": "s"},
-                             "tree_cpu_s": {"value": cpu, "unit": "s"}}
+            figures[side] = {name: {"value": value, "unit": "s"} for name, value in (
+                ("wall_s", wall), ("tree_cpu_s", cpu),
+                *json.loads(done.stdout.splitlines()[-1]).items())}
             models[side] = {p.name: p.read_bytes() for p in sorted(out.glob("model_*.json"))}
         with open(args.log, "a", encoding="utf-8") as log:
             for side in SIDES[:2]:
