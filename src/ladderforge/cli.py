@@ -21,6 +21,7 @@ order and trees in seed order, so the cap never changes output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import mmap
 import os
@@ -30,7 +31,7 @@ from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import complexity, forest, ladder as ladder_mod, metrics
 from .config import ConfigError, RunConfig, parse_tau
@@ -123,25 +124,39 @@ def _out_dir(path: str) -> Path:
     return out_dir
 
 
-def _write_file(path: Path, text: str) -> None:
-    """Write ``text`` as UTF-8 to a temp file beside ``path``, then rename it
-    over ``path``, so a failed write leaves any earlier file whole and no temp
-    file behind, and raises a :class:`LadderforgeError` naming ``path``."""
-    temp = path.with_name(f".{path.name}.tmp")
-    try:
-        fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
-        try:
-            data = memoryview(text.encode("utf-8"))
-            while data:
-                data = data[os.write(fd, data):]
-        finally:
-            os.close(fd)
-        os.replace(temp, path)
+def _write_files(out_dir: Path, texts: Iterable[tuple[str, str]]) -> None:
+    """Write each ``(name, text)`` as UTF-8 to a temp file in ``out_dir``, then
+    rename it over ``name``, so a failed write leaves any earlier file whole
+    and no temp file behind, and raises a :class:`LadderforgeError` naming the
+    file.  The directory is opened once, and every name resolved in it."""
+    name, dir_fd = "", None
+    try:  # O_PATH: the directory needs no read permission to be written in
+        dir_fd = os.open(out_dir, getattr(os, "O_PATH", os.O_RDONLY) | os.O_DIRECTORY)
+        for name, text in texts:
+            temp = f".{name}.tmp"
+            fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666, dir_fd=dir_fd)
+            try:
+                data = memoryview(text.encode("utf-8"))
+                while data:
+                    data = data[os.write(fd, data):]
+            finally:
+                os.close(fd)
+            os.replace(temp, name, src_dir_fd=dir_fd, dst_dir_fd=dir_fd)
     except BaseException as exc:
-        temp.unlink(missing_ok=True)
+        with contextlib.suppress(FileNotFoundError):
+            if name:
+                os.unlink(f".{name}.tmp", dir_fd=dir_fd)
         if isinstance(exc, OSError):
-            raise LadderforgeError(f"cannot write {path}: {exc}") from None
+            raise LadderforgeError(f"cannot write {out_dir / name}: {exc}") from None
         raise
+    finally:
+        if dir_fd is not None:
+            os.close(dir_fd)
+
+
+def _write_file(path: Path, text: str) -> None:
+    """:func:`_write_files` of one file."""
+    _write_files(path.parent, [(path.name, text)])
 
 
 def _safe_filename(segment_id: str) -> str:
@@ -334,30 +349,33 @@ def cmd_ladder(args) -> int:
     catalog = _read_text(args.features_csv, complexity.read_features_csv)
     pairing = _read_text(args.pairing, ladder_mod.load_pairing_csv) if args.pairing else None
 
-    # One grid for the whole catalog, so each model predicts once.
+    # One grid and one set of decisions for the whole catalog, so each model
+    # predicts once and no segment is a Python object of its own.
     grids = ladder_mod.predict_grid(quality_model, time_model, [f for _, f in catalog],
                                     config.resolutions, config.bitrates_mbps)
-    ladders = []
-    for (segment_id, _), grid in zip(catalog, grids.segments()):
-        built = ladder_mod.build_ladder(grid, config.bitrates_mbps, config.tau_l, config.vsr_tag)
-        if config.v_j is not None:
-            built = ladder_mod.prune_jnd(built, config.v_j, config.v_t)
-        ladders.append((segment_id, built))
+    decided = ladder_mod.decide(grids, config.bitrates_mbps, config.tau_l, config.vsr_tag,
+                                config.v_j, config.v_t)
+    segment_ids = [segment_id for segment_id, _ in catalog]
+    texts = ladder_mod.manifest_texts(segment_ids, decided, config.to_dict())
     if pairing is not None or args.emit_baseline:
         baseline = ladder_mod.default_hls_ladder(config.bitrates_mbps, pairing, config.vsr_tag)
-        ladders.append(("baseline", baseline))
+        segment_ids.append("baseline")
+        texts += ladder_mod.manifest_texts(["baseline"], ladder_mod.Decisions.of(baseline),
+                                           config.to_dict())
     # Distinct ids can share a file name; refuse that before writing anything.
-    paths: dict[Path, str] = {}
-    for segment_id, _ in ladders:
-        path = out_dir / f"ladder_{_safe_filename(segment_id)}.json"
-        if path in paths:
-            raise LadderforgeError(f"ladders {paths[path]!r} and {segment_id!r} "
-                                   f"would both be written to {path}")
-        paths[path] = segment_id
-    manifests = [ladder_mod.ladder_to_manifest(built, segment_id) for segment_id, built in ladders]
-    for path, text in zip(paths, ladder_mod.manifest_texts(manifests, config.to_dict())):
-        _write_file(path, text)
+    names: dict[str, str] = {}
+    for segment_id in segment_ids:
+        name = f"ladder_{_safe_filename(segment_id)}.json"
+        if name in names:
+            raise LadderforgeError(f"ladders {names[name]!r} and {segment_id!r} "
+                                   f"would both be written to {out_dir / name}")
+        names[name] = segment_id
+    _write_files(out_dir, zip(names, texts))
     print(f"built {len(catalog)} ladder manifest(s) in {out_dir}")
+    kept = decided.resolutions[decided.kept]
+    print(f"ladder: {len(catalog)} segment(s), {decided.kept.size} rung(s) built, "
+          f"{int(decided.over_budget.sum())} over tau_L, {int((~decided.kept).sum())} pruned, "
+          f"{kept.size} kept (" + ", ".join(f"{r}: {int((kept == r).sum())}" for r in config.resolutions) + ")")
     return EXIT_OK
 
 
@@ -367,18 +385,18 @@ def cmd_ladder(args) -> int:
 def cmd_evaluate(args) -> int:
     config = _load_config(args)
     out_dir = _out_dir(args.out)
-    baseline_name, baseline = _read_text(args.baseline_csv, metrics.load_evaluation_csv)
-    candidate_name, candidate = _read_text(args.candidate_csv, metrics.load_evaluation_csv)
+    baseline = _read_text(args.baseline_csv, metrics.load_evaluation_csv)
+    candidate = _read_text(args.candidate_csv, metrics.load_evaluation_csv)
     report = metrics.compare_schemes(baseline, candidate, kappa=config.kappa,
                                      segment_duration_s=config.segment_duration_s)
     _write_file(out_dir / "report.json",
-                metrics.report_text(baseline_name, candidate_name, report, config.to_dict()))
+                metrics.report_text(baseline.scheme, candidate.scheme, report, config.to_dict()))
 
     def show(label, value, unit="", spec="+.2f"):
         text = "n/a" if value is None else f"{value:{spec}}{unit}"
         print(f"  {label:<18} {text}")
 
-    print(f"{candidate_name} vs {baseline_name} over {len(report.segments)} segment(s):")
+    print(f"{candidate.scheme} vs {baseline.scheme} over {len(report.segments)} segment(s):")
     show("BD-rate (PSNR)", report.bd_rate_psnr, "%")
     show("BD-rate (VMAF)", report.bd_rate_vmaf, "%")
     show("BD-PSNR", report.bd_psnr, " dB")
@@ -416,48 +434,60 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
                         help=argparse.SUPPRESS)
 
 
-def build_parser() -> argparse.ArgumentParser:
+_COMMANDS = ("analyze", "train", "ladder", "evaluate")
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of all four commands, each with its arguments when ``command``
+    is None or names it: a parser for one command's arguments does not pay
+    for the others', and lists every command as the full one does."""
     parser = _Parser(prog="ladderforge", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="extract complexity features from segments")
-    p.add_argument("inputs", nargs="+",
-                   help="Y4M/raw paths or synth:<pattern>:<WxHxN>@<FPS>[:k=v...] specs")
-    p.add_argument("--raw-width", type=int, help="width of headerless raw-luma inputs")
-    p.add_argument("--raw-height", type=int, help="height of headerless raw-luma inputs")
-    p.add_argument("--raw-fps", help="framerate of raw inputs, e.g. 30 or 30000/1001")
-    _add_common_flags(p)
     p.set_defaults(func=cmd_analyze)
+    if command in (None, "analyze"):
+        p.add_argument("inputs", nargs="+",
+                       help="Y4M/raw paths or synth:<pattern>:<WxHxN>@<FPS>[:k=v...] specs")
+        p.add_argument("--raw-width", type=int, help="width of headerless raw-luma inputs")
+        p.add_argument("--raw-height", type=int, help="height of headerless raw-luma inputs")
+        p.add_argument("--raw-fps", help="framerate of raw inputs, e.g. 30 or 30000/1001")
+        _add_common_flags(p)
 
     p = sub.add_parser("train", help="fit quality/time models from a training CSV")
-    p.add_argument("training_csv")
-    p.add_argument("--holdout", type=float, default=0.2,
-                   help="held-out fraction for the printed MAE/SD (default 0.2; 0 disables)")
-    _add_common_flags(p)
     p.set_defaults(func=cmd_train)
+    if command in (None, "train"):
+        p.add_argument("training_csv")
+        p.add_argument("--holdout", type=float, default=0.2,
+                       help="held-out fraction for the printed MAE/SD (default 0.2; 0 disables)")
+        _add_common_flags(p)
 
     p = sub.add_parser("ladder", help="build per-segment ladder manifests")
-    p.add_argument("features_csv")
-    p.add_argument("--models", required=True, metavar="DIR",
-                   help="directory holding model_{quality,time}_<vsr>.json")
-    p.add_argument("--pairing", metavar="PATH",
-                   help="bitrate->resolution pairing CSV for the fixed baseline ladder")
-    p.add_argument("--emit-baseline", action="store_true",
-                   help="also write the fixed baseline ladder manifest")
-    _add_common_flags(p)
     p.set_defaults(func=cmd_ladder)
+    if command in (None, "ladder"):
+        p.add_argument("features_csv")
+        p.add_argument("--models", required=True, metavar="DIR",
+                       help="directory holding model_{quality,time}_<vsr>.json")
+        p.add_argument("--pairing", metavar="PATH",
+                       help="bitrate->resolution pairing CSV for the fixed baseline ladder")
+        p.add_argument("--emit-baseline", action="store_true",
+                       help="also write the fixed baseline ladder manifest")
+        _add_common_flags(p)
 
     p = sub.add_parser("evaluate", help="compare two evaluated ladder CSVs")
-    p.add_argument("baseline_csv")
-    p.add_argument("candidate_csv")
-    _add_common_flags(p)
     p.set_defaults(func=cmd_evaluate)
+    if command in (None, "evaluate"):
+        p.add_argument("baseline_csv")
+        p.add_argument("candidate_csv")
+        _add_common_flags(p)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = next((arg for arg in argv if not arg.startswith("-")), None)
+    parser = build_parser(command if command in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

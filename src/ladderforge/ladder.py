@@ -11,8 +11,10 @@ a later rung survives only if its predicted quality exceeds the last kept
 rung's by at least the noticeable-difference step, and the walk ends as soon
 as a kept rung reaches the perceptually-lossless cap.
 
-:func:`manifest_texts` writes every manifest from one template of the keys
-that :func:`ladder_to_manifest` uses, with all their values encoded by one
+:func:`decide` makes both decisions for every segment of a catalog at once,
+into the arrays of :class:`Decisions`; :func:`build_ladder`, :func:`select_resolution`
+and :func:`prune_jnd` are its one-segment case.  :func:`manifest_texts` writes
+every manifest from those arrays, with all their values encoded by one
 ``json.dumps`` call; the text is what ``json.dumps(manifest, indent=2)`` writes.
 """
 
@@ -22,10 +24,9 @@ import json
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import islice, product
-from operator import itemgetter
+from itertools import compress, product
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -40,6 +41,7 @@ __all__ = [
     "LadderParams",
     "Ladder",
     "PredictionGrid",
+    "Decisions",
     "ResolutionChoice",
     "LadderError",
     "EmptyLadder",
@@ -49,6 +51,7 @@ __all__ = [
     "PairingMissing",
     "ModelMismatch",
     "predict_grid",
+    "decide",
     "select_resolution",
     "build_ladder",
     "prune_jnd",
@@ -154,10 +157,10 @@ class ResolutionChoice(NamedTuple):
 class PredictionGrid:
     """Predicted (quality, time) for every (resolution, bitrate) pair: two
     arrays indexed ``[..., resolution, bitrate]``, both axes ascending, every
-    cell checked on construction.  A catalog grid has a leading segment axis,
-    and :meth:`segments` yields each segment's grid.  ``entries`` maps every
-    ``(resolution, bitrate)``, or ``(segment, resolution, bitrate)``, to its
-    (quality, time); it is derived from the arrays when first read.
+    cell checked on construction.  A catalog grid has a leading segment axis.
+    ``entries`` maps every ``(resolution, bitrate)``, or ``(segment,
+    resolution, bitrate)``, to its (quality, time); it is derived from the
+    arrays when first read.
     """
 
     resolutions: tuple[int, ...]
@@ -208,11 +211,6 @@ class PredictionGrid:
         values = np.array(values, np.float64).reshape(len(resolutions), len(bitrates), 2)
         return cls(resolutions, bitrates, values[..., 0], values[..., 1])
 
-    def segments(self) -> Iterator["PredictionGrid"]:
-        """Each segment's grid, in order, for a grid with a segment axis."""
-        for qualities, times in zip(self.qualities, self.times):
-            yield PredictionGrid(self.resolutions, self.bitrates, qualities, times)
-
     @cached_property
     def entries(self) -> Mapping[tuple, tuple[float, float]]:
         keys = product(*map(range, self.qualities.shape[:-2]), self.resolutions, self.bitrates)
@@ -250,6 +248,81 @@ def predict_grid(
                           predict(time_model, x).reshape(shape))
 
 
+class Decisions(NamedTuple):
+    """Each segment's ladder as arrays indexed ``[segment, rung]``, one rung
+    per target bitrate: the chosen resolution, its predicted quality and time,
+    whether no resolution fit the budget, and whether pruning kept the rung."""
+
+    bitrates: tuple[float, ...]
+    resolutions: np.ndarray
+    qualities: np.ndarray
+    times: np.ndarray
+    over_budget: np.ndarray
+    kept: np.ndarray
+    params: LadderParams
+
+    @classmethod
+    def of(cls, ladder: Ladder) -> "Decisions":
+        """One ladder as one segment's decisions, every rung kept, each value as it is."""
+        columns = np.array([[(rep.resolution, rep.predicted_vmaf, rep.predicted_time, rep.over_budget)
+                             for rep in ladder.reps]], dtype=object)
+        return cls(ladder.bitrates, *np.moveaxis(columns, -1, 0), np.ones(columns.shape[:2], bool),
+                   ladder.params)
+
+
+def _check_jnd(v_j: float, v_t: float) -> None:
+    if not v_j > 0:
+        raise LadderError(f"the noticeable-difference step must be positive, got {v_j}")
+    if math.isnan(v_t):
+        raise LadderError("the perceptually-lossless cap must be a number, got nan")
+
+
+def _jnd_kept(qualities: np.ndarray, v_j: float, v_t: float) -> np.ndarray:
+    """Which rungs of each row of ``qualities`` pruning keeps: one scan over
+    the columns, with each row's last kept quality and whether it has stopped."""
+    kept = np.zeros(qualities.shape, bool)
+    kept[:, :1] = True
+    last = qualities[:, :1]
+    going = ~(last >= v_t)
+    for j in range(1, qualities.shape[1]):
+        quality = qualities[:, j:j + 1]
+        keep = going & (quality - last >= v_j)
+        kept[:, j:j + 1] = keep
+        last = np.where(keep, quality, last)
+        going &= ~(keep & (quality >= v_t))
+    return kept
+
+
+def decide(grid: PredictionGrid, bitrates: Sequence[float] | None = None, tau_l: float = math.inf,
+           vsr_tag: str = "none", v_j: float | None = None, v_t: float | None = None) -> Decisions:
+    """Every segment's ladder of ``grid``, with or without a segment axis: per
+    target bitrate (ascending; all the grid's by default) one masked argmax
+    over the resolution axis, whose first maximum is the lower resolution,
+    else the first minimum of time; then, if ``v_j`` is given, :func:`prune_jnd`'s
+    scan, with the same float tests, over the rung columns of all segments."""
+    targets = grid.bitrates if bitrates is None else tuple(sorted(bitrates))
+    columns = []
+    for b in targets:
+        if b not in grid.bitrates:
+            raise UnknownBitrate(f"bitrate {b} is not in the grid")
+        if not tau_l > 0:
+            raise LadderError(f"latency budget must be positive, got {tau_l}")
+        columns.append(grid.bitrates.index(b))
+    if v_j is not None:
+        _check_jnd(v_j, v_t)
+    shape = (-1, *grid.qualities.shape[-2:])
+    qualities, times = grid.qualities.reshape(shape)[..., columns], grid.times.reshape(shape)[..., columns]
+    fits = times <= tau_l
+    over_budget = ~fits.any(axis=1)
+    rows = np.where(over_budget, times.argmin(axis=1),
+                    np.where(fits, qualities, -np.inf).argmax(axis=1))[:, None]
+    qualities = np.take_along_axis(qualities, rows, 1)[:, 0]
+    kept = np.ones(qualities.shape, bool) if v_j is None else _jnd_kept(qualities, v_j, v_t)
+    return Decisions(targets, np.array(grid.resolutions)[rows[:, 0]], qualities,
+                     np.take_along_axis(times, rows, 1)[:, 0], over_budget, kept,
+                     LadderParams(tau_l, v_j, None if v_j is None else v_t, vsr_tag))
+
+
 def select_resolution(grid: PredictionGrid, bitrate: float, tau_l: float) -> ResolutionChoice:
     """Best-quality feasible resolution for one target bitrate.
 
@@ -268,32 +341,14 @@ def build_ladder(
     tau_l: float = math.inf,
     vsr_tag: str = "none",
 ) -> Ladder:
-    """One annotated representation per bitrate, ascending, each at the
-    resolution :func:`select_resolution` describes: one masked argmax over
-    the resolution axis, whose first maximum is the lower resolution, else
-    the first minimum of time."""
+    """One segment's :func:`decide`, unpruned: one annotated representation
+    per bitrate, ascending, at the resolution :func:`select_resolution` describes."""
     if grid.qualities.ndim != 2:
         raise LadderError("a ladder is built from one segment's grid")
-    targets = grid.bitrates if bitrates is None else tuple(sorted(bitrates))
-    columns = []
-    for b in targets:
-        if b not in grid.bitrates:
-            raise UnknownBitrate(f"bitrate {b} is not in the grid")
-        if not tau_l > 0:
-            raise LadderError(f"latency budget must be positive, got {tau_l}")
-        columns.append(grid.bitrates.index(b))
-    qualities, times = grid.qualities[:, columns], grid.times[:, columns]
-    fits = times <= tau_l
-    over_budget = ~fits.any(axis=0)
-    rows = np.where(over_budget, times.argmin(axis=0),
-                    np.where(fits, qualities, -np.inf).argmax(axis=0))
-    cells = rows, np.arange(len(columns))
-    reps = tuple(
-        Representation(grid.resolutions[row], b, quality, time, over)
-        for row, b, quality, time, over in zip(rows.tolist(), targets, qualities[cells].tolist(),
-                                               times[cells].tolist(), over_budget.tolist())
-    )
-    return Ladder(reps, LadderParams(tau_l=tau_l, vsr_tag=vsr_tag))
+    decided = decide(grid, bitrates, tau_l, vsr_tag)
+    reps = map(Representation, decided.resolutions[0].tolist(), decided.bitrates,
+               decided.qualities[0].tolist(), decided.times[0].tolist(), decided.over_budget[0].tolist())
+    return Ladder(tuple(reps), decided.params)
 
 
 def prune_jnd(ladder: Ladder, v_j: float, v_t: float) -> Ladder:
@@ -304,22 +359,14 @@ def prune_jnd(ladder: Ladder, v_j: float, v_t: float) -> Ladder:
     soon as a kept rung reaches ``v_t``.  Output preserves input order and
     is a subsequence of the input.
     """
-    if not v_j > 0:
-        raise LadderError(f"the noticeable-difference step must be positive, got {v_j}")
-    if math.isnan(v_t):
-        raise LadderError("the perceptually-lossless cap must be a number, got nan")
+    _check_jnd(v_j, v_t)
     for rep in ladder.reps:
         if rep.predicted_vmaf is None:
             raise MissingPrediction(
                 f"representation at {rep.bitrate} Mbps lacks a predicted quality"
             )
-    kept: list[Representation] = []
-    for rep in ladder.reps:
-        if not kept or rep.predicted_vmaf - kept[-1].predicted_vmaf >= v_j:
-            kept.append(rep)
-            if rep.predicted_vmaf >= v_t:
-                break
-    return Ladder(tuple(kept), replace(ladder.params, v_j=v_j, v_t=v_t))
+    kept = _jnd_kept(np.array([[rep.predicted_vmaf for rep in ladder.reps]], np.float64), v_j, v_t)
+    return Ladder(tuple(compress(ladder.reps, kept[0].tolist())), replace(ladder.params, v_j=v_j, v_t=v_t))
 
 
 def default_hls_ladder(
@@ -369,33 +416,36 @@ _MANIFEST_KEYS = ("segment_id", "vsr_tag", "tau_L", "v_J", "v_T", "reps", "confi
 _REP_KEYS = ("bitrate_mbps", "resolution", "predicted_vmaf", "predicted_time_s", "over_budget")
 _MANIFEST_TEXT = "{{\n" + ",\n".join(f'  "{key}": {{}}' for key in _MANIFEST_KEYS) + "\n}}\n"
 _REP_TEXT = "    {{\n" + ",\n".join(f'      "{key}": {{}}' for key in _REP_KEYS) + "\n    }}"
-_MANIFEST_VALUES, _REP_VALUES = itemgetter(*_MANIFEST_KEYS[:-1]), itemgetter(*_REP_KEYS)
 
 
 def ladder_to_manifest(ladder: Ladder, segment_id: str) -> dict:
-    """Wire-format manifest for one segment's ladder, ``config`` aside; an
-    infinite latency budget is the string ``"inf"``, as JSON has no infinity."""
+    """Wire-format manifest for one segment's ladder, ``config`` aside: the
+    document whose text :func:`manifest_texts` writes."""
     params = ladder.params
     reps = [dict(zip(_REP_KEYS, (rep.bitrate, rep.resolution, rep.predicted_vmaf, rep.predicted_time,
                                  rep.over_budget))) for rep in ladder.reps]
-    tau_l = "inf" if math.isinf(params.tau_l) else params.tau_l
+    tau_l = "inf" if math.isinf(params.tau_l) else params.tau_l  # JSON has no infinity
     return dict(zip(_MANIFEST_KEYS, (segment_id, params.vsr_tag, tau_l, params.v_j, params.v_t, reps)))
 
 
-def manifest_texts(manifests: Sequence[dict], config_doc: dict) -> list[str]:
-    """Each :func:`ladder_to_manifest` dict with ``config`` added, as ``json.dumps(...,
-    indent=2, allow_nan=False) + "\\n"`` writes it.  An encoded value holds no raw
-    newline, so newlines split the one encoding of all the values apart."""
-    values, counts = [], []
-    for manifest in manifests:
-        *scalars, reps = _MANIFEST_VALUES(manifest)
-        values += scalars
-        counts.append(len(reps))
-        for rep in reps:
-            values += _REP_VALUES(rep)
-    tokens = iter(json.dumps(values, allow_nan=False, separators=("\n", ":"))[1:-1].split("\n"))
+def manifest_texts(segment_ids: Sequence[str], decisions: Decisions, config_doc: dict) -> list[str]:
+    """The manifest of each segment of ``decisions``, named by ``segment_ids``,
+    its kept rungs in order and ``config`` added, as ``json.dumps(...,
+    indent=2, allow_nan=False) + "\\n"`` writes it.  An encoded value holds no
+    raw newline, so newlines split the one encoding of all the values apart."""
+    params, kept = decisions.params, decisions.kept
+    values = [params.vsr_tag, "inf" if math.isinf(params.tau_l) else params.tau_l, params.v_j, params.v_t,
+              *segment_ids]
+    values += map(decisions.bitrates.__getitem__, kept.nonzero()[1].tolist())
+    for column in decisions[1:5]:  # resolutions, qualities, times, over_budget
+        values += column[kept].tolist()
+    tokens = json.dumps(values, allow_nan=False, separators=("\n", ":"))[1:-1].split("\n")
+    at, n = 4 + len(segment_ids), int(kept.sum())
+    rungs = list(map(_REP_TEXT.format, *(tokens[at + k * n:at + (k + 1) * n] for k in range(len(_REP_KEYS)))))
     config_text = json.dumps(config_doc, indent=2, allow_nan=False).replace("\n", "\n  ")
-    n_scalars, n_rep = len(_MANIFEST_KEYS) - 2, len(_REP_KEYS)  # reps and config go apart
-    return [_MANIFEST_TEXT.format(*islice(tokens, n_scalars), "[\n" + ",\n".join(
-                [_REP_TEXT.format(*islice(tokens, n_rep)) for _ in range(count)]) + "\n  ]", config_text)
-            for count in counts]
+    texts, end = [], 0
+    for segment_id, count in zip(tokens[4:at], kept.sum(axis=1).tolist()):
+        texts.append(_MANIFEST_TEXT.format(segment_id, *tokens[:4], "[\n" + ",\n".join(
+            rungs[end:end + count]) + "\n  ]", config_text))
+        end += count
+    return texts

@@ -15,9 +15,13 @@ one form, :class:`RdCurve`: the checked quality and log10-rate arrays, built
 once and read by both BD metrics.  Each fit takes ``np.polyfit``'s own steps
 (and the integral ``np.polyval``'s), so the results are bitwise numpy's.
 
-:func:`compare_schemes` computes every fit and mean of a comparison at once:
-one LAPACK call for all the fits of one curve length, then each Horner step
-of all the means as one array operation.  The solve is
+A scheme's evaluated ladders are one :class:`EvaluationTable` of arrays, one
+row per representation; :func:`load_evaluation_csv` checks its columns as
+masks, and only the first bad line is read again to name its fault.
+:func:`compare_schemes` cuts every curve of both tables out of one sort and
+computes every fit and mean of a comparison at once: one LAPACK call for all
+the fits of one curve length, then each Horner step of all the means as one
+array operation.  The solve is
 ``numpy.linalg._umath_linalg.lstsq``, the gufunc that ``np.linalg.lstsq``
 itself calls: only it solves a stack of matrices with ``lstsq``'s own LAPACK
 routine (``gelsd``) and ``rcond``, where the public function takes one
@@ -35,9 +39,12 @@ writes ``report.json``: the scheme names, a :class:`SchemeReport`, the config.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from dataclasses import dataclass, field, fields
+from itertools import islice, repeat
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -52,6 +59,7 @@ __all__ = [
     "RdCurve",
     "EvaluatedRep",
     "EvaluatedSegment",
+    "EvaluationTable",
     "SchemeReport",
     "MetricsError",
     "InsufficientPoints",
@@ -70,6 +78,8 @@ __all__ = [
 ]
 
 METRIC_KINDS = ("psnr", "vmaf")
+_KIND_INDEX = {kind: k for k, kind in enumerate(METRIC_KINDS)}
+_SCALARS = (str, int, float, bool, type(None))  # what the report's flat objects hold
 
 EVALUATION_CSV_HEADER = (
     "segment_id",
@@ -142,52 +152,52 @@ _RANK_DEFICIENT = "cubic fit is rank-deficient (duplicate abscissae?)"
 _EPS = float(np.finfo(np.float64).eps)
 
 
-def _fit_cubics(pairs: Sequence[tuple[np.ndarray, np.ndarray]]) -> list[np.ndarray | DegenerateFit]:
-    """``np.polyfit(x, y, 3)`` of every ``(x, y)`` by its own steps, so bitwise
-    equal to it, with one LAPACK call for all the curves of one length.  A
-    curve whose column scale overflows or vanishes, whose rank is below 4 or
-    whose solve does not converge gets a :class:`DegenerateFit` in its place."""
-    fits: list = [None] * len(pairs)
-    by_length: dict[int, list[int]] = {}
-    for i, (x, _) in enumerate(pairs):
-        by_length.setdefault(len(x), []).append(i)
-    for m, members in by_length.items():
-        x = np.array([pairs[i][0] for i in members]) + 0.0
-        y = np.array([pairs[i][1] for i in members]) + 0.0
-        with np.errstate(over="ignore", invalid="ignore"):  # checked on the scale
-            lhs = np.empty((len(members), m, 4))  # np.vander(x, 4) of each row
-            powers = lhs[..., ::-1]
-            powers[..., 0] = 1
-            powers[..., 1:] = x[..., None]
-            np.multiply.accumulate(powers[..., 1:], axis=-1, out=powers[..., 1:])
-            scale = np.sqrt((lhs * lhs).sum(axis=1))
-        solvable = []
-        for k, row in enumerate(scale.tolist()):  # lists: quicker for 4 values
-            if not all(map(math.isfinite, row)):
-                fits[members[k]] = DegenerateFit(
-                    f"cubic fit overflows float64 (abscissae up to {float(abs(x[k]).max())})")
-            elif 0.0 in row:  # every abscissa 0, or too near it to square
-                fits[members[k]] = DegenerateFit(_RANK_DEFICIENT)
-            else:
-                solvable.append(k)
-        if not solvable:
-            continue
-        if len(solvable) < len(members):
-            lhs, y, scale = lhs[solvable], y[solvable], scale[solvable]
-        lhs /= scale[:, None]
-        try:  # np.linalg.lstsq's own gufunc call, on every curve at once
-            with np.errstate(call=_raise_unconverged, invalid="call",
-                             over="ignore", divide="ignore", under="ignore"):
-                coeffs, _residuals, ranks, _sv = _umath_linalg.lstsq(
-                    lhs, y[..., None], m * _EPS, signature="ddd->ddid")
-        except np.linalg.LinAlgError as exc:
-            for k in solvable:  # one at a time, to name the curve that failed
-                fits[members[k]] = (DegenerateFit(f"cubic fit failed: {exc}") if len(solvable) == 1
-                                    else _fit_cubics([pairs[members[k]]])[0])
-            continue
-        for k, rank, fit in zip(solvable, ranks.tolist(), coeffs[..., 0] / scale):
-            fits[members[k]] = fit if rank == 4 else DegenerateFit(_RANK_DEFICIENT)
-    return fits
+def _fit_cubics(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, dict[int, DegenerateFit]]:
+    """``np.polyfit(x[i], y[i], 3)`` of every row ``i`` by its own steps, so
+    bitwise equal to it, with one LAPACK call: the coefficients, NaN in each
+    row whose column scale overflows or vanishes, whose rank is below 4 or
+    whose solve does not converge, and that row's :class:`DegenerateFit`."""
+    x, y = x + 0.0, y + 0.0
+    n, m = x.shape
+    fits, errors = np.full((n, 4), np.nan), {}
+    with np.errstate(over="ignore", invalid="ignore"):  # checked on the scale
+        lhs = np.empty((n, m, 4))  # np.vander(x, 4) of each row
+        powers = lhs[..., ::-1]
+        powers[..., 0] = 1
+        powers[..., 1:] = x[..., None]
+        np.multiply.accumulate(powers[..., 1:], axis=-1, out=powers[..., 1:])
+        scale = np.sqrt((lhs * lhs).sum(axis=1))
+    solvable = []
+    for k, row in enumerate(scale.tolist()):  # lists: quicker for 4 values
+        if not all(map(math.isfinite, row)):
+            errors[k] = DegenerateFit(f"cubic fit overflows float64 (abscissae up to {float(abs(x[k]).max())})")
+        elif 0.0 in row:  # every abscissa 0, or too near it to square
+            errors[k] = DegenerateFit(_RANK_DEFICIENT)
+        else:
+            solvable.append(k)
+    if not solvable:
+        return fits, errors
+    scale = scale[solvable]
+    try:  # np.linalg.lstsq's own gufunc call, on every row at once
+        with np.errstate(call=_raise_unconverged, invalid="call",
+                         over="ignore", divide="ignore", under="ignore"):
+            coeffs, _residuals, ranks, _sv = _umath_linalg.lstsq(
+                lhs[solvable] / scale[:, None], y[solvable, :, None], m * _EPS, signature="ddd->ddid")
+    except np.linalg.LinAlgError as exc:
+        for k in solvable:  # one at a time, to name the row that failed
+            if len(solvable) == 1:
+                errors[k] = DegenerateFit(f"cubic fit failed: {exc}")
+                continue
+            fit, error = _fit_cubics(x[k:k + 1], y[k:k + 1])
+            fits[k] = fit[0]
+            errors.update((k, e) for e in error.values())
+        return fits, errors
+    for k, rank, fit in zip(solvable, ranks.tolist(), coeffs[..., 0] / scale):
+        if rank == 4:
+            fits[k] = fit
+        else:
+            errors[k] = DegenerateFit(_RANK_DEFICIENT)
+    return fits, errors
 
 
 def _overlap(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
@@ -211,38 +221,19 @@ def _mean_poly_difference(p_test: np.ndarray, p_ref: np.ndarray, lo, hi):
         return (at_hi - at_lo) / (hi - lo)
 
 
-def _bd_means(cases: Sequence[tuple]) -> list[float | MetricsError]:
-    """For each ``(fit_ref, fit_test, x_ref, x_test)``, the mean of the test
-    fit minus the reference fit over the overlap of the abscissae, or the
-    error that stops it: a degenerate fit, no overlap, a mean that is not
-    finite."""
-    out: list = [None] * len(cases)
-    rows, refs, tests, ends = [], [], [], []
-    for i, (fit_ref, fit_test, x_ref, x_test) in enumerate(cases):
-        try:
-            for fit in (fit_ref, fit_test):
-                if isinstance(fit, DegenerateFit):
-                    raise fit
-            ends.append(_overlap(x_ref, x_test))
-        except MetricsError as exc:
-            out[i] = exc
-            continue
-        rows.append(i)
-        refs.append(fit_ref)
-        tests.append(fit_test)
-    if rows:
-        lo, hi = np.array(ends).T
-        for i, mean in zip(rows, _mean_poly_difference(np.array(tests), np.array(refs), lo, hi).tolist()):
-            out[i] = mean if math.isfinite(mean) else MetricsError(
-                f"mean curve difference is not finite ({mean})")
-    return out
-
-
-def _raised(value):
-    """``value``, raised instead if it is an error."""
-    if isinstance(value, MetricsError):
-        raise value
-    return value
+def _checked_mean(fit_ref, fit_test, x_ref: np.ndarray, x_test: np.ndarray, mean=None) -> float:
+    """The mean of the test fit minus the reference fit over the overlap of the
+    abscissae (``mean``, when it is already known), or the error that stops it:
+    a degenerate fit, no overlap, a mean that is not finite."""
+    for fit in (fit_ref, fit_test):
+        if isinstance(fit, DegenerateFit):
+            raise fit
+    lo, hi = _overlap(x_ref, x_test)
+    if mean is None:
+        mean = float(_mean_poly_difference(fit_test, fit_ref, lo, hi))
+    if not math.isfinite(mean):
+        raise MetricsError(f"mean curve difference is not finite ({mean})")
+    return mean
 
 
 def _rate_change(avg: float) -> float:
@@ -254,37 +245,8 @@ def _rate_change(avg: float) -> float:
 
 def _bd(x_ref: np.ndarray, y_ref: np.ndarray, x_test: np.ndarray, y_test: np.ndarray) -> float:
     """Mean of the test curve's cubic fit minus the reference's over their overlap."""
-    return _raised(_bd_means([(*_fit_cubics([(x_ref, y_ref), (x_test, y_test)]), x_ref, x_test)])[0])
-
-
-def _bd_deltas(requests: Sequence[tuple["EvaluatedSegment", "EvaluatedSegment", str]]
-               ) -> list[tuple[float, float] | MetricsError]:
-    """``(bd_rate(ref, test), bd_quality(ref, test))`` of the ``kind`` curves
-    ``ref`` and ``test`` of each ``(baseline, candidate, kind)``, or the first
-    error that those steps raise, in the same order; every fit and mean of
-    all the requests is computed at once."""
-    out: list = []
-    pairs = []  # per request: the rate fits' (x, y), then the quality fits'
-    for b_seg, c_seg, kind in requests:
-        try:
-            ref, test = b_seg.curve(kind), c_seg.curve(kind)
-        except MetricsError as exc:
-            out.append(exc)
-            continue
-        out.append(None)
-        pairs += [(ref.qualities, ref.log_rates), (test.qualities, test.log_rates),
-                  (ref.log_rates, ref.qualities), (test.log_rates, test.qualities)]
-    fits = _fit_cubics(pairs)
-    means = iter(_bd_means([(fits[i], fits[i + 1], pairs[i][0], pairs[i + 1][0])
-                            for i in range(0, len(pairs), 2)]))
-    for i, found in enumerate(out):
-        if found is None:
-            rate_mean, quality_mean = next(means), next(means)
-            try:
-                out[i] = _rate_change(_raised(rate_mean)), _raised(quality_mean)
-            except MetricsError as exc:
-                out[i] = exc
-    return out
+    fits = [_fit_cubics(x[None], y[None]) for x, y in ((x_ref, y_ref), (x_test, y_test))]
+    return _checked_mean(*(errors.get(0, coeffs[0]) for coeffs, errors in fits), x_ref, x_test)
 
 
 def _same_kind(reference: RdCurve, test: RdCurve) -> None:
@@ -346,6 +308,12 @@ def storage(ladder: Ladder, duration_s: float) -> float:
     return float(sum(rep.bitrate for rep in ladder.reps) * duration_s)
 
 
+def _check_rep(bitrate: float, time: float) -> None:
+    if not 0 < bitrate < math.inf:
+        raise MetricsError(f"bitrate must be finite and positive, got {bitrate}")
+    _check_time(time)
+
+
 @dataclass(frozen=True)
 class EvaluatedRep:
     """One encoded rung with measured (or predicted) quality and time."""
@@ -356,9 +324,7 @@ class EvaluatedRep:
     qualities: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        if not 0 < self.bitrate < math.inf:
-            raise MetricsError(f"bitrate must be finite and positive, got {self.bitrate}")
-        _check_time(self.encode_time)
+        _check_rep(self.bitrate, self.encode_time)
         for kind in self.qualities:
             if kind not in METRIC_KINDS:
                 raise MetricKindMismatch(f"unknown quality metric {kind!r}")
@@ -367,6 +333,8 @@ class EvaluatedRep:
 
 @dataclass(frozen=True)
 class EvaluatedSegment:
+    """One segment's representations, in any order: see :meth:`EvaluationTable.from_segments`."""
+
     segment_id: str
     reps: tuple[EvaluatedRep, ...]
 
@@ -375,19 +343,57 @@ class EvaluatedSegment:
             raise EmptyLadder(f"segment {self.segment_id!r} has no representations")
         object.__setattr__(self, "reps", tuple(self.reps))
 
-    def curve(self, metric_kind: str) -> RdCurve:
-        """This segment's RD curve for one metric."""
-        return RdCurve.from_pairs(sorted((rep.bitrate, rep.qualities[metric_kind])
-                                         for rep in self.reps if metric_kind in rep.qualities),
-                                  metric_kind)
 
-    @property
-    def times(self) -> tuple[float, ...]:
-        return tuple(rep.encode_time for rep in self.reps)
+def _int_array(values: list[int]) -> np.ndarray:
+    try:
+        return np.array(values, np.int64)
+    except OverflowError:  # a resolution beyond int64, kept exact
+        return np.array(values, object)
 
-    @property
-    def total_bitrate(self) -> float:
-        return float(sum(rep.bitrate for rep in self.reps))
+
+@dataclass(frozen=True, eq=False)
+class EvaluationTable:
+    """One scheme's evaluated ladders, one row per representation, grouped by
+    segment: ``segment`` indexes ``segment_ids``, which are sorted, and
+    ``qualities[:, k]`` holds the ``METRIC_KINDS[k]`` quality of the rows where
+    ``present[:, k]``.  :func:`load_evaluation_csv` builds it from checked
+    rows, sorted by (segment, bitrate, resolution), and :meth:`from_segments`
+    from checked representations, in each segment's own order.  The arrays
+    are read-only."""
+
+    scheme: str
+    segment_ids: tuple[str, ...]
+    segment: np.ndarray
+    bitrate: np.ndarray
+    resolution: np.ndarray
+    encode_time: np.ndarray
+    qualities: np.ndarray
+    present: np.ndarray
+
+    def __post_init__(self):
+        for f in fields(self)[2:]:
+            getattr(self, f.name).flags.writeable = False
+
+    @classmethod
+    def from_segments(cls, scheme: str, segments: Iterable[EvaluatedSegment]) -> "EvaluationTable":
+        """The table of ``segments``; ``scheme`` names them in the error for a
+        segment listed twice or for no segment at all."""
+        by_id: dict[str, EvaluatedSegment] = {}
+        for seg in segments:
+            if seg.segment_id in by_id:
+                raise SegmentMismatch(f"{scheme} lists segment {seg.segment_id!r} twice")
+            by_id[seg.segment_id] = seg
+        if not by_id:
+            raise SegmentMismatch(f"{scheme} contains no segments")
+        segment_ids = tuple(sorted(by_id))
+        rows = [(k, rep) for k, segment_id in enumerate(segment_ids) for rep in by_id[segment_id].reps]
+        reps = [rep for _, rep in rows]
+        return cls(scheme, segment_ids, np.array([k for k, _ in rows]),
+                   np.array([rep.bitrate for rep in reps], np.float64), _int_array([rep.resolution for rep in reps]),
+                   np.array([rep.encode_time for rep in reps], np.float64),
+                   np.array([[rep.qualities.get(kind, math.nan) for kind in METRIC_KINDS] for rep in reps],
+                            np.float64),
+                   np.array([[kind in rep.qualities for kind in METRIC_KINDS] for rep in reps], bool))
 
 
 @dataclass(frozen=True)
@@ -417,55 +423,133 @@ class SchemeReport:
 
 
 def report_text(baseline: str, candidate: str, report: SchemeReport, config_doc: dict) -> str:
-    """``report.json``'s text: indent-2 JSON, which refuses NaN and infinity."""
-    doc = {"baseline": baseline, "candidate": candidate, **report.to_dict(), "config": config_doc}
-    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    """``report.json``'s text, as ``json.dumps(doc, indent=2, allow_nan=False)``
+    writes it, which refuses NaN and infinity.  With an indent ``json.dumps``
+    takes its pure-Python encoder, so the C encoder writes the flat objects
+    instead, one item to a line by the separator; the config goes the slow way."""
+    doc = {"baseline": baseline, "candidate": candidate, **report.to_dict()}
+    entries = doc.pop("segments")
+    if not all(entries) or not all(type(v) in _SCALARS for d in (doc, *entries) for v in d.values()):
+        return json.dumps({**doc, "segments": entries, "config": config_doc}, indent=2, allow_nan=False) + "\n"
+    head = json.dumps(doc, allow_nan=False, separators=(",\n  ", ": "))[1:-1]
+    segments = json.dumps(entries, allow_nan=False, separators=(",\n      ", ": "))[2:-2].replace(
+        "},\n      {", "\n    },\n    {\n      ")  # a newline in a string is escaped: these are between entries
+    segments = f"[\n    {{\n      {segments}\n    }}\n  ]" if entries else "[]"
+    config_text = json.dumps(config_doc, indent=2, allow_nan=False).replace("\n", "\n  ")
+    return f'{{\n  {head},\n  "segments": {segments},\n  "config": {config_text}\n}}\n'
 
 
-def _by_id(segments: Iterable[EvaluatedSegment], label: str) -> dict[str, EvaluatedSegment]:
-    out: dict[str, EvaluatedSegment] = {}
-    for seg in segments:
-        if seg.segment_id in out:
-            raise SegmentMismatch(f"{label} lists segment {seg.segment_id!r} twice")
-        out[seg.segment_id] = seg
-    if not out:
-        raise SegmentMismatch(f"{label} contains no segments")
+def _segment_rows(table: EvaluationTable) -> list[tuple[list[float], list[float]]]:
+    """Each segment's encode times and bitrates, in table order."""
+    bounds = np.searchsorted(table.segment, np.arange(len(table.segment_ids) + 1)).tolist()
+    times, rates = table.encode_time.tolist(), table.bitrate.tolist()
+    return [(times[lo:hi], rates[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _bd_deltas(base: EvaluationTable, cand: EvaluationTable) -> list[tuple[float, float] | MetricsError]:
+    """For each segment of the two tables' ids and each metric kind in turn,
+    ``(bd_rate(ref, test), bd_quality(ref, test))`` of the baseline's curve
+    ``ref`` and the candidate's ``test``, or the first error of those steps:
+    the baseline's curve before the candidate's, then the rate fits and their
+    overlap, then the quality fits and theirs.  Curve ``c`` is ``(segment *
+    len(METRIC_KINDS) + kind) * 2 + side``: one sort of both tables' present
+    qualities by it, then by bitrate, puts each curve's points together in
+    bitrate order.  A curve or mean that fails goes through the one-curve
+    checks again, which name its fault."""
+    keys, rates, qualities = [], [], []
+    for side, table in enumerate((base, cand)):
+        row, kind = np.nonzero(table.present)
+        keys.append((table.segment[row] * len(METRIC_KINDS) + kind) * 2 + side)
+        rates.append(table.bitrate[row])
+        qualities.append(table.qualities[row, kind])
+    key, rate, quality = map(np.concatenate, (keys, rates, qualities))
+    order = np.lexsort((rate, key))
+    key, rate, quality = key[order], rate[order], quality[order]
+    log_rate = np.log10(rate)
+    n_curves = 2 * len(METRIC_KINDS) * len(base.segment_ids)
+    count = np.bincount(key, minlength=n_curves)
+    start = np.cumsum(count) - count
+    tied = key[1:][(key[1:] == key[:-1]) & (rate[1:] == rate[:-1])]  # one bitrate at two resolutions
+    fittable = count >= 4
+    fittable[key[~np.isfinite(quality)]] = fittable[tied] = False
+    curve_errors = {}
+    for c in np.flatnonzero(~fittable).tolist():  # the curve's own checks name its fault
+        points = slice(start[c], start[c] + count[c])
+        try:
+            RdCurve.from_pairs(sorted(zip(rate[points].tolist(), quality[points].tolist())),
+                               METRIC_KINDS[c // 2 % len(METRIC_KINDS)])
+        except MetricsError as exc:
+            curve_errors[c] = exc
+    pairs = np.flatnonzero(fittable[0::2] & fittable[1::2])
+    fitted = np.repeat(np.isin(np.arange(n_curves // 2), pairs), 2)
+    coeffs = np.full((n_curves, 2, 4), np.nan)  # [curve, the rate fit then the quality fit]
+    ends = np.zeros((n_curves, 2, 2))  # the least and the greatest abscissa of each fit
+    fit_errors = {}
+    for m in np.unique(count[fitted]).tolist():
+        curves = np.flatnonzero(fitted & (count == m))
+        at = start[curves][:, None] + np.arange(m)
+        x = np.concatenate([quality[at], log_rate[at]])
+        fits, errors = _fit_cubics(x, np.concatenate([log_rate[at], quality[at]]))
+        coeffs[curves] = fits.reshape(2, len(curves), 4).swapaxes(0, 1)
+        ends[curves] = np.stack([x.min(axis=1), x.max(axis=1)], -1).reshape(2, len(curves), 2).swapaxes(0, 1)
+        for i, error in errors.items():
+            fit_errors[curves[i % len(curves)], i // len(curves)] = error
+    ref, test = 2 * pairs, 2 * pairs + 1
+    lo, hi = np.maximum(ends[ref, :, 0], ends[test, :, 0]), np.minimum(ends[ref, :, 1], ends[test, :, 1])
+    means = _mean_poly_difference(coeffs[test], coeffs[ref], lo, hi)
+    found = dict(zip(pairs.tolist(), zip((np.isfinite(means) & (lo < hi)).all(axis=1).tolist(), means.tolist())))
+
+    def checked(p, f):  # of pair p's rate fits (f = 0) or quality fits (f = 1)
+        x = (quality, log_rate)[f]
+        return _checked_mean(*(fit_errors.get((c, f), coeffs[c, f]) for c in (2 * p, 2 * p + 1)),
+                             *(x[start[c]:start[c] + count[c]] for c in (2 * p, 2 * p + 1)), found[p][1][f])
+
+    out: list = []
+    for p in range(n_curves // 2):
+        try:
+            for c in (2 * p, 2 * p + 1):
+                if c in curve_errors:
+                    raise curve_errors[c]
+            good, (rate_mean, quality_mean) = found[p]
+            out.append((_rate_change(rate_mean), quality_mean) if good
+                       else (_rate_change(checked(p, 0)), checked(p, 1)))
+        except MetricsError as exc:
+            out.append(exc)
     return out
 
 
 def compare_schemes(
-    baseline: Iterable[EvaluatedSegment],
-    candidate: Iterable[EvaluatedSegment],
+    baseline: EvaluationTable | Iterable[EvaluatedSegment],
+    candidate: EvaluationTable | Iterable[EvaluatedSegment],
     *,
     kappa: float = 1.0,
     segment_duration_s: float = 4.0,
 ) -> SchemeReport:
-    """Compare two evaluated ladder sets over identical segments.
+    """Compare two evaluated ladder sets over identical segments, each a table
+    or the segments :meth:`EvaluationTable.from_segments` makes one of.
 
     Per-segment BD failures (too few points, no overlap, degenerate fits)
     are recorded in the breakdown and excluded from the averages instead of
     aborting the aggregate.
     """
     _check_duration(segment_duration_s)
-    base = _by_id(baseline, "baseline")
-    cand = _by_id(candidate, "candidate")
-    if set(base) != set(cand):
-        only_base = sorted(set(base) - set(cand))
-        only_cand = sorted(set(cand) - set(base))
+    base, cand = (scheme if isinstance(scheme, EvaluationTable) else EvaluationTable.from_segments(label, scheme)
+                  for scheme, label in ((baseline, "baseline"), (candidate, "candidate")))
+    if set(base.segment_ids) != set(cand.segment_ids):
+        only_base = sorted(set(base.segment_ids) - set(cand.segment_ids))
+        only_cand = sorted(set(cand.segment_ids) - set(base.segment_ids))
         raise SegmentMismatch(
             f"segment sets differ (baseline-only {only_base}, candidate-only {only_cand})"
         )
     _check_kappa(kappa)
-    segment_ids = sorted(base)
-    deltas = iter(_bd_deltas([(base[segment_id], cand[segment_id], kind)
-                              for segment_id in segment_ids for kind in METRIC_KINDS]))
+    deltas = iter(_bd_deltas(base, cand))
     bd_sums = {f"bd{m}_{k}": [] for m in ("_rate", "") for k in METRIC_KINDS}
     breakdown: list[dict] = []
     base_energy = base_storage = 0.0
     cand_energy = cand_storage = 0.0
     cand_times: list[float] = []
-    for segment_id in segment_ids:
-        b_seg, c_seg = base[segment_id], cand[segment_id]
+    for segment_id, (b_times, b_rates), (c_times, c_rates) in zip(
+            base.segment_ids, _segment_rows(base), _segment_rows(cand)):
         entry: dict = {"segment_id": segment_id}
         for kind in METRIC_KINDS:
             found = next(deltas)
@@ -475,15 +559,14 @@ def compare_schemes(
             for name, value in zip((f"bd_rate_{kind}", f"bd_{kind}"), found):
                 entry[name] = value
                 bd_sums[name].append(value)
-        # Every encode time was checked finite and nonnegative by EvaluatedRep.
-        b_times, c_times = b_seg.times, c_seg.times
+        # Every encode time was checked finite and nonnegative with its row.
         entry["baseline_time_s"] = float(max(b_times))
         entry["candidate_time_s"] = float(max(c_times))
         cand_times.append(entry["candidate_time_s"])
         base_energy += float(kappa * sum(b_times))
         cand_energy += float(kappa * sum(c_times))
-        base_storage += b_seg.total_bitrate * segment_duration_s
-        cand_storage += c_seg.total_bitrate * segment_duration_s
+        base_storage += float(sum(b_rates)) * segment_duration_s
+        cand_storage += float(sum(c_rates)) * segment_duration_s
         breakdown.append(entry)
     if base_energy == 0 or base_storage == 0:
         raise MetricsError("baseline energy/storage must be nonzero for relative deltas")
@@ -504,48 +587,97 @@ def compare_schemes(
     )
 
 
-def load_evaluation_csv(source: Iterable[str]) -> tuple[str, list[EvaluatedSegment]]:
-    """Read one scheme's evaluated ladders (:mod:`.table` conventions).
+def _converted(texts: Sequence[str], convert) -> list:
+    """``convert`` of each text, up to the first one that it rejects."""
+    values: list = []
+    with contextlib.suppress(ValueError):  # list.extend keeps what came before the error
+        values.extend(map(convert, texts))
+    return values
+
+
+def _line_error(lineno: int, row: Sequence[str], first_time: float | None) -> MetricsError:
+    """The first check that the row on line ``lineno`` fails, every earlier row
+    being valid, in the order a row-by-row reader runs them: ``first_time`` is
+    the encode time of its representation's first row, None on that row."""
+    _, _, bitrate_s, resolution_s, metric, quality_s, time_s = row
+    if metric not in METRIC_KINDS:
+        return MetricKindMismatch(f"line {lineno}: unknown quality metric {metric!r}")
+    try:
+        bitrate, _ = finite_float(bitrate_s), int(resolution_s)
+        time, _ = finite_float(time_s), finite_float(quality_s)
+        _check_rep(bitrate, time) if first_time is None else _check_time(time)
+    except (ValueError, MetricsError) as exc:
+        return SegmentMismatch(f"line {lineno}: {exc}")
+    if time != first_time:
+        return SegmentMismatch(f"line {lineno}: encode time {time} contradicts "
+                               f"{first_time} for the same representation")
+    return SegmentMismatch(f"line {lineno}: duplicate {metric} quality for one representation")
+
+
+def load_evaluation_csv(source: Iterable[str]) -> EvaluationTable:
+    """Read one scheme's evaluated ladders (:mod:`.table` conventions) into its
+    :class:`EvaluationTable`.
 
     Rows with the same (segment, bitrate, resolution) describe one
     representation; each may contribute one quality metric and all must
     agree on the encode time.  The file must contain exactly one scheme
-    label.  Returns (scheme name, segments in first-appearance order).
+    label.  Each column is converted with ``float`` or ``int``, each check
+    is a mask over the rows, and one stable sort groups them; the first
+    line that fails a check is read again, so its error is the one that a
+    row-by-row reader meets first.
     """
-    schemes: set[str] = set()
-    # segment -> (bitrate, resolution) -> representation, built from its first
-    # row; later rows for the same representation add their quality metric
-    segments: dict[str, dict[tuple[float, int], EvaluatedRep]] = {}
-    for lineno, row in read_table(source, EVALUATION_CSV_HEADER, SegmentMismatch):
-        segment_id, scheme, bitrate_s, resolution_s, metric, quality_s, time_s = row
-        schemes.add(scheme)
-        if metric not in METRIC_KINDS:
-            raise MetricKindMismatch(f"line {lineno}: unknown quality metric {metric!r}")
-        try:
-            bitrate, resolution = finite_float(bitrate_s), int(resolution_s)
-            time, quality = finite_float(time_s), finite_float(quality_s)
-            reps = segments.setdefault(segment_id, {})
-            known = reps.get((bitrate, resolution))
-            if known is None:
-                reps[bitrate, resolution] = EvaluatedRep(bitrate, resolution, time, {metric: quality})
-                continue
-            _check_time(time)  # its bitrate matched a checked one
-        except (ValueError, MetricsError) as exc:
-            raise SegmentMismatch(f"line {lineno}: {exc}") from None
-        if known.encode_time != time:
-            raise SegmentMismatch(
-                f"line {lineno}: encode time {time} contradicts "
-                f"{known.encode_time} for the same representation"
-            )
-        if metric in known.qualities:
-            raise SegmentMismatch(
-                f"line {lineno}: duplicate {metric} quality for one representation"
-            )
-        known.qualities[metric] = quality
-    if len(schemes) != 1:
-        raise SegmentMismatch(f"evaluation CSV must hold exactly one scheme, got {sorted(schemes)}")
-    out = [
-        EvaluatedSegment(segment_id=segment_id, reps=tuple(reps[key] for key in sorted(reps)))
-        for segment_id, reps in segments.items()
-    ]
-    return schemes.pop(), out
+    # The rows become columns a chunk at a time, so that each row's list and
+    # tuple are freed with their chunk rather than held to the end.
+    rows, linenos, late = read_table(source, EVALUATION_CSV_HEADER, SegmentMismatch), [], None
+    columns: list[list[str]] = [[] for _ in EVALUATION_CSV_HEADER]
+    while late is None:
+        chunk: list = []
+        try:  # list.extend keeps the rows read before a table error
+            chunk.extend(islice(rows, 256))
+        except (LadderforgeError, OSError, ValueError) as exc:  # raised if no earlier line fails a check
+            late = exc
+        linenos += map(itemgetter(0), chunk)
+        for column, values in zip(columns, zip(*map(itemgetter(1), chunk))):
+            column += values
+        if not chunk:
+            break
+    ids, schemes, bitrate_s, resolution_s, metric_s, quality_s, time_s = columns
+    bitrate, resolution, time, quality = (_converted(texts, convert) for texts, convert in (
+        (bitrate_s, float), (resolution_s, int), (time_s, float), (quality_s, float)))
+    n = min(map(len, (bitrate, resolution, time, quality)))  # every column converted
+    bitrate, time, quality = (np.array(values[:n], np.float64) for values in (bitrate, time, quality))
+    resolution = _int_array(resolution[:n])
+    segment_ids = sorted(set(ids))
+    index = dict(zip(segment_ids, range(len(segment_ids))))
+    segment = np.fromiter(map(index.__getitem__, ids[:n]), np.intp, n)
+    kind = np.fromiter(map(_KIND_INDEX.get, metric_s[:n], repeat(-1)), np.intp, n)
+    # Sorted by representation, then metric kind, then line: each group's
+    # rows are together, and a second row of one kind follows the first.
+    order = np.lexsort((kind, np.unique(resolution, return_inverse=True)[1], bitrate, segment))
+    keys = [column[order] for column in (segment, bitrate, resolution, kind)]
+    same = np.logical_and.reduce([key[1:] == key[:-1] for key in keys[:3]])
+    new = np.concatenate([[True], ~same])[:n]
+    group = np.cumsum(new) - 1
+    first = np.empty(n, np.intp)  # each row's representation's first row
+    first[order] = np.minimum.reduceat(order, np.flatnonzero(new))[group]
+    duplicate = np.zeros(n, bool)
+    duplicate[order[1:]] = same & (keys[3][1:] == keys[3][:-1])
+    repeated = first != np.arange(n)
+    with np.errstate(invalid="ignore"):
+        bad = ((kind < 0) | ~(np.isfinite(bitrate) & np.isfinite(time) & np.isfinite(quality)) | (time < 0)
+               | np.where(repeated, (time != time[first]) | duplicate, bitrate <= 0))
+    at = int(bad.argmax()) if bad.any() else n  # the first bad row, or the first not converted
+    if at < len(linenos):
+        raise _line_error(linenos[at], [column[at] for column in columns],
+                          time[first[at]].item() if at < n and repeated[at] else None)
+    if late is not None:
+        raise late
+    if len(set(schemes)) != 1:
+        raise SegmentMismatch(f"evaluation CSV must hold exactly one scheme, got {sorted(set(schemes))}")
+    one = order[new]  # one row of each representation, in table order
+    qualities = np.full((len(one), len(METRIC_KINDS)), np.nan)
+    present = np.zeros(qualities.shape, bool)
+    qualities[group, keys[3]] = quality[order]
+    present[group, keys[3]] = True
+    return EvaluationTable(schemes[0], tuple(segment_ids), segment[one], bitrate[one], resolution[one],
+                           time[one], qualities, present)

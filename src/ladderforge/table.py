@@ -31,7 +31,8 @@ def read_table(
     def content():
         nonlocal start
         for lineno, line in enumerate(lines, start=1):
-            if line.strip() and not line.startswith("#"):
+            # not line.strip(), without copying the line: both mean Unicode whitespace
+            if line and not line.isspace() and not line.startswith("#"):
                 start = start or lineno
                 yield line
 

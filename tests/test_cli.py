@@ -695,10 +695,10 @@ def test_a_failed_manifest_write_keeps_earlier_manifests_whole(tmp_path, monkeyp
     new = {path.name: path.read_bytes() for path in fresh.iterdir()}
     real_replace, replaced = os.replace, []
 
-    def fail_the_third(src, dst):
+    def fail_the_third(src, dst, **dir_fds):
         if len(replaced) == 2:
             raise OSError(28, "No space left on device")
-        real_replace(src, dst)
+        real_replace(src, dst, **dir_fds)
         replaced.append(Path(dst).name)
 
     monkeypatch.setattr(cli.os, "replace", fail_the_third)
@@ -733,9 +733,9 @@ def _install_write_faults(monkeypatch, call, fail_at):
             fail("write", len(temps))
         return real_write(fd, data)
 
-    def replace(src, dst):
+    def replace(src, dst, **dir_fds):
         fail("replace", len(replaced) + 1)
-        real_replace(src, dst)
+        real_replace(src, dst, **dir_fds)
         replaced.append(Path(dst).name)
 
     for name, wrapper in (("open", open_), ("write", write), ("replace", replace)):
@@ -913,3 +913,29 @@ def test_python_dash_m_runs_the_cli():
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stdout.startswith("usage: ladderforge")
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["-h", "ladder"], ["nonsense"], ["nonsense", "--help"], ["--bogus", "train"],
+    *([command, "--help"] for command in cli._COMMANDS),
+    *([command] for command in cli._COMMANDS),
+    ["analyze", "synth:noise:8x8x1@30", "--raw-width", "x"], ["train", "t.csv", "--holdout"],
+    ["ladder", "f.csv"], ["ladder", "f.csv", "--models", "m", "--tau-l", "soon"],
+    ["evaluate", "a.csv"], ["evaluate", "a.csv", "b.csv", "--vsr", "bicubic"],
+    ["evaluate", "a.csv", "b.csv", "--n-trees", "many"],
+])
+def test_the_parser_of_one_command_prints_what_the_full_parser_prints(argv, capsys, monkeypatch):
+    def parsed(parser):
+        with pytest.raises(SystemExit) as caught:
+            parser.parse_args(argv)
+        return caught.value.code, capsys.readouterr()
+
+    command = next((arg for arg in argv if not arg.startswith("-")), None)
+    narrow = cli.build_parser(command if command in cli._COMMANDS else None)
+    code, printed = parsed(narrow)
+    assert (code, printed) == parsed(cli.build_parser())
+    assert code in (0, cli.EXIT_USAGE)
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: built.append(command) or narrow)
+    assert cli.main(argv) == code and capsys.readouterr() == printed
+    assert built == [command if command in cli._COMMANDS else None]

@@ -14,6 +14,7 @@ from ladderforge.config import DEFAULT_BITRATES_MBPS, DEFAULT_RESOLUTIONS, RunCo
 from ladderforge.forest import ForestModel, Hyperparams, feature_vector, predict
 from ladderforge.ladder import (
     DEFAULT_HLS_PAIRING,
+    Decisions,
     EmptyLadder,
     Ladder,
     LadderError,
@@ -26,6 +27,7 @@ from ladderforge.ladder import (
     UnknownBitrate,
     UnsortedLadder,
     build_ladder,
+    decide,
     default_hls_ladder,
     ladder_to_manifest,
     load_pairing_csv,
@@ -146,9 +148,8 @@ def test_catalog_path_equals_the_per_cell_reference(quality, time, segments, tau
     resolutions, bitrates = list(DEFAULT_RESOLUTIONS), list(DEFAULT_BITRATES_MBPS)
     grids = predict_grid(quality, time, segments, resolutions[::-1], bitrates)
     assert grids.qualities.shape == (len(segments), len(resolutions), len(bitrates))
-    for i, (features, grid) in enumerate(zip(segments, grids.segments(), strict=True)):
-        assert _fields(grid) == _fields(PredictionGrid(resolutions, bitrates, grids.qualities[i].copy(),
-                                                       grids.times[i].copy()))
+    for i, features in enumerate(segments):
+        grid = PredictionGrid(resolutions, bitrates, grids.qualities[i], grids.times[i])
         entries = {}
         for r in resolutions:
             for b in bitrates:
@@ -167,6 +168,93 @@ def test_catalog_path_equals_the_per_cell_reference(quality, time, segments, tau
         assert pruned.reps == tuple(built.reps[i] for i in kept)
 
 
+# build_ladder and prune_jnd as they were before decide made every segment's
+# decisions at once: one segment at a time, and one rung at a time.
+
+
+def _reference_ladder(grid, bitrates, tau_l, vsr_tag):
+    targets = tuple(sorted(bitrates))
+    columns = [grid.bitrates.index(b) for b in targets]
+    qualities, times = grid.qualities[:, columns], grid.times[:, columns]
+    fits = times <= tau_l
+    over_budget = ~fits.any(axis=0)
+    rows = np.where(over_budget, times.argmin(axis=0),
+                    np.where(fits, qualities, -np.inf).argmax(axis=0))
+    cells = rows, np.arange(len(columns))
+    reps = tuple(Representation(grid.resolutions[row], b, quality, time, over)
+                 for row, b, quality, time, over in zip(rows.tolist(), targets, qualities[cells].tolist(),
+                                                        times[cells].tolist(), over_budget.tolist()))
+    return Ladder(reps, LadderParams(tau_l=tau_l, vsr_tag=vsr_tag))
+
+
+def _reference_prune(ladder, v_j, v_t):
+    kept = []
+    for rep in ladder.reps:
+        if not kept or rep.predicted_vmaf - kept[-1].predicted_vmaf >= v_j:
+            kept.append(rep)
+            if rep.predicted_vmaf >= v_t:
+                break
+    return Ladder(tuple(kept), dataclasses.replace(ladder.params, v_j=v_j, v_t=v_t))
+
+
+_TIED_QUALITIES = st.sampled_from([0.0, 40.0, 70.0, 94.0, 96.0, 100.0]) | st.floats(0.0, 100.0)
+_TIMES = st.sampled_from([0.0, 0.5, 1.0, 2.0, 5.0]) | st.floats(0.0, 10.0)
+
+
+@st.composite
+def _catalog(draw):
+    """A catalog grid whose cells repeat a few values, so that qualities tie
+    and whole columns miss the budget, and the bitrates a ladder targets."""
+    n_segments, n_bitrates = draw(st.integers(0, 5)), draw(st.integers(1, 12))
+    bitrates = DEFAULT_BITRATES_MBPS[:n_bitrates]
+    shape = (n_segments, len(DEFAULT_RESOLUTIONS), n_bitrates)
+    n_cells = math.prod(shape)
+    cells = st.lists(st.tuples(_TIED_QUALITIES, _TIMES), min_size=n_cells, max_size=n_cells)
+    values = np.array(draw(cells), np.float64).reshape(*shape, 2)
+    grid = PredictionGrid(DEFAULT_RESOLUTIONS, bitrates, values[..., 0], values[..., 1])
+    return grid, draw(st.lists(st.sampled_from(bitrates), min_size=1, unique=True))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    catalog=_catalog(),
+    tau=st.sampled_from([1e-3, 0.5, 1.0, 2.0, math.inf]) | st.floats(1e-3, 10.0),
+    v_j=st.none() | st.sampled_from([2.0, 6.0, 30.0]) | st.floats(0.01, 40.0),
+    v_t=st.sampled_from([0.0, 40.0, 70.0, 94.0, 100.0]) | st.floats(-1.0, 101.0),
+    vsr_tag=st.sampled_from(["none", "fsrcnn"]),
+)
+@example(  # every column over budget, and the first rung at the cap
+    catalog=(PredictionGrid(DEFAULT_RESOLUTIONS, (0.145, 0.3), np.full((2, 4, 2), 100.0),
+                            np.full((2, 4, 2), 5.0)), [0.145, 0.3]),
+    tau=1.0, v_j=2.0, v_t=100.0, vsr_tag="none")
+def test_catalog_decisions_equal_the_per_segment_reference(catalog, tau, v_j, v_t, vsr_tag):
+    """decide, its manifests, build_ladder and prune_jnd give each segment the
+    ladder that the per-segment reference builds and prunes."""
+    grid, bitrates = catalog
+    decided = decide(grid, bitrates, tau, vsr_tag, v_j, v_t)
+    config_doc = RunConfig().to_dict()
+    ids = [f"s{i}" for i in range(len(grid.qualities))]
+    want = []
+    for i, segment_id in enumerate(ids):
+        alone = PredictionGrid(grid.resolutions, grid.bitrates, grid.qualities[i], grid.times[i])
+        reference = _reference_ladder(alone, bitrates, tau, vsr_tag)
+        built = build_ladder(alone, bitrates, tau, vsr_tag)
+        assert built == reference
+        if v_j is not None:
+            reference = _reference_prune(reference, v_j, v_t)
+            assert prune_jnd(built, v_j, v_t) == reference
+        kept = decided.kept[i]
+        assert list(zip(decided.resolutions[i].tolist(), decided.bitrates,
+                        *(column[i].tolist() for column in decided[2:5]), strict=True)) == [
+            (rep.resolution, rep.bitrate, rep.predicted_vmaf, rep.predicted_time, rep.over_budget)
+            for rep in built.reps]
+        assert tuple(np.array(built.reps, object)[kept]) == reference.reps
+        want.append(json.dumps({**ladder_to_manifest(reference, segment_id), "config": config_doc},
+                               indent=2, allow_nan=False) + "\n")
+    assert decided.params == LadderParams(tau, v_j, None if v_j is None else v_t, vsr_tag)
+    assert manifest_texts(ids, decided, config_doc) == want
+
+
 def test_catalog_grid_holds_each_segment_grid_and_every_cell():
     rng = np.random.default_rng(9)
     trees = tuple(
@@ -179,7 +267,8 @@ def test_catalog_grid_holds_each_segment_grid_and_every_cell():
     segments = [SegmentFeatures(float(e), 0.5, 90.0) for e in range(4)]
     catalog = predict_grid(quality, time, segments, DEFAULT_RESOLUTIONS, DEFAULT_BITRATES_MBPS)
     assert len(catalog.entries) == 4 * 48
-    for i, (features, grid) in enumerate(zip(segments, catalog.segments(), strict=True)):
+    for i, features in enumerate(segments):
+        grid = PredictionGrid(catalog.resolutions, catalog.bitrates, catalog.qualities[i], catalog.times[i])
         alone = predict_grid(quality, time, features, DEFAULT_RESOLUTIONS, DEFAULT_BITRATES_MBPS)
         assert grid.qualities.tobytes() == alone.qualities.tobytes()
         assert grid.times.tobytes() == alone.times.tobytes()
@@ -190,7 +279,7 @@ def test_catalog_grid_holds_each_segment_grid_and_every_cell():
     with pytest.raises(LadderError, match="one segment's grid"):
         build_ladder(catalog)
     empty = predict_grid(quality, time, [], DEFAULT_RESOLUTIONS, DEFAULT_BITRATES_MBPS)
-    assert list(empty.segments()) == [] and len(empty.entries) == 0
+    assert empty.qualities.shape == (0, 4, 12) and len(empty.entries) == 0
 
 
 def test_catalog_grid_error_names_the_first_bad_cell():
@@ -248,7 +337,7 @@ def test_grid_constructor_takes_the_edges_of_the_ranges():
     with pytest.raises(AttributeError):
         grid.times = times  # frozen
     with pytest.raises(LadderError, match=r"got \(2,\) and \(2,\)"):
-        list(next(grid.segments()).segments())  # a segment's grid has no segment axis
+        PredictionGrid([360, 720], [1.0, 2.0], grid.qualities[0, 0], grid.times[0, 0])
 
 
 def test_grid_holds_read_only_copies_of_its_arrays():
@@ -615,9 +704,9 @@ _SEGMENT_IDS = st.sampled_from(['say "hi"', "back\\slash", "café", "☃, \"x\",
 
 
 @st.composite
-def _manifests(draw):
-    """ladder_to_manifest of a segment ladder, pruned or not, or of a baseline
-    ladder, whose predictions are None."""
+def _ladders(draw):
+    """A segment ladder, pruned or not, or a baseline ladder, whose predictions
+    are None, and the id of its segment."""
     bitrates = sorted(set(draw(st.lists(_POSITIVE, min_size=1, max_size=6))))
     baseline = draw(st.booleans())
     reps = tuple(Representation(
@@ -635,7 +724,7 @@ def _manifests(draw):
                               vsr_tag)
     else:
         params = LadderParams(tau_l=draw(st.just(math.inf) | _POSITIVE), vsr_tag=vsr_tag)
-    return ladder_to_manifest(Ladder(reps, params), draw(_SEGMENT_IDS))
+    return Ladder(reps, params), draw(_SEGMENT_IDS)
 
 
 _CONFIG_DOCS = [RunConfig().to_dict(),
@@ -643,14 +732,15 @@ _CONFIG_DOCS = [RunConfig().to_dict(),
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(_manifests(), max_size=5), st.sampled_from(_CONFIG_DOCS))
-def test_manifest_texts_are_json_dumps_with_an_indent_of_2(manifests, config_doc):
-    assert manifest_texts(manifests, config_doc) == [
-        json.dumps({**manifest, "config": config_doc}, indent=2, allow_nan=False) + "\n"
-        for manifest in manifests]
+@given(st.lists(_ladders(), max_size=5), st.sampled_from(_CONFIG_DOCS))
+def test_manifest_texts_are_json_dumps_with_an_indent_of_2(ladders, config_doc):
+    for ladder, segment_id in ladders:
+        assert manifest_texts([segment_id], Decisions.of(ladder), config_doc) == [
+            json.dumps({**ladder_to_manifest(ladder, segment_id), "config": config_doc}, indent=2,
+                       allow_nan=False) + "\n"]
 
 
 def test_manifest_texts_refuse_non_finite_numbers():
-    manifest = ladder_to_manifest(Ladder((Representation(720, 1.0, math.nan, 1.0),)), "s")
+    ladder = Ladder((Representation(720, 1.0, math.nan, 1.0),))
     with pytest.raises(ValueError):
-        manifest_texts([manifest], RunConfig().to_dict())
+        manifest_texts(["s"], Decisions.of(ladder), RunConfig().to_dict())

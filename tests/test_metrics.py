@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -8,9 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ladderforge import metrics
-from ladderforge.config import DEFAULT_BITRATES_MBPS
+from ladderforge.config import DEFAULT_BITRATES_MBPS, RunConfig
 from ladderforge.ladder import EmptyLadder, Ladder, LadderParams, Representation
 from ladderforge.metrics import (
+    METRIC_KINDS,
     DegenerateFit,
     EvaluatedRep,
     EvaluatedSegment,
@@ -29,6 +31,7 @@ from ladderforge.metrics import (
     storage,
 )
 from ladderforge.metrics import _fit_cubics, _mean_poly_difference
+from ladderforge.table import finite_float, read_table
 
 CURVE = [(0.5, 34.0), (1.2, 38.5), (3.0, 42.0), (7.5, 45.0), (15.0, 46.5)]
 
@@ -184,7 +187,7 @@ def _fit_inputs(draw):
 @example((np.array([1e-60, 2e-60, 3e-60, 4e-60]), np.array([1.0, 2.0, 3.0, 4.0]), False))
 def test_fit_cubic_is_polyfit_bit_for_bit(inputs):
     x, y, near = inputs
-    [fit] = _fit_cubics([(x, y)])
+    [fit] = _fits([(x, y)])
     with np.errstate(all="ignore"):
         lhs = np.vander(x + 0.0, 4)
         scale = np.sqrt((lhs * lhs).sum(axis=0))
@@ -203,6 +206,20 @@ def test_fit_cubic_is_polyfit_bit_for_bit(inputs):
     else:
         assert not near
         assert fit.tobytes() == coeffs.tobytes()
+
+
+def _fits(curves):
+    """Each ``(x, y)`` curve's coefficients or DegenerateFit, from one
+    ``_fit_cubics`` call per curve length, the lengths in order of first
+    appearance."""
+    out = [None] * len(curves)
+    for m in dict.fromkeys(len(x) for x, _ in curves):
+        members = [i for i, (x, _) in enumerate(curves) if len(x) == m]
+        coeffs, errors = _fit_cubics(np.array([curves[i][0] for i in members]),
+                                     np.array([curves[i][1] for i in members]))
+        for k, i in enumerate(members):
+            out[i] = errors.get(k, coeffs[k])
+    return out
 
 
 _COEFFS = st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=4, max_size=4).map(np.array)
@@ -280,7 +297,7 @@ def _batch_curve(draw):
 @settings(max_examples=150, deadline=None)
 @given(st.lists(_batch_curve(), min_size=1, max_size=16))
 def test_batched_fits_are_polyfit_bit_for_bit(curves):
-    fits = _fit_cubics(curves)
+    fits = _fits(curves)
     assert len(fits) == len(curves)
     for fit, (x, y) in zip(fits, curves):
         _assert_fit(fit, _polyfit_or_error(x, y))
@@ -302,7 +319,7 @@ def test_a_batch_that_does_not_converge_is_solved_one_curve_at_a_time(monkeypatc
             return real.lstsq(lhs, rhs, rcond, signature=signature)
 
     monkeypatch.setattr(metrics, "_umath_linalg", Unconverged)
-    fits = _fit_cubics(curves)
+    fits = _fits(curves)
     assert batches == [3, 1, 1, 1, 1]  # the length-5 group, its curves one by one, the length-6 group
     _assert_fit(fits[1], "cubic fit failed: SVD did not converge in Linear Least Squares")
     for i in (0, 2, 3):
@@ -350,9 +367,15 @@ def test_bd_error_text_and_precedence_for_segments_with_several_faults():
     ]
 
 
-# compare_schemes as it was before its fits were batched: each segment's
-# curves, then bd_rate's fits, overlap and mean, then bd_quality's, one
-# np.linalg.lstsq call per fit.
+# compare_schemes as it was before its fits were batched and its segments
+# became a table: each segment's curves from its representation objects, then
+# bd_rate's fits, overlap and mean, then bd_quality's, one np.linalg.lstsq
+# call per fit, and each segment's sums over its representations in order.
+
+
+def _reference_curve(seg, kind):
+    return RdCurve.from_pairs(sorted((rep.bitrate, rep.qualities[kind])
+                                     for rep in seg.reps if kind in rep.qualities), kind)
 
 
 def _reference_fit(x, y):
@@ -399,7 +422,7 @@ def _reference_report(baseline, candidate, kappa, duration):
         entry = {"segment_id": segment_id}
         for kind in ("psnr", "vmaf"):
             try:
-                ref, test = b_seg.curve(kind), c_seg.curve(kind)
+                ref, test = _reference_curve(b_seg, kind), _reference_curve(c_seg, kind)
                 avg = _reference_bd(ref.qualities, ref.log_rates, test.qualities, test.log_rates)
                 rate = (10.0 ** min(avg, 308.0) - 1.0) * 100.0
                 if not math.isfinite(rate):
@@ -411,12 +434,13 @@ def _reference_report(baseline, candidate, kappa, duration):
             for name, value in ((f"bd_rate_{kind}", rate), (f"bd_{kind}", quality)):
                 entry[name] = value
                 sums[name].append(value)
-        entry["baseline_time_s"] = segment_encode_time(b_seg.times)
-        entry["candidate_time_s"] = segment_encode_time(c_seg.times)
+        b_times, c_times = ([rep.encode_time for rep in seg.reps] for seg in (b_seg, c_seg))
+        entry["baseline_time_s"] = segment_encode_time(b_times)
+        entry["candidate_time_s"] = segment_encode_time(c_times)
         cand_times.append(entry["candidate_time_s"])
-        for i, seg in enumerate((b_seg, c_seg)):
-            energy[i] += encoding_energy(seg.times, kappa)
-            stored[i] += seg.total_bitrate * duration
+        for i, (seg, times) in enumerate(((b_seg, b_times), (c_seg, c_times))):
+            energy[i] += encoding_energy(times, kappa)
+            stored[i] += float(sum(rep.bitrate for rep in seg.reps)) * duration
         breakdown.append(entry)
     if energy[0] == 0 or stored[0] == 0:
         raise MetricsError("baseline energy/storage must be nonzero for relative deltas")
@@ -500,11 +524,14 @@ def test_compare_schemes_equals_the_reference_on_every_bd_error():
         seg("repeat", (1.0, 2.0, 2.0, 4.0, 5.0), psnr), seg("flat", rates, (30.0,) * 5),
         seg("huge", rates, tuple(q * 1e100 for q in psnr)), seg("apart", rates, psnr),
         seg("rate", tuple(b * 1e-300 for b in rates), psnr), seg("ok", rates, psnr),
+        # curves that meet at zero: each end is the first of 0.0 and -0.0, as min and max pick it
+        seg("zero", rates, (-4.0, -3.0, -2.0, 0.0, -0.0)),
     ]
     candidate = [seg(s.segment_id, tuple(b * 1.1 for b in rates), tuple(q + 0.5 for q in psnr))
                  for s in baseline]
     candidate[5] = seg("apart", rates, tuple(q + 20 for q in psnr))
     candidate[6] = seg("rate", tuple(b * 1e300 for b in rates), psnr)
+    candidate[8] = seg("zero", rates, (-0.0, 0.0, 1.0, 2.0, 3.0))
     report = compare_schemes(baseline, candidate, kappa=3.0, segment_duration_s=2.0).to_dict()
     assert json.dumps(report) == json.dumps(_reference_report(baseline, candidate, 3.0, 2.0))
     assert [entry.get("bd_error_psnr") for entry in report["segments"]] == [
@@ -516,6 +543,7 @@ def test_compare_schemes_equals_the_reference_on_every_bd_error():
         None,
         "BD-rate overflows (mean log10 rate difference 600.0)",
         "bitrates must strictly increase, got 2.0 then 2.0",
+        "curves do not overlap (intersection [-0.0, 0.0])",
     ]
 
 
@@ -739,6 +767,41 @@ def test_report_text_is_the_names_the_report_and_the_config_with_an_indent_of_2(
     assert text.endswith('\n  "config": {\n    "seed": 7\n  }\n}\n')
 
 
+_REPORT_FLOATS = st.none() | st.sampled_from([0.0, -0.0, 5e-324, -1.7976931348623157e308, 1e16, 0.1 + 0.2]) | st.floats(
+    allow_nan=False, allow_infinity=False)
+_TEXTS = st.sampled_from(["s0", "café", "☃ \"q\" \\ /", "a\nb", "", "},\n      {"]) | st.text()
+
+
+@st.composite
+def _entry(draw):
+    """A breakdown entry as compare_schemes makes one, or now and then one
+    holding a list or an object, or none at all."""
+    entry = {"segment_id": draw(_TEXTS)}
+    for kind in ("psnr", "vmaf"):
+        if draw(st.booleans()):
+            entry[f"bd_error_{kind}"] = draw(_TEXTS)
+        else:
+            entry[f"bd_rate_{kind}"], entry[f"bd_{kind}"] = draw(_REPORT_FLOATS), draw(_REPORT_FLOATS)
+    entry["baseline_time_s"], entry["candidate_time_s"] = draw(_REPORT_FLOATS), draw(_REPORT_FLOATS)
+    shape = draw(st.sampled_from(["flat"] * 8 + ["list", "object", "empty"]))
+    if shape == "list":
+        entry["extra"] = draw(st.lists(_REPORT_FLOATS, max_size=2))
+    elif shape == "object":
+        entry["extra"] = {"k": draw(_REPORT_FLOATS)}
+    return {} if shape == "empty" else entry
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(_REPORT_FLOATS, min_size=7, max_size=7), st.lists(_entry(), max_size=4), _TEXTS, _TEXTS,
+       st.sampled_from([RunConfig().to_dict(), dataclasses.replace(RunConfig(), tau_l=math.inf, v_j=None,
+                                                                   v_t=None).to_dict(), {}]))
+def test_report_text_is_json_dumps_with_an_indent_of_2(figures, entries, baseline, candidate, config_doc):
+    report = metrics.SchemeReport(*figures, tuple(entries))
+    doc = {"baseline": baseline, "candidate": candidate, **report.to_dict(), "config": config_doc}
+    assert metrics.report_text(baseline, candidate, report, config_doc) == json.dumps(
+        doc, indent=2, allow_nan=False) + "\n"
+
+
 def test_report_text_refuses_non_finite_numbers():
     report = metrics.SchemeReport(math.nan, None, None, None, None, None, None)
     with pytest.raises(ValueError):
@@ -764,29 +827,42 @@ s1,default,1.0,360,psnr,29.0,0.3
 """
 
 
-def test_load_evaluation_csv_groups_reps_and_metrics():
-    scheme, segments = load_evaluation_csv(EVAL_CSV.splitlines(True))
-    assert scheme == "default"
-    by_id = {seg.segment_id: seg for seg in segments}
-    s0 = by_id["s0"]
-    assert len(s0.reps) == 2
-    assert s0.reps[0].qualities == {"psnr": 30.5, "vmaf": 45.0}
-    assert s0.reps[0].encode_time == 0.4
-    assert by_id["s1"].reps[0].qualities == {"psnr": 29.0}
+def _table_segments(table):
+    """Each segment id with its rows as (bitrate, resolution, time, qualities)."""
+    rows = zip(table.segment.tolist(), table.bitrate.tolist(), table.resolution.tolist(),
+               table.encode_time.tolist(), table.qualities.tolist(), table.present.tolist())
+    out = [(segment_id, []) for segment_id in table.segment_ids]
+    for i, b, r, t, qualities, present in rows:
+        out[i][1].append((b, r, t, {k: q for k, q, p in zip(METRIC_KINDS, qualities, present) if p}))
+    return out
 
 
-def test_load_evaluation_csv_builds_each_representation_once(monkeypatch):
-    built = []
+def test_load_evaluation_csv_makes_one_sorted_row_per_representation():
+    table = load_evaluation_csv(EVAL_CSV.splitlines(True))
+    assert table.scheme == "default" and table.segment_ids == ("s0", "s1")
+    assert _table_segments(table) == [
+        ("s0", [(1.0, 360, 0.4, {"psnr": 30.5, "vmaf": 45.0}), (2.0, 720, 0.9, {"psnr": 33.0})]),
+        ("s1", [(1.0, 360, 0.3, {"psnr": 29.0})]),
+    ]
+    for array in (table.segment, table.bitrate, table.resolution, table.encode_time, table.qualities,
+                  table.present):
+        assert not array.flags.writeable
+    text = "\n".join([EVAL_CSV.splitlines()[0],
+                      "b,x,2.0,720,psnr,1,0.5", "a,x,2.0,360,psnr,2,0.5", "b,x,1.0,1080,vmaf,3,0.1",
+                      "a,x,1.0,720,psnr,4,0.2", "a,x,2.0,360,vmaf,5,0.5", "b,x,1,360,vmaf,6,0.1"]) + "\n"
+    assert _table_segments(load_evaluation_csv(text)) == [
+        ("a", [(1.0, 720, 0.2, {"psnr": 4.0}), (2.0, 360, 0.5, {"psnr": 2.0, "vmaf": 5.0})]),
+        ("b", [(1.0, 360, 0.1, {"vmaf": 6.0}), (1.0, 1080, 0.1, {"vmaf": 3.0}), (2.0, 720, 0.5, {"psnr": 1.0})]),
+    ]
 
-    class Counted(metrics.EvaluatedRep):
-        def __post_init__(self):
-            built.append((self.bitrate, self.resolution))
-            super().__post_init__()
 
-    monkeypatch.setattr(metrics, "EvaluatedRep", Counted)
-    _, segments = load_evaluation_csv(EVAL_CSV.splitlines(True))
-    assert built == [(1.0, 360), (2.0, 720), (1.0, 360)]
-    assert [len(seg.reps) for seg in segments] == [2, 1]
+def test_load_evaluation_csv_builds_no_representation_object(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a representation object was built")
+
+    monkeypatch.setattr(metrics, "EvaluatedRep", refuse)
+    monkeypatch.setattr(metrics, "EvaluatedSegment", refuse)
+    assert [len(reps) for _, reps in _table_segments(load_evaluation_csv(EVAL_CSV))] == [2, 1]
 
 
 @pytest.mark.parametrize("row, message", [
@@ -814,3 +890,104 @@ def test_load_evaluation_csv_rejects_inconsistencies():
     contradictory = EVAL_CSV + "s0,default,1.0,360,psnr,30.5,0.7\n"
     with pytest.raises(SegmentMismatch):
         load_evaluation_csv(contradictory.splitlines(True))
+
+
+# load_evaluation_csv as it was before it read the table into arrays: one
+# EvaluatedRep per representation, grown row by row.
+
+
+def _reference_load(source):
+    schemes, segments = set(), {}
+    for lineno, row in read_table(source, metrics.EVALUATION_CSV_HEADER, SegmentMismatch):
+        segment_id, scheme, bitrate_s, resolution_s, metric, quality_s, time_s = row
+        schemes.add(scheme)
+        if metric not in METRIC_KINDS:
+            raise MetricKindMismatch(f"line {lineno}: unknown quality metric {metric!r}")
+        try:
+            bitrate, resolution = finite_float(bitrate_s), int(resolution_s)
+            time, quality = finite_float(time_s), finite_float(quality_s)
+            reps = segments.setdefault(segment_id, {})
+            known = reps.get((bitrate, resolution))
+            if known is None:
+                reps[bitrate, resolution] = EvaluatedRep(bitrate, resolution, time, {metric: quality})
+                continue
+            metrics._check_time(time)
+        except (ValueError, MetricsError) as exc:
+            raise SegmentMismatch(f"line {lineno}: {exc}") from None
+        if known.encode_time != time:
+            raise SegmentMismatch(f"line {lineno}: encode time {time} contradicts "
+                                  f"{known.encode_time} for the same representation")
+        if metric in known.qualities:
+            raise SegmentMismatch(f"line {lineno}: duplicate {metric} quality for one representation")
+        known.qualities[metric] = quality
+    if len(schemes) != 1:
+        raise SegmentMismatch(f"evaluation CSV must hold exactly one scheme, got {sorted(schemes)}")
+    return schemes.pop(), [(segment_id, [(rep.bitrate, rep.resolution, rep.encode_time,
+                                          dict(sorted(rep.qualities.items())))
+                                         for _, rep in sorted(reps.items())])
+                           for segment_id, reps in sorted(segments.items())]
+
+
+# Valid fields from small pools, so that rows meet on one representation and
+# contradict or repeat each other, and fields that fail each check.
+_GOOD = [
+    st.sampled_from(["a", "b", "é"]),
+    st.just("x"),
+    st.sampled_from(["1.0", "1", "2.0", "2.5e0", " 3 "]),
+    st.sampled_from(["360", "720", "+720", "1_080", "99999999999999999999"]),
+    st.sampled_from(["psnr", "vmaf"]),
+    st.sampled_from(["30", "31.5", "-0.0", "1e308"]),
+    st.sampled_from(["0.4", "0.9", "0", "-0.0"]),
+]
+_BAD = [
+    st.just("c"),
+    st.just("y"),
+    st.sampled_from(["-1.0", "0", "-0.0", "x", "inf", "nan"]),
+    st.sampled_from(["360.0", "-5", "x"]),
+    st.just("ssim"),
+    st.sampled_from(["x", "nan", "-inf"]),
+    st.sampled_from(["-0.4", "inf", "x"]),
+]
+
+
+@st.composite
+def _row(draw):
+    """A data row: valid, or with one or two fields drawn to fail."""
+    bad = set(draw(st.just(()) | st.just(()) | st.lists(st.integers(0, 6), min_size=1, max_size=2)))
+    return ",".join(draw(_BAD[i] if i in bad else _GOOD[i]) for i in range(7))
+
+
+_LINES = st.one_of(
+    _row(), _row(), _row(),
+    st.sampled_from(["", "# a comment", "a,x,1.0", "a,x,1.0,360,psnr,30,0.4,extra", 'a,"x',
+                     '"a\nb",x,1,360,psnr,30,0.4']),
+)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(st.lists(_LINES, max_size=12), st.sampled_from([",".join(metrics.EVALUATION_CSV_HEADER)] * 9 + ["bad,header"]))
+def test_the_evaluation_reader_equals_the_row_by_row_reference(lines, header):
+    """The same table, or the same error with the same text and line, as the
+    reader that grew one EvaluatedRep per representation."""
+    text = "\n".join([header, *lines]) + "\n"
+
+    def outcome(read):
+        try:
+            return repr(read())
+        except MetricsError as exc:
+            return f"{type(exc).__name__}: {exc}"
+
+    def new():
+        table = load_evaluation_csv(text.splitlines(True))
+        return table.scheme, _table_segments(table)
+
+    assert outcome(new) == outcome(lambda: _reference_load(text.splitlines(True)))
+
+
+def test_a_value_error_on_an_earlier_line_comes_before_a_later_structural_error():
+    with pytest.raises(SegmentMismatch) as caught:
+        load_evaluation_csv(EVAL_CSV + "s1,default,x,360,psnr,29.0,0.3\ns1,default,1.0\n")
+    assert str(caught.value) == "line 6: could not convert string to float: 'x'"
+    with pytest.raises(SegmentMismatch) as caught:
+        load_evaluation_csv(EVAL_CSV + "s1,default,1.0\n")
+    assert str(caught.value) == "line 6: expected 7 fields, got 3"
