@@ -273,8 +273,8 @@ class Decisions(NamedTuple):
 def _check_jnd(v_j: float, v_t: float) -> None:
     if not v_j > 0:
         raise LadderError(f"the noticeable-difference step must be positive, got {v_j}")
-    if math.isnan(v_t):
-        raise LadderError("the perceptually-lossless cap must be a number, got nan")
+    if v_t is None or math.isnan(v_t):
+        raise LadderError(f"the perceptually-lossless cap must be a number, got {v_t}")
 
 
 def _jnd_kept(qualities: np.ndarray, v_j: float, v_t: float) -> np.ndarray:
@@ -299,17 +299,23 @@ def decide(grid: PredictionGrid, bitrates: Sequence[float] | None = None, tau_l:
     target bitrate (ascending; all the grid's by default) one masked argmax
     over the resolution axis, whose first maximum is the lower resolution,
     else the first minimum of time; then, if ``v_j`` is given, :func:`prune_jnd`'s
-    scan, with the same float tests, over the rung columns of all segments."""
+    scan, with the same float tests, over the rung columns of all segments.
+    The arguments are checked first: the targets (each in the grid, at least
+    one, none twice, as :class:`Ladder` words it), then ``tau_l``, ``v_j``, ``v_t``."""
     targets = grid.bitrates if bitrates is None else tuple(sorted(bitrates))
-    columns = []
     for b in targets:
         if b not in grid.bitrates:
             raise UnknownBitrate(f"bitrate {b} is not in the grid")
-        if not tau_l > 0:
-            raise LadderError(f"latency budget must be positive, got {tau_l}")
-        columns.append(grid.bitrates.index(b))
+    if not targets:
+        raise EmptyLadder("a ladder needs at least one representation")
+    for a, b in zip(targets, targets[1:]):
+        if not a < b:
+            raise UnsortedLadder(f"bitrates must strictly increase, got {a} then {b}")
+    if not tau_l > 0:
+        raise LadderError(f"latency budget must be positive, got {tau_l}")
     if v_j is not None:
         _check_jnd(v_j, v_t)
+    columns = list(map(grid.bitrates.index, targets))
     shape = (-1, *grid.qualities.shape[-2:])
     qualities, times = grid.qualities.reshape(shape)[..., columns], grid.times.reshape(shape)[..., columns]
     fits = times <= tau_l

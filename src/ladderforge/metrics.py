@@ -27,8 +27,9 @@ itself calls: only it solves a stack of matrices with ``lstsq``'s own LAPACK
 routine (``gelsd``) and ``rcond``, where the public function takes one
 matrix.  That gufunc is one function only from numpy 2.1 on (numpy 1 split
 it into ``lstsq_m`` and ``lstsq_n``), hence the ``numpy>=2.1`` floor.
-``bd_rate`` and ``bd_quality`` go through the same functions with one pair
-of curves.
+The batch computes and the one-pair functions name the faults: ``bd_rate``
+and ``bd_quality`` go through the same fit and mean with one pair of
+curves, and a pair that the batch cannot measure is measured again by them.
 
 Per-segment accounting assumes representations encode concurrently: wall
 time is the maximum over rungs, while energy is ``kappa`` joules per second
@@ -200,15 +201,6 @@ def _fit_cubics(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, dict[int, Deg
     return fits, errors
 
 
-def _overlap(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
-    a, b = a.tolist(), b.tolist()  # the same values, quicker to compare
-    lo = max(min(a), min(b))
-    hi = min(max(a), max(b))
-    if not lo < hi:
-        raise NoOverlap(f"curves do not overlap (intersection [{lo}, {hi}])")
-    return float(lo), float(hi)
-
-
 def _mean_poly_difference(p_test: np.ndarray, p_ref: np.ndarray, lo, hi):
     """The mean of ``p_test - p_ref`` over [lo, hi], row by row:
     ``np.polyint(np.polysub(p_test, p_ref))`` at both ends by ``np.polyval``'s
@@ -221,21 +213,6 @@ def _mean_poly_difference(p_test: np.ndarray, p_ref: np.ndarray, lo, hi):
         return (at_hi - at_lo) / (hi - lo)
 
 
-def _checked_mean(fit_ref, fit_test, x_ref: np.ndarray, x_test: np.ndarray, mean=None) -> float:
-    """The mean of the test fit minus the reference fit over the overlap of the
-    abscissae (``mean``, when it is already known), or the error that stops it:
-    a degenerate fit, no overlap, a mean that is not finite."""
-    for fit in (fit_ref, fit_test):
-        if isinstance(fit, DegenerateFit):
-            raise fit
-    lo, hi = _overlap(x_ref, x_test)
-    if mean is None:
-        mean = float(_mean_poly_difference(fit_test, fit_ref, lo, hi))
-    if not math.isfinite(mean):
-        raise MetricsError(f"mean curve difference is not finite ({mean})")
-    return mean
-
-
 def _rate_change(avg: float) -> float:
     rate = (10.0 ** min(avg, 308.0) - 1.0) * 100.0  # inf above 306.25; ** raises above 308.25
     if not math.isfinite(rate):
@@ -244,9 +221,23 @@ def _rate_change(avg: float) -> float:
 
 
 def _bd(x_ref: np.ndarray, y_ref: np.ndarray, x_test: np.ndarray, y_test: np.ndarray) -> float:
-    """Mean of the test curve's cubic fit minus the reference's over their overlap."""
-    fits = [_fit_cubics(x[None], y[None]) for x, y in ((x_ref, y_ref), (x_test, y_test))]
-    return _checked_mean(*(errors.get(0, coeffs[0]) for coeffs, errors in fits), x_ref, x_test)
+    """Mean of the test curve's cubic fit minus the reference's over their
+    overlap, or the error that stops it: a degenerate fit (the reference's
+    first), no overlap, a mean that is not finite."""
+    fits = []
+    for x, y in ((x_ref, y_ref), (x_test, y_test)):
+        coeffs, errors = _fit_cubics(x[None], y[None])
+        if errors:
+            raise errors[0]
+        fits.append(coeffs[0])
+    a, b = x_ref.tolist(), x_test.tolist()  # the same values, quicker to compare
+    lo, hi = max(min(a), min(b)), min(max(a), max(b))
+    if not lo < hi:
+        raise NoOverlap(f"curves do not overlap (intersection [{lo}, {hi}])")
+    mean = float(_mean_poly_difference(fits[1], fits[0], float(lo), float(hi)))
+    if not math.isfinite(mean):
+        raise MetricsError(f"mean curve difference is not finite ({mean})")
+    return mean
 
 
 def _same_kind(reference: RdCurve, test: RdCurve) -> None:
@@ -454,8 +445,10 @@ def _bd_deltas(base: EvaluationTable, cand: EvaluationTable) -> list[tuple[float
     overlap, then the quality fits and theirs.  Curve ``c`` is ``(segment *
     len(METRIC_KINDS) + kind) * 2 + side``: one sort of both tables' present
     qualities by it, then by bitrate, puts each curve's points together in
-    bitrate order.  A curve or mean that fails goes through the one-curve
-    checks again, which name its fault."""
+    bitrate order.  Pairs whose curves pass the cheap checks (four points or
+    more, finite qualities, no bitrate twice) are fitted and averaged at once;
+    any other pair, or one whose means are not finite or whose curves do not
+    overlap, goes through :func:`bd_rate` and :func:`bd_quality`, which name its fault."""
     keys, rates, qualities = [], [], []
     for side, table in enumerate((base, cand)):
         row, kind = np.nonzero(table.present)
@@ -472,47 +465,31 @@ def _bd_deltas(base: EvaluationTable, cand: EvaluationTable) -> list[tuple[float
     tied = key[1:][(key[1:] == key[:-1]) & (rate[1:] == rate[:-1])]  # one bitrate at two resolutions
     fittable = count >= 4
     fittable[key[~np.isfinite(quality)]] = fittable[tied] = False
-    curve_errors = {}
-    for c in np.flatnonzero(~fittable).tolist():  # the curve's own checks name its fault
-        points = slice(start[c], start[c] + count[c])
-        try:
-            RdCurve.from_pairs(sorted(zip(rate[points].tolist(), quality[points].tolist())),
-                               METRIC_KINDS[c // 2 % len(METRIC_KINDS)])
-        except MetricsError as exc:
-            curve_errors[c] = exc
     pairs = np.flatnonzero(fittable[0::2] & fittable[1::2])
     fitted = np.repeat(np.isin(np.arange(n_curves // 2), pairs), 2)
-    coeffs = np.full((n_curves, 2, 4), np.nan)  # [curve, the rate fit then the quality fit]
+    coeffs = np.full((n_curves, 2, 4), np.nan)  # [curve, the rate fit then the quality fit]; NaN if degenerate
     ends = np.zeros((n_curves, 2, 2))  # the least and the greatest abscissa of each fit
-    fit_errors = {}
     for m in np.unique(count[fitted]).tolist():
         curves = np.flatnonzero(fitted & (count == m))
         at = start[curves][:, None] + np.arange(m)
         x = np.concatenate([quality[at], log_rate[at]])
-        fits, errors = _fit_cubics(x, np.concatenate([log_rate[at], quality[at]]))
-        coeffs[curves] = fits.reshape(2, len(curves), 4).swapaxes(0, 1)
+        coeffs[curves] = _fit_cubics(x, np.concatenate([log_rate[at], quality[at]]))[0].reshape(
+            2, len(curves), 4).swapaxes(0, 1)
         ends[curves] = np.stack([x.min(axis=1), x.max(axis=1)], -1).reshape(2, len(curves), 2).swapaxes(0, 1)
-        for i, error in errors.items():
-            fit_errors[curves[i % len(curves)], i // len(curves)] = error
     ref, test = 2 * pairs, 2 * pairs + 1
     lo, hi = np.maximum(ends[ref, :, 0], ends[test, :, 0]), np.minimum(ends[ref, :, 1], ends[test, :, 1])
-    means = _mean_poly_difference(coeffs[test], coeffs[ref], lo, hi)
-    found = dict(zip(pairs.tolist(), zip((np.isfinite(means) & (lo < hi)).all(axis=1).tolist(), means.tolist())))
-
-    def checked(p, f):  # of pair p's rate fits (f = 0) or quality fits (f = 1)
-        x = (quality, log_rate)[f]
-        return _checked_mean(*(fit_errors.get((c, f), coeffs[c, f]) for c in (2 * p, 2 * p + 1)),
-                             *(x[start[c]:start[c] + count[c]] for c in (2 * p, 2 * p + 1)), found[p][1][f])
-
+    means = np.full((n_curves // 2, 2), np.nan)
+    means[pairs] = np.where(lo < hi, _mean_poly_difference(coeffs[test], coeffs[ref], lo, hi), np.nan)
     out: list = []
-    for p in range(n_curves // 2):
+    for p, (rate_mean, quality_mean) in enumerate(means.tolist()):
         try:
-            for c in (2 * p, 2 * p + 1):
-                if c in curve_errors:
-                    raise curve_errors[c]
-            good, (rate_mean, quality_mean) = found[p]
-            out.append((_rate_change(rate_mean), quality_mean) if good
-                       else (_rate_change(checked(p, 0)), checked(p, 1)))
+            if math.isfinite(rate_mean) and math.isfinite(quality_mean):
+                out.append((_rate_change(rate_mean), quality_mean))
+                continue
+            ref_curve, test_curve = (RdCurve.from_pairs(
+                zip(rate[start[c]:start[c] + count[c]].tolist(), quality[start[c]:start[c] + count[c]].tolist()),
+                METRIC_KINDS[p % len(METRIC_KINDS)]) for c in (2 * p, 2 * p + 1))
+            out.append((bd_rate(ref_curve, test_curve), bd_quality(ref_curve, test_curve)))
         except MetricsError as exc:
             out.append(exc)
     return out

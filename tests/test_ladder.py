@@ -636,6 +636,32 @@ def test_thresholds_out_of_range_are_refused(threshold, value):
         with pytest.raises(UnknownBitrate):
             build_ladder(grid, (9.0,), value)
 
+
+def test_decide_checks_its_arguments_before_any_work():
+    """No target, or one target twice, is refused as ``Ladder`` refuses it,
+    before the budget; an unknown target is named before either, and a budget
+    that is not positive before the pruning thresholds."""
+    grid = _grid({(r, b): (60.0, 0.5) for r in (360, 720) for b in (1.0, 2.0)})
+    for tau_l in (math.inf, math.nan):
+        with pytest.raises(EmptyLadder, match="^a ladder needs at least one representation$"):
+            decide(grid, (), tau_l)
+        for targets in ([1.0, 1.0], [2.0, 1.0, 2.0]):
+            with pytest.raises(UnsortedLadder, match=r"^bitrates must strictly increase, got (\S+) then \1$"):
+                decide(grid, targets, tau_l)
+        with pytest.raises(UnknownBitrate):
+            decide(grid, [1.0, 1.0, 9.0], tau_l)
+    with pytest.raises(LadderError, match="^latency budget must be positive, got nan$"):
+        decide(grid, tau_l=math.nan, v_j=-1.0)
+
+
+def test_a_missing_lossless_cap_is_refused_as_a_ladder_error():
+    grid = _grid({(r, b): (60.0, 0.5) for r in (360, 720) for b in (1.0, 2.0)})
+    message = "^the perceptually-lossless cap must be a number, got None$"
+    with pytest.raises(LadderError, match=message):
+        decide(grid, v_j=6.0)
+    with pytest.raises(LadderError, match=message):
+        prune_jnd(_ladder_from_qualities([40.0, 50.0, 60.0]), 6.0, None)
+
 # ------------------------------------------------------- default_hls_ladder
 
 

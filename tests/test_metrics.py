@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -545,6 +546,68 @@ def test_compare_schemes_equals_the_reference_on_every_bd_error():
         "bitrates must strictly increase, got 2.0 then 2.0",
         "curves do not overlap (intersection [-0.0, 0.0])",
     ]
+
+
+def test_a_pair_whose_fit_does_not_converge_is_named_by_bd_quality(monkeypatch):
+    """A batch whose solve fails is solved one curve at a time; the pair of the
+    curve that fails alone takes bd_rate and bd_quality's path, which name its
+    fault, and every other figure is the reference's, bit for bit."""
+    marked = 23.125  # the solve of the fit whose first ordinate is this value fails to converge
+    rates = (0.5, 1.2, 3.0, 7.5, 15.0)
+    baseline, candidate = [], []
+    for k, segment_id in enumerate("abc"):
+        for scheme, lift in ((baseline, 0.0), (candidate, 1.5)):
+            scheme.append(_segment(segment_id, [
+                _rep(b * (1.1 if lift else 1.0), 30.0 + 3 * i + lift + k, 50.0 + 8 * i + 2 * lift - k, 1.0 + i)
+                for i, b in enumerate(rates)]))
+    first = candidate[1].reps[0]
+    candidate[1] = _segment("b", (dataclasses.replace(first, qualities={**first.qualities, "psnr": marked}),
+                                  *candidate[1].reps[1:]))
+    unconverged = np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+    real, real_lstsq, batches = metrics._umath_linalg, np.linalg.lstsq, []
+
+    class Unconverged:
+        @staticmethod
+        def lstsq(lhs, rhs, rcond, signature):
+            batches.append(len(lhs))
+            if (rhs[:, 0, 0] == marked).any():
+                raise unconverged
+            return real.lstsq(lhs, rhs, rcond, signature=signature)
+
+    def reference_lstsq(lhs, rhs, rcond):
+        if rhs[0] == marked:
+            raise unconverged
+        return real_lstsq(lhs, rhs, rcond)
+
+    monkeypatch.setattr(metrics, "_umath_linalg", Unconverged)
+    monkeypatch.setattr(np.linalg, "lstsq", reference_lstsq)
+    report = compare_schemes(baseline, candidate, kappa=2.0, segment_duration_s=3.0).to_dict()
+    assert batches[0] == 24  # both fits of the 12 curves of length 5, then one at a time
+    assert [(entry["segment_id"], key, value) for entry in report["segments"] for key, value in entry.items()
+            if key.startswith("bd_error")] == [
+        ("b", "bd_error_psnr", "cubic fit failed: SVD did not converge in Linear Least Squares")]
+    assert json.dumps(report) == json.dumps(_reference_report(baseline, candidate, 2.0, 3.0))
+
+
+def test_a_well_formed_table_is_compared_without_a_curve_object(monkeypatch):
+    """Every pair of curves that can be fitted is fitted in the batch: comparing
+    the golden baseline with itself builds no :class:`RdCurve`, and against the
+    golden candidate only the curves of its two failing pairs."""
+    built, real = [], RdCurve.from_pairs.__func__
+
+    def from_pairs(cls, pairs, metric_kind):
+        built.append(metric_kind)
+        return real(cls, pairs, metric_kind)
+
+    monkeypatch.setattr(RdCurve, "from_pairs", classmethod(from_pairs))
+    golden = Path(__file__).parent / "golden"
+    base, cand = (load_evaluation_csv((golden / f"{name}.csv").read_text(encoding="utf-8").splitlines(True))
+                  for name in ("baseline", "candidate"))
+    report = compare_schemes(base, base)
+    assert built == []
+    assert report.bd_rate_psnr == report.bd_vmaf == 0.0
+    errors = [key for entry in compare_schemes(base, cand).segments for key in entry if key.startswith("bd_error")]
+    assert errors == ["bd_error_psnr", "bd_error_vmaf"] and built == ["psnr", "psnr", "vmaf", "vmaf"]
 
 
 def test_overflowing_aggregates_are_none():
