@@ -33,6 +33,8 @@ from functools import partial
 from pathlib import Path
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from . import complexity, forest, ladder as ladder_mod, metrics
 from .config import ConfigError, RunConfig, parse_tau
 from .errors import LadderforgeError
@@ -272,26 +274,25 @@ def cmd_analyze(args) -> int:
 # ------------------------------------------------------------------- train
 
 
-def _holdout_split(group: list, fraction: float, seed: int) -> tuple[list, list]:
-    order = SplitMix64(seed).permutation(len(group))
-    n_test = int(len(group) * fraction) if len(group) >= 3 else 0
-    return [group[i] for i in order[n_test:]], [group[i] for i in order[:n_test]]
-
-
 def cmd_train(args) -> int:
     config = _load_config(args)
     out_dir = _out_dir(args.out)
     if not 0.0 <= args.holdout < 1.0:
         raise ConfigError(f"--holdout must be in [0, 1), got {args.holdout}")
-    records = _read_text(args.training_csv, forest.load_training_csv,
-                         resolutions=config.resolutions)
-    groups: dict[tuple[str, str], list[forest.TrainingRecord]] = {}
-    for record in records:
-        groups.setdefault((record.target_kind, record.vsr_tag), []).append(record)
+    data = _read_text(args.training_csv, forest.load_training_csv, resolutions=config.resolutions)
+    # One stable sort groups the rows by (target kind, vsr tag), in the string
+    # order of those names, each group in row order.
+    kind_rank, tag_rank = (np.argsort(np.argsort(names)) for names in (forest.TARGET_KINDS, forest.VSR_TAGS))
+    key = kind_rank[data.kind] * len(forest.VSR_TAGS) + tag_rank[data.tag]
+    order = np.argsort(key, kind="stable")
+    groups = np.split(order, np.flatnonzero(np.diff(key[order])) + 1)
     # Bootstrap indexes rows, so the same rows in a different order are a
     # different (still deterministic) training run.
-    splits = [(key, *_holdout_split(group, args.holdout, config.seed))
-              for key, group in sorted(groups.items())]
+    splits = []
+    for rows in groups:
+        shuffled = rows[SplitMix64(config.seed).permutation(rows.size)]
+        n_test = int(rows.size * args.holdout) if rows.size >= 3 else 0
+        splits.append((data.take(shuffled[n_test:]), data.take(shuffled[:n_test])))
     # Trees grow in worker processes, since their split search holds the GIL.
     # One task per worker per group: a group's rows are pickled once a task.
     workers = _worker_count(config.n_trees)
@@ -301,12 +302,13 @@ def cmd_train(args) -> int:
     try:
         grow = partial(pool.map, chunksize=-(-config.n_trees // workers)) if pool else map
         try:  # every group is checked, then all their trees queue at this one call
-            models = forest.fit_groups([train for _, train, _ in splits], config.hyperparams(),
+            models = forest.fit_groups([train for train, _ in splits], config.hyperparams(),
                                        seed=config.seed, map=grow)
         except forest.InvalidRecord as exc:
             raise forest.InvalidRecord(f"{args.training_csv}: {exc}") from None
         # Each model is written and scored while later groups' trees still grow.
-        for ((target_kind, vsr_tag), train_set, test_set), model in zip(splits, models):
+        for (train_set, test_set), model in zip(splits, models):
+            target_kind, vsr_tag = model.target_kind, model.vsr_tag
             path = out_dir / f"model_{target_kind}_{vsr_tag}.json"
             _write_file(path, forest.model_text(model, config.to_dict()))
             if test_set:

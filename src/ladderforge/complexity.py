@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import LadderforgeError
 from .media import LumaFrame, VideoSequence
-from .table import read_table
+from .table import read_columns
 
 __all__ = [
     "DEFAULT_BLOCK_SIZE",
@@ -273,9 +273,10 @@ def read_features_csv(source: Union[str, IO[str]]) -> list[tuple[str, SegmentFea
     :mod:`.table` conventions.  Raises ComplexityError on a missing or
     incorrect header or a bad row; the message carries the line number.
     """
+    linenos, columns, _, error = read_columns(source, FEATURES_CSV_HEADER, ComplexityError)
     out: list[tuple[str, SegmentFeatures]] = []
     seen: set[str] = set()
-    for lineno, row in read_table(source, FEATURES_CSV_HEADER, ComplexityError):
+    for lineno, *row in zip(linenos, *columns):
         segment_id = row[0]
         if segment_id in seen:
             raise ComplexityError(f"line {lineno}: duplicate segment id {segment_id!r}")
@@ -286,4 +287,6 @@ def read_features_csv(source: Union[str, IO[str]]) -> list[tuple[str, SegmentFea
         except ValueError as exc:
             raise ComplexityError(f"line {lineno}: {exc}") from None
         out.append((segment_id, features))
+    if error is not None:
+        raise error
     return out

@@ -8,7 +8,8 @@ predicts its encoding seconds.  Inputs are five ordered features:
      log2(resolution), log2(bitrate_mbps))
 
 with the log2 substitutions applied at the model boundary by
-:func:`feature_rows`, which lays out every row; records keep the raw values.
+:func:`feature_rows`, which lays out every row; records keep the raw values,
+and a :class:`TrainingSet` its rows laid out.
 
 Training is fully deterministic for a fixed (record order, hyperparams,
 seed): every tree gets a bootstrap sample (u64 mod n draws) and per-node
@@ -54,9 +55,10 @@ from __future__ import annotations
 import json
 import math
 from array import array
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property, lru_cache
 from itertools import repeat
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
@@ -64,13 +66,14 @@ import numpy as np
 from .complexity import SegmentFeatures
 from .errors import LadderforgeError
 from .rng import SplitMix64, partial_shuffle
-from .table import finite_float, read_table
+from .table import finite_float, finite_floats, ints, read_columns
 
 __all__ = [
     "TARGET_KINDS",
     "VSR_TAGS",
     "N_FEATURES",
     "TrainingRecord",
+    "TrainingSet",
     "Hyperparams",
     "ForestModel",
     "EvaluationStats",
@@ -132,7 +135,7 @@ class InvalidHyperparams(ForestError):
 
 
 class InvalidRecord(ForestError):
-    pass
+    row: int | None = None  # the index of the bad row, where TrainingSet names one
 
 
 class SchemaError(ForestError):
@@ -149,7 +152,8 @@ class CorruptModel(ForestError):
 
 @dataclass(frozen=True)
 class TrainingRecord:
-    """One measured (or synthesised) training point.
+    """One measured (or synthesised) training point: the one-row case of
+    :class:`TrainingSet`, whose rules it must pass.
 
     Quality targets are clamped into [0, 100]; time targets must be
     positive seconds.
@@ -165,20 +169,81 @@ class TrainingRecord:
     vsr_tag: str = "none"
 
     def __post_init__(self):
-        if self.target_kind not in TARGET_KINDS:
-            raise InvalidRecord(f"target_kind must be one of {TARGET_KINDS}, got {self.target_kind!r}")
-        if self.vsr_tag not in VSR_TAGS:
-            raise InvalidRecord(f"vsr_tag must be one of {VSR_TAGS}, got {self.vsr_tag!r}")
-        for name in ("texture_energy", "temporal_gradient", "brightness", "target"):
-            if not math.isfinite(getattr(self, name)):
-                raise InvalidRecord(f"{name} must be finite, got {getattr(self, name)}")
-        for name in ("resolution", "bitrate"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise InvalidRecord(f"{name} must be finite and positive, got {getattr(self, name)}")
+        checked = TrainingSet.from_records((self,))
         if self.target_kind == "quality":
-            object.__setattr__(self, "target", min(100.0, max(0.0, float(self.target))))
-        elif self.target <= 0:
-            raise InvalidRecord(f"time targets must be positive, got {self.target}")
+            object.__setattr__(self, "target", float(checked.target[0]))
+
+
+# TrainingRecord's fields, in order: the columns of TrainingSet.from_columns.
+_RECORD_FIELDS = attrgetter("texture_energy", "temporal_gradient", "brightness", "resolution", "bitrate",
+                            "target", "target_kind", "vsr_tag")
+_KIND_INDEX = {kind: k for k, kind in enumerate(TARGET_KINDS)}
+_TAG_INDEX = {tag: k for k, tag in enumerate(VSR_TAGS)}
+
+
+@dataclass(frozen=True, eq=False)
+class TrainingSet:
+    """Training rows as read-only columns: ``x``, each row's features in the
+    layout of :func:`feature_rows`; ``target``, quality targets clamped into
+    [0, 100]; and ``kind`` and ``tag``, each row's index into
+    ``TARGET_KINDS`` and ``VSR_TAGS``.  :meth:`from_columns` builds one of
+    raw columns and states every rule of a training row."""
+
+    x: np.ndarray
+    target: np.ndarray
+    kind: np.ndarray
+    tag: np.ndarray
+
+    def __post_init__(self):
+        for f in fields(self):
+            getattr(self, f.name).flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.target)
+
+    def take(self, rows: np.ndarray) -> "TrainingSet":
+        """The set of the rows at ``rows``, in that order."""
+        return TrainingSet(self.x[rows], self.target[rows], self.kind[rows], self.tag[rows])
+
+    @classmethod
+    def from_records(cls, records: Iterable[TrainingRecord]) -> "TrainingSet":
+        """The set of ``records``' rows, in order."""
+        return cls.from_columns(*(list(zip(*map(_RECORD_FIELDS, records))) or [()] * 8))
+
+    @classmethod
+    def from_columns(cls, texture_energy: Sequence[float], temporal_gradient: Sequence[float],
+                     brightness: Sequence[float], resolution: Sequence[Union[int, float]],
+                     bitrate: Sequence[float], target: Sequence[float], target_kind: Sequence[str],
+                     vsr_tag: Sequence[str]) -> "TrainingSet":
+        """The set of raw columns, one entry a row, named as :class:`TrainingRecord`'s
+        fields.  Each rule of a training row is a mask over the rows; the
+        first row that breaks one raises :class:`InvalidRecord`, with ``row``
+        its index, for the first rule it breaks in the order below."""
+        n = len(target)
+        numbers = np.array([texture_energy, temporal_gradient, brightness, target], np.float64).reshape(4, n)
+        axes = np.asarray(resolution), np.asarray(bitrate)  # an int beyond int64 makes an object array
+        kind, tag = (np.fromiter(map(index.get, names, repeat(-1)), np.intp, n)
+                     for index, names in ((_KIND_INDEX, target_kind), (_TAG_INDEX, vsr_tag)))
+        rules = [  # (the rows that break the rule, its message, the column it names)
+            (kind < 0, f"target_kind must be one of {TARGET_KINDS}, got {{!r}}", target_kind),
+            (tag < 0, f"vsr_tag must be one of {VSR_TAGS}, got {{!r}}", vsr_tag),
+            *((~np.isfinite(values), f"{name} must be finite, got {{}}", column) for name, values, column in zip(
+                ("texture_energy", "temporal_gradient", "brightness", "target"), numbers,
+                (texture_energy, temporal_gradient, brightness, target))),
+            *((~((values > 0) & (values < math.inf)), f"{name} must be finite and positive, got {{}}", column)
+              for name, values, column in zip(("resolution", "bitrate"), axes, (resolution, bitrate))),
+            ((kind == _KIND_INDEX["time"]) & (numbers[3] <= 0), "time targets must be positive, got {}", target),
+        ]
+        broken = np.array([mask for mask, _, _ in rules], bool).reshape(len(rules), n)
+        if broken.any():
+            row = int(broken.any(axis=0).argmax())
+            _, message, column = rules[int(broken[:, row].argmax())]
+            error = InvalidRecord(message.format(column[row]))
+            error.row = row
+            raise error
+        y = numbers[3]  # min(100.0, max(0.0, t)) for quality, which makes -0.0 0.0 where np.maximum would not
+        y = np.where(kind == _KIND_INDEX["quality"], np.where(y > 0.0, np.minimum(y, 100.0), 0.0), y)
+        return cls(_rows(numbers[:3].T, *(_log2(axis.tolist()) for axis in axes)), y, kind, tag)
 
 
 @dataclass(frozen=True)
@@ -293,12 +358,6 @@ def _rows(content: np.ndarray, log_resolution: np.ndarray, log_bitrate: np.ndarr
     return rows
 
 
-def _records_matrix(records: Sequence[TrainingRecord]) -> tuple[np.ndarray, np.ndarray]:
-    x = _rows(_content(records), _log2(rec.resolution for rec in records),
-              _log2(rec.bitrate for rec in records))
-    return x, np.array([rec.target for rec in records], dtype=np.float64)
-
-
 def _grow_tree(x: np.ndarray, y: np.ndarray, hp: Hyperparams, seed: int) -> tuple:
     """Grow one tree, drawing from the stream of its own seed, on a bootstrap
     sample of n positions, presorted as in SLIQ (Mehta et al., EDBT 1996).  A
@@ -398,7 +457,7 @@ def _subset_cells(offsets: tuple, n: int) -> tuple:
 
 
 def fit(
-    records: Sequence[TrainingRecord],
+    records: Union[TrainingSet, Sequence[TrainingRecord]],
     hyperparams: Hyperparams | None = None,
     seed: int = 0,
     map=map,
@@ -415,43 +474,52 @@ def fit(
     return model
 
 
-def fit_groups(groups: Sequence[Sequence[TrainingRecord]], hyperparams: Hyperparams | None = None,
-               seed: int = 0, map=map) -> Iterator[ForestModel]:
+def fit_groups(groups: Sequence[Union[TrainingSet, Sequence[TrainingRecord]]],
+               hyperparams: Hyperparams | None = None, seed: int = 0, map=map) -> Iterator[ForestModel]:
     """The forest :func:`fit` trains on each group, in order: every group is checked, then
     ``map`` called once for each, then each forest assembled as the iterator reaches it."""
     hp = hyperparams if hyperparams is not None else Hyperparams()
-    matrices = [_training_matrix(records) for records in groups]
+    sets = [_training_set(records) for records in groups]
+    matrices = [_training_matrix(data) for data in sets]
     tree_seeds = SplitMix64(seed).block(hp.n_trees).tolist()  # as many next_u64() calls
     grown = [map(_grow_tree, repeat(x), repeat(y), repeat(hp), tree_seeds) for x, y in matrices]
 
     def assembled():
-        for records, trees in zip(groups, grown):
+        for data, trees in zip(sets, grown):
             features, thresholds, rights, depths = zip(*trees)
             sizes = np.array([len(tree) for tree in features], np.intp)
             roots = np.cumsum(sizes) - sizes  # each tree's right links count from its root
             right = np.concatenate(rights).astype(np.intp) + np.repeat(roots, sizes)
             flat = _linked(np.concatenate(features).astype(np.intp), np.concatenate(thresholds),
                            right, roots, max(depths))
-            yield ForestModel(hp, seed, records[0].target_kind, records[0].vsr_tag, flat)
+            yield ForestModel(hp, seed, TARGET_KINDS[data.kind[0]], VSR_TAGS[data.tag[0]], flat)
 
     return assembled()
 
 
-def _training_matrix(records: Sequence[TrainingRecord]) -> tuple[np.ndarray, np.ndarray]:
-    """``records``' feature rows and targets, checked to train one forest."""
-    if len(records) < 2:
-        raise EmptyDataset(f"training needs at least 2 records, got {len(records)}")
-    kinds = {rec.target_kind for rec in records}
-    tags = {rec.vsr_tag for rec in records}
+def _training_set(records: Union[TrainingSet, Sequence[TrainingRecord]]) -> TrainingSet:
+    return records if isinstance(records, TrainingSet) else TrainingSet.from_records(records)
+
+
+def _names(indexes: np.ndarray, names: Sequence[str]) -> list[str]:
+    """The names that ``indexes`` hold, sorted."""
+    return sorted(names[k] for k in set(indexes.tolist()))
+
+
+def _training_matrix(data: TrainingSet) -> tuple[np.ndarray, np.ndarray]:
+    """``data``'s feature rows and targets, checked to train one forest."""
+    if len(data) < 2:
+        raise EmptyDataset(f"training needs at least 2 records, got {len(data)}")
+    kinds, tags = _names(data.kind, TARGET_KINDS), _names(data.tag, VSR_TAGS)
     if len(kinds) != 1 or len(tags) != 1:
-        raise MixedTargets(f"records mix target kinds {sorted(kinds)} / vsr tags {sorted(tags)}")
-    x, y = _records_matrix(records)
+        raise MixedTargets(f"records mix target kinds {kinds} / vsr tags {tags}")
+    y = data.target
     # Every sum and square the split search forms is at most (n * max|y|)**2.
     top = float(np.abs(y).max())
     reach = len(y) * top
     if not math.isfinite(reach * reach):
         raise InvalidRecord(f"targets up to {top:g} overflow the split search over {len(y)} records")
-    return x, y
+    return data.x, y
 
 
 def predict(model: ForestModel, x: Sequence[float]) -> Union[float, np.ndarray]:
@@ -479,19 +547,15 @@ def predict(model: ForestModel, x: Sequence[float]) -> Union[float, np.ndarray]:
     return float(values[0]) if rows.ndim == 1 else values
 
 
-def evaluate(model: ForestModel, records: Sequence[TrainingRecord]) -> EvaluationStats:
+def evaluate(model: ForestModel, records: Union[TrainingSet, Sequence[TrainingRecord]]) -> EvaluationStats:
     """MAE and population standard deviation of absolute errors."""
-    if not records:
+    data = _training_set(records)
+    if not len(data):
         raise EmptyDataset("evaluation needs at least one record")
-    kinds = {rec.target_kind for rec in records}
-    tags = {rec.vsr_tag for rec in records}
-    if kinds != {model.target_kind} or tags != {model.vsr_tag}:
-        raise MixedTargets(
-            f"records ({sorted(kinds)}, {sorted(tags)}) do not match model "
-            f"({model.target_kind}, {model.vsr_tag})"
-        )
-    x, y = _records_matrix(records)
-    errors = np.abs(predict(model, x) - y)
+    kinds, tags = _names(data.kind, TARGET_KINDS), _names(data.tag, VSR_TAGS)
+    if kinds != [model.target_kind] or tags != [model.vsr_tag]:
+        raise MixedTargets(f"records ({kinds}, {tags}) do not match model ({model.target_kind}, {model.vsr_tag})")
+    errors = np.abs(predict(model, data.x) - data.target)
     return EvaluationStats(mae=float(errors.mean()), sd=float(errors.std()))
 
 
@@ -778,36 +842,40 @@ def load_training_csv(
     source: Iterable[str],
     *,
     resolutions: Sequence[int] | None = None,
-) -> list[TrainingRecord]:
-    """Parse a training CSV into records, preserving row order.
+) -> TrainingSet:
+    """Parse a training CSV into a :class:`TrainingSet`, preserving row order.
 
     Expected header: ``segment_id,E_Y,h,L_Y,resolution,bitrate_mbps,
-    vsr_tag,target_kind,target``, read under the :mod:`.table` conventions.
-    When ``resolutions`` is given, each row's resolution must be in that
-    set.  Schema violations raise :class:`SchemaError` with the line number.
+    vsr_tag,target_kind,target``, read as columns under the :mod:`.table`
+    conventions.  When ``resolutions`` is given, each row's resolution must
+    be in that set.  Schema violations raise :class:`SchemaError` naming the
+    first bad line: a row's numbers are parsed, then its rules checked, then
+    its resolution looked up, as a row-by-row reader would.
     """
-    records: list[TrainingRecord] = []
-    allowed = set(resolutions) if resolutions is not None else None
-    for lineno, row in read_table(source, TRAINING_CSV_HEADER, SchemaError):
-        try:
-            resolution = int(row[4])
-            record = TrainingRecord(
-                texture_energy=finite_float(row[1]),
-                temporal_gradient=finite_float(row[2]),
-                brightness=finite_float(row[3]),
-                resolution=resolution,
-                bitrate=finite_float(row[5]),
-                vsr_tag=row[6],
-                target_kind=row[7],
-                target=finite_float(row[8]),
-            )
-        except (ValueError, InvalidRecord) as exc:
-            raise SchemaError(f"line {lineno}: {exc}") from None
-        if allowed is not None and resolution not in allowed:
-            raise SchemaError(
-                f"line {lineno}: resolution {resolution} not in configured set {sorted(allowed)}"
-            )
-        records.append(record)
-    if not records:
+    # In the order a row's numbers are parsed: the first that does not parse is the row's fault.
+    parsers = {4: ints, 1: finite_floats, 2: finite_floats, 3: finite_floats, 5: finite_floats, 8: finite_floats}
+    linenos, columns, failed, error = read_columns(source, TRAINING_CSV_HEADER, SchemaError, parsers)
+    _, e, h, l, resolution, bitrate, tag, kind, target = columns
+    inside = list(map(set(resolutions).__contains__, resolution.tolist())) if resolutions is not None else []
+    outside = inside.index(False) if False in inside else len(linenos)
+    end = outside + 1  # that row's rules come before its lookup
+    try:
+        data = TrainingSet.from_columns(e[:end], h[:end], l[:end], resolution[:end], bitrate[:end], target[:end],
+                                        kind[:end], tag[:end])
+    except InvalidRecord as exc:
+        raise SchemaError(f"line {linenos[exc.row]}: {exc}") from None
+    if outside < len(linenos):
+        raise SchemaError(f"line {linenos[outside]}: resolution {resolution[outside]} "
+                          f"not in configured set {sorted(set(resolutions))}")
+    if failed is not None:
+        lineno, row = failed
+        for k, parse in zip(parsers, (int, *[finite_float] * 5)):
+            try:
+                parse(row[k])
+            except ValueError as exc:
+                raise SchemaError(f"line {lineno}: {exc}") from None
+    if error is not None:
+        raise error
+    if not linenos:
         raise SchemaError("training CSV has a header but no data rows")
-    return records
+    return data

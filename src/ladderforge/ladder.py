@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import compress, product
@@ -33,7 +34,7 @@ import numpy as np
 from .complexity import SegmentFeatures
 from .errors import LadderforgeError
 from .forest import ForestModel, feature_rows, predict
-from .table import finite_float, read_table
+from .table import finite_float, read_columns
 
 __all__ = [
     "DEFAULT_HLS_PAIRING",
@@ -271,9 +272,11 @@ class Decisions(NamedTuple):
 
 
 def _check_jnd(v_j: float, v_t: float) -> None:
+    if not isinstance(v_j, numbers.Real):
+        raise LadderError(f"the noticeable-difference step must be a number, got {v_j!r}")
     if not v_j > 0:
         raise LadderError(f"the noticeable-difference step must be positive, got {v_j}")
-    if v_t is None or math.isnan(v_t):
+    if not isinstance(v_t, numbers.Real) or math.isnan(v_t):
         raise LadderError(f"the perceptually-lossless cap must be a number, got {v_t}")
 
 
@@ -401,10 +404,11 @@ def load_pairing_csv(source: Iterable[str]) -> tuple[tuple[float, int], ...]:
 
     Both values must be positive and each bitrate may appear only once.
     """
+    linenos, columns, _, error = read_columns(source, ("bitrate_mbps", "resolution"), PairingMissing)
     table: dict[float, int] = {}
-    for lineno, row in read_table(source, ("bitrate_mbps", "resolution"), PairingMissing):
+    for lineno, bitrate_s, resolution_s in zip(linenos, *columns):
         try:
-            bitrate, resolution = finite_float(row[0]), int(row[1])
+            bitrate, resolution = finite_float(bitrate_s), int(resolution_s)
         except ValueError as exc:
             raise PairingMissing(f"line {lineno}: {exc}") from None
         if bitrate <= 0 or resolution <= 0:
@@ -413,6 +417,8 @@ def load_pairing_csv(source: Iterable[str]) -> tuple[tuple[float, int], ...]:
         if bitrate in table:
             raise PairingMissing(f"line {lineno}: duplicate bitrate {bitrate}")
         table[bitrate] = resolution
+    if error is not None:
+        raise error
     return tuple(table.items())
 
 

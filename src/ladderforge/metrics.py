@@ -16,8 +16,9 @@ once and read by both BD metrics.  Each fit takes ``np.polyfit``'s own steps
 (and the integral ``np.polyval``'s), so the results are bitwise numpy's.
 
 A scheme's evaluated ladders are one :class:`EvaluationTable` of arrays, one
-row per representation; :func:`load_evaluation_csv` checks its columns as
-masks, and only the first bad line is read again to name its fault.
+row per representation; :func:`load_evaluation_csv` converts its columns a
+block at a time and checks them as masks, and only the first bad row is
+checked again on its own to name its fault.
 :func:`compare_schemes` cuts every curve of both tables out of one sort and
 computes every fit and mean of a comparison at once: one LAPACK call for all
 the fits of one curve length, then each Horner step of all the means as one
@@ -40,12 +41,10 @@ writes ``report.json``: the scheme names, a :class:`SchemeReport`, the config.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
 from dataclasses import dataclass, field, fields
-from itertools import islice, repeat
-from operator import itemgetter
+from itertools import repeat
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -53,7 +52,7 @@ from numpy.linalg import _umath_linalg
 
 from .errors import LadderforgeError
 from .ladder import EmptyLadder, Ladder
-from .table import finite_float, read_table
+from .table import finite_float, finite_floats, int_array, ints, read_columns
 
 __all__ = [
     "METRIC_KINDS",
@@ -335,13 +334,6 @@ class EvaluatedSegment:
         object.__setattr__(self, "reps", tuple(self.reps))
 
 
-def _int_array(values: list[int]) -> np.ndarray:
-    try:
-        return np.array(values, np.int64)
-    except OverflowError:  # a resolution beyond int64, kept exact
-        return np.array(values, object)
-
-
 @dataclass(frozen=True, eq=False)
 class EvaluationTable:
     """One scheme's evaluated ladders, one row per representation, grouped by
@@ -380,7 +372,7 @@ class EvaluationTable:
         rows = [(k, rep) for k, segment_id in enumerate(segment_ids) for rep in by_id[segment_id].reps]
         reps = [rep for _, rep in rows]
         return cls(scheme, segment_ids, np.array([k for k, _ in rows]),
-                   np.array([rep.bitrate for rep in reps], np.float64), _int_array([rep.resolution for rep in reps]),
+                   np.array([rep.bitrate for rep in reps], np.float64), int_array([rep.resolution for rep in reps]),
                    np.array([rep.encode_time for rep in reps], np.float64),
                    np.array([[rep.qualities.get(kind, math.nan) for kind in METRIC_KINDS] for rep in reps],
                             np.float64),
@@ -564,19 +556,13 @@ def compare_schemes(
     )
 
 
-def _converted(texts: Sequence[str], convert) -> list:
-    """``convert`` of each text, up to the first one that it rejects."""
-    values: list = []
-    with contextlib.suppress(ValueError):  # list.extend keeps what came before the error
-        values.extend(map(convert, texts))
-    return values
-
-
-def _line_error(lineno: int, row: Sequence[str], first_time: float | None) -> MetricsError:
+def _line_error(lineno: int, row: Sequence, first_time: float | None) -> MetricsError:
     """The first check that the row on line ``lineno`` fails, every earlier row
-    being valid, in the order a row-by-row reader runs them: ``first_time`` is
-    the encode time of its representation's first row, None on that row."""
-    _, _, bitrate_s, resolution_s, metric, quality_s, time_s = row
+    being valid, in the order a row-by-row reader runs them: ``row`` holds its
+    bitrate, resolution, metric, quality and encode time, as texts or as the
+    values they parse to, and ``first_time`` is the encode time of its
+    representation's first row, None on that row or where a number does not parse."""
+    bitrate_s, resolution_s, metric, quality_s, time_s = row
     if metric not in METRIC_KINDS:
         return MetricKindMismatch(f"line {lineno}: unknown quality metric {metric!r}")
     try:
@@ -591,6 +577,12 @@ def _line_error(lineno: int, row: Sequence[str], first_time: float | None) -> Me
     return SegmentMismatch(f"line {lineno}: duplicate {metric} quality for one representation")
 
 
+def _kinds(texts: Sequence[str]) -> np.ndarray:
+    """The ``METRIC_KINDS`` index of each text, up to the first that names none."""
+    kinds = np.fromiter(map(_KIND_INDEX.get, texts, repeat(-1)), np.intp, len(texts))
+    return kinds[:kinds.argmin()] if kinds.size and kinds.min() < 0 else kinds
+
+
 def load_evaluation_csv(source: Iterable[str]) -> EvaluationTable:
     """Read one scheme's evaluated ladders (:mod:`.table` conventions) into its
     :class:`EvaluationTable`.
@@ -598,36 +590,19 @@ def load_evaluation_csv(source: Iterable[str]) -> EvaluationTable:
     Rows with the same (segment, bitrate, resolution) describe one
     representation; each may contribute one quality metric and all must
     agree on the encode time.  The file must contain exactly one scheme
-    label.  Each column is converted with ``float`` or ``int``, each check
-    is a mask over the rows, and one stable sort groups them; the first
-    line that fails a check is read again, so its error is the one that a
-    row-by-row reader meets first.
+    label.  The number and metric columns are converted a block at a time,
+    up to the first row with a number that does not parse or an unknown
+    metric, so that their texts are never held at once.  Each other check is
+    a mask over the rows, and one stable sort groups them; the first bad
+    row's error is the one that a row-by-row reader meets first.
     """
-    # The rows become columns a chunk at a time, so that each row's list and
-    # tuple are freed with their chunk rather than held to the end.
-    rows, linenos, late = read_table(source, EVALUATION_CSV_HEADER, SegmentMismatch), [], None
-    columns: list[list[str]] = [[] for _ in EVALUATION_CSV_HEADER]
-    while late is None:
-        chunk: list = []
-        try:  # list.extend keeps the rows read before a table error
-            chunk.extend(islice(rows, 256))
-        except (LadderforgeError, OSError, ValueError) as exc:  # raised if no earlier line fails a check
-            late = exc
-        linenos += map(itemgetter(0), chunk)
-        for column, values in zip(columns, zip(*map(itemgetter(1), chunk))):
-            column += values
-        if not chunk:
-            break
-    ids, schemes, bitrate_s, resolution_s, metric_s, quality_s, time_s = columns
-    bitrate, resolution, time, quality = (_converted(texts, convert) for texts, convert in (
-        (bitrate_s, float), (resolution_s, int), (time_s, float), (quality_s, float)))
-    n = min(map(len, (bitrate, resolution, time, quality)))  # every column converted
-    bitrate, time, quality = (np.array(values[:n], np.float64) for values in (bitrate, time, quality))
-    resolution = _int_array(resolution[:n])
+    parsers = {2: finite_floats, 3: ints, 4: _kinds, 5: finite_floats, 6: finite_floats}
+    linenos, columns, failed, error = read_columns(source, EVALUATION_CSV_HEADER, SegmentMismatch, parsers)
+    ids, schemes, bitrate, resolution, kind, quality, time = columns
+    n = len(linenos)
     segment_ids = sorted(set(ids))
     index = dict(zip(segment_ids, range(len(segment_ids))))
-    segment = np.fromiter(map(index.__getitem__, ids[:n]), np.intp, n)
-    kind = np.fromiter(map(_KIND_INDEX.get, metric_s[:n], repeat(-1)), np.intp, n)
+    segment = np.fromiter(map(index.__getitem__, ids), np.intp, n)
     # Sorted by representation, then metric kind, then line: each group's
     # rows are together, and a second row of one kind follows the first.
     order = np.lexsort((kind, np.unique(resolution, return_inverse=True)[1], bitrate, segment))
@@ -640,15 +615,15 @@ def load_evaluation_csv(source: Iterable[str]) -> EvaluationTable:
     duplicate = np.zeros(n, bool)
     duplicate[order[1:]] = same & (keys[3][1:] == keys[3][:-1])
     repeated = first != np.arange(n)
-    with np.errstate(invalid="ignore"):
-        bad = ((kind < 0) | ~(np.isfinite(bitrate) & np.isfinite(time) & np.isfinite(quality)) | (time < 0)
-               | np.where(repeated, (time != time[first]) | duplicate, bitrate <= 0))
-    at = int(bad.argmax()) if bad.any() else n  # the first bad row, or the first not converted
-    if at < len(linenos):
-        raise _line_error(linenos[at], [column[at] for column in columns],
-                          time[first[at]].item() if at < n and repeated[at] else None)
-    if late is not None:
-        raise late
+    bad = (time < 0) | np.where(repeated, (time != time[first]) | duplicate, bitrate <= 0)
+    if bad.any():
+        at = int(bad.argmax())
+        values = bitrate[at].item(), resolution[at], METRIC_KINDS[kind[at]], quality[at].item(), time[at].item()
+        raise _line_error(linenos[at], values, time[first[at]].item() if repeated[at] else None)
+    if failed is not None:
+        raise _line_error(failed[0], failed[1][2:], None)
+    if error is not None:
+        raise error
     if len(set(schemes)) != 1:
         raise SegmentMismatch(f"evaluation CSV must hold exactly one scheme, got {sorted(set(schemes))}")
     one = order[new]  # one row of each representation, in table order

@@ -7,6 +7,8 @@ library paths it checks.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 
 import numpy as np
@@ -214,3 +216,174 @@ def random_rd_pairs(
     rates = np.cumprod(rng.uniform(1.6, 2.8, n_points)) * rng.uniform(0.1, 0.4)
     qualities = quality_base + np.cumsum(rng.uniform(1.0, 8.0, n_points))
     return list(zip(rates.tolist(), qualities.tolist()))
+
+
+# ------------------------------------------------------ CSV reader oracles
+#
+# The row-by-row readers that ladderforge's column readers replaced: one
+# generator yields each row with its line, and each row is checked, in full,
+# before the next is read.
+
+
+def reference_read_table(source, header, error_cls):
+    """Yield ``(lineno, row)`` for each data row of ``source``, the table
+    text itself or an iterable of its lines."""
+    lines = io.StringIO(source) if isinstance(source, str) else source
+    start = 0  # first physical line of the row being read
+
+    def content():
+        nonlocal start
+        for lineno, line in enumerate(lines, start=1):
+            if line and not line.isspace() and not line.startswith("#"):
+                start = start or lineno
+                yield line
+
+    rows = csv.reader(content())
+    try:
+        first = next(rows, None)
+        if first is None:
+            raise error_cls(f"table is empty; header must be {','.join(header)}")
+        if first != list(header):
+            raise error_cls(f"line {start}: header must be {','.join(header)}")
+        start = 0
+        for row in rows:
+            if len(row) != len(header):
+                raise error_cls(f"line {start}: expected {len(header)} fields, got {len(row)}")
+            yield start, row
+            start = 0
+    except csv.Error as exc:
+        raise error_cls(f"line {start}: {exc}") from None
+
+
+def reference_read_features_csv(source):
+    """``[(segment_id, SegmentFeatures)]``, in row order."""
+    from ladderforge.complexity import FEATURES_CSV_HEADER, ComplexityError, SegmentFeatures
+
+    out, seen = [], set()
+    for lineno, row in reference_read_table(source, FEATURES_CSV_HEADER, ComplexityError):
+        if row[0] in seen:
+            raise ComplexityError(f"line {lineno}: duplicate segment id {row[0]!r}")
+        seen.add(row[0])
+        try:
+            features = SegmentFeatures(float(row[1]), float(row[2]), float(row[3]))
+        except ValueError as exc:
+            raise ComplexityError(f"line {lineno}: {exc}") from None
+        out.append((row[0], features))
+    return out
+
+
+def _reference_training_row(e, h, l, resolution, bitrate, target, kind, tag):
+    """The rules of a training row, in the order they are checked."""
+    if kind not in ("quality", "time"):
+        raise ValueError(f"target_kind must be one of ('quality', 'time'), got {kind!r}")
+    if tag not in ("none", "fsrcnn"):
+        raise ValueError(f"vsr_tag must be one of ('none', 'fsrcnn'), got {tag!r}")
+    for name, value in (("texture_energy", e), ("temporal_gradient", h), ("brightness", l),
+                        ("target", target)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    for name, value in (("resolution", resolution), ("bitrate", bitrate)):
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and positive, got {value}")
+    if kind == "quality":
+        target = min(100.0, max(0.0, float(target)))
+    elif target <= 0:
+        raise ValueError(f"time targets must be positive, got {target}")
+    return e, h, l, resolution, bitrate, target, kind, tag
+
+
+def reference_load_training_csv(source, resolutions=None):
+    """One ``(E_Y, h, L_Y, resolution, bitrate, target, target_kind, vsr_tag)``
+    tuple per row, quality targets clamped into [0, 100]."""
+    from ladderforge.forest import TRAINING_CSV_HEADER, SchemaError
+    from ladderforge.table import finite_float
+
+    out = []
+    for lineno, row in reference_read_table(source, TRAINING_CSV_HEADER, SchemaError):
+        try:
+            resolution = int(row[4])
+            e, h, l = finite_float(row[1]), finite_float(row[2]), finite_float(row[3])
+            bitrate, target = finite_float(row[5]), finite_float(row[8])
+            out.append(_reference_training_row(e, h, l, resolution, bitrate, target, row[7], row[6]))
+        except ValueError as exc:
+            raise SchemaError(f"line {lineno}: {exc}") from None
+        if resolutions is not None and resolution not in set(resolutions):
+            raise SchemaError(f"line {lineno}: resolution {resolution} not in configured set "
+                              f"{sorted(set(resolutions))}")
+    if not out:
+        raise SchemaError("training CSV has a header but no data rows")
+    return out
+
+
+def reference_load_pairing_csv(source):
+    """``((bitrate, resolution), ...)`` in row order."""
+    from ladderforge.ladder import PairingMissing
+    from ladderforge.table import finite_float
+
+    table = {}
+    for lineno, row in reference_read_table(source, ("bitrate_mbps", "resolution"), PairingMissing):
+        try:
+            bitrate, resolution = finite_float(row[0]), int(row[1])
+        except ValueError as exc:
+            raise PairingMissing(f"line {lineno}: {exc}") from None
+        if bitrate <= 0 or resolution <= 0:
+            raise PairingMissing(f"line {lineno}: bitrate and resolution must be positive, "
+                                 f"got {bitrate}, {resolution}")
+        if bitrate in table:
+            raise PairingMissing(f"line {lineno}: duplicate bitrate {bitrate}")
+        table[bitrate] = resolution
+    return tuple(table.items())
+
+
+def reference_load_evaluation_csv(source):
+    """``(scheme, [(segment_id, [(bitrate, resolution, encode_time,
+    {metric: quality})])])``, segments and representations sorted: one
+    EvaluatedRep per representation, grown row by row."""
+    from ladderforge import metrics
+    from ladderforge.metrics import (METRIC_KINDS, EvaluatedRep, MetricKindMismatch, MetricsError,
+                                     SegmentMismatch)
+    from ladderforge.table import finite_float
+
+    schemes, segments = set(), {}
+    for lineno, row in reference_read_table(source, metrics.EVALUATION_CSV_HEADER, SegmentMismatch):
+        segment_id, scheme, bitrate_s, resolution_s, metric, quality_s, time_s = row
+        schemes.add(scheme)
+        if metric not in METRIC_KINDS:
+            raise MetricKindMismatch(f"line {lineno}: unknown quality metric {metric!r}")
+        try:
+            bitrate, resolution = finite_float(bitrate_s), int(resolution_s)
+            time, quality = finite_float(time_s), finite_float(quality_s)
+            reps = segments.setdefault(segment_id, {})
+            known = reps.get((bitrate, resolution))
+            if known is None:
+                reps[bitrate, resolution] = EvaluatedRep(bitrate, resolution, time, {metric: quality})
+                continue
+            metrics._check_time(time)
+        except (ValueError, MetricsError) as exc:
+            raise SegmentMismatch(f"line {lineno}: {exc}") from None
+        if known.encode_time != time:
+            raise SegmentMismatch(f"line {lineno}: encode time {time} contradicts "
+                                  f"{known.encode_time} for the same representation")
+        if metric in known.qualities:
+            raise SegmentMismatch(f"line {lineno}: duplicate {metric} quality for one representation")
+        known.qualities[metric] = quality
+    if len(schemes) != 1:
+        raise SegmentMismatch(f"evaluation CSV must hold exactly one scheme, got {sorted(schemes)}")
+    return schemes.pop(), [(segment_id, [(rep.bitrate, rep.resolution, rep.encode_time,
+                                          dict(sorted(rep.qualities.items())))
+                                         for _, rep in sorted(reps.items())])
+                           for segment_id, reps in sorted(segments.items())]
+
+
+def table_segments(table):
+    """An ``EvaluationTable``'s segments in the form the reference reader
+    returns them: each segment id with its rows as (bitrate, resolution,
+    time, qualities)."""
+    from ladderforge.metrics import METRIC_KINDS
+
+    rows = zip(table.segment.tolist(), table.bitrate.tolist(), table.resolution.tolist(),
+               table.encode_time.tolist(), table.qualities.tolist(), table.present.tolist())
+    out = [(segment_id, []) for segment_id in table.segment_ids]
+    for i, b, r, t, qualities, present in rows:
+        out[i][1].append((b, r, t, {k: q for k, q, p in zip(METRIC_KINDS, qualities, present) if p}))
+    return out

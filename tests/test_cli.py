@@ -255,6 +255,24 @@ def test_train_bytes_do_not_depend_on_the_worker_count(tmp_path, monkeypatch, ca
     assert printed["1"] == printed["2"] == printed["3"]
 
 
+def test_train_groups_follow_the_string_order_of_kind_and_tag(tmp_path, capsys):
+    """``fsrcnn`` sorts before ``none`` although VSR_TAGS lists ``none``
+    first; each group trains on its own rows in file order."""
+    none_rows = _training_csv(tmp_path / "none.csv", n=12, seed=1).read_text().splitlines(True)[1:]
+    fsrcnn_rows = _training_csv(tmp_path / "fsrcnn.csv", n=12, seed=2, vsrs=("fsrcnn",)).read_text()
+    both = tmp_path / "both.csv"
+    both.write_text(TRAIN_HEADER + "".join(none_rows) + "".join(fsrcnn_rows.splitlines(True)[1:]))
+    assert run("train", str(both), "--out", str(tmp_path / "both"), "--seed", "5", "--n-trees", "3") == 0
+    printed = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()]
+    assert printed == ["quality/fsrcnn", "quality/none", "time/fsrcnn", "time/none"]
+    for vsr in ("none", "fsrcnn"):  # the same models as from a file of the group's rows alone
+        assert run("train", str(tmp_path / f"{vsr}.csv"), "--out", str(tmp_path / vsr), "--seed", "5",
+                   "--n-trees", "3") == 0
+        for kind in ("quality", "time"):
+            name = f"model_{kind}_{vsr}.json"
+            assert (tmp_path / "both" / name).read_bytes() == (tmp_path / vsr / name).read_bytes()
+
+
 def test_train_row_order_sensitivity_is_itself_deterministic(tmp_path):
     # Bootstrap indexes rows: reordering the rows is a different training
     # run, but each ordering reproduces bit-for-bit.

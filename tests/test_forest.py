@@ -22,7 +22,10 @@ from ladderforge.forest import (
     InvalidRecord,
     MixedTargets,
     SchemaError,
+    TARGET_KINDS,
+    VSR_TAGS,
     TrainingRecord,
+    TrainingSet,
     VersionMismatch,
     deserialize_model,
     evaluate,
@@ -132,7 +135,7 @@ def test_fit_refuses_records_with_nan_features():
 
 def test_training_rows_are_feature_vector_bit_for_bit():
     records = _random_records(np.random.default_rng(8), 40)
-    x, _ = forest._records_matrix(records)
+    x = TrainingSet.from_records(records).x
     assert x.tobytes() == np.array(
         [feature_vector(rec, rec.resolution, rec.bitrate) for rec in records]).tobytes()
 
@@ -413,7 +416,7 @@ def test_blocked_predict_equals_row_by_row_across_block_edges():
     records = _random_records(rng, 200, target_fn=lambda e, h, l, r, b: 5 + e * 10 + h * r / 100)
     model = fit(records, Hyperparams(n_trees=6, max_depth=10), seed=4)
     n = 2 * PREDICT_BLOCK_ROWS + 452  # two whole blocks and a part of a third
-    x = forest._records_matrix(_random_records(rng, n))[0]
+    x = TrainingSet.from_records(_random_records(rng, n)).x
     one_by_one = np.array([predict(model, row) for row in x])
     assert predict(model, x).tobytes() == one_by_one.tobytes()
     for rows in (PREDICT_BLOCK_ROWS - 1, PREDICT_BLOCK_ROWS, PREDICT_BLOCK_ROWS + 1):
@@ -475,10 +478,10 @@ s1,0.2,0.0,40.0,2160,16.8,fsrcnn,time,3.25
 
 
 def test_load_training_csv():
-    records = load_training_csv(TRAIN_CSV.splitlines(True))
-    assert len(records) == 3
-    assert records[0].resolution == 1080 and records[0].target == 80.5
-    assert records[2].target_kind == "time" and records[2].vsr_tag == "fsrcnn"
+    data = load_training_csv(TRAIN_CSV.splitlines(True))
+    assert len(data) == 3
+    assert data.x[0, 3] == math.log2(1080) and data.target[0] == 80.5
+    assert (data.kind[2], data.tag[2]) == (TARGET_KINDS.index("time"), VSR_TAGS.index("fsrcnn"))
 
 
 def test_load_training_csv_reports_line_numbers():
@@ -489,6 +492,41 @@ def test_load_training_csv_reports_line_numbers():
         load_training_csv(["a,b\n", "1,2\n"])
     with pytest.raises(SchemaError, match="line 3"):
         load_training_csv(TRAIN_CSV.splitlines(True), resolutions=(1080, 2160))
+
+
+def test_a_rows_rules_come_before_its_resolution_lookup():
+    bad = TRAIN_CSV + "s2,1.0,0.0,40.0,540,2.4,nope,quality,3.25\n"
+    with pytest.raises(SchemaError, match=r"^line 5: vsr_tag must be one of \('none', 'fsrcnn'\), got 'nope'$"):
+        load_training_csv(bad.splitlines(True), resolutions=(360, 1080, 2160))
+    with pytest.raises(SchemaError, match=r"^line 5: resolution 540 not in configured set \[360, 1080, 2160\]$"):
+        load_training_csv(bad.replace("nope", "none").splitlines(True), resolutions=(360, 1080, 2160))
+
+
+def test_a_negative_zero_quality_target_fits_as_zero():
+    """max(0.0, -0.0) is 0.0 where np.maximum(0.0, -0.0) is -0.0: a leaf of
+    such rows must write "v":0.0, as a leaf of zeros does."""
+    hp = Hyperparams(n_trees=2, min_samples_leaf=1, bootstrap=False)
+
+    def model_bytes(zero):
+        text = TRAIN_CSV.splitlines(True)[0] + "".join(
+            f"s{i},{float(i)},0.3,120.0,1080,2.4,none,quality,{zero if i < 4 else 60.0 + i}\n" for i in range(8))
+        data = load_training_csv(text.splitlines(True))
+        assert np.signbit(data.target).sum() == 0
+        return serialize_model(fit(data, hp, seed=3))
+
+    assert model_bytes("-0.0") == model_bytes("0.0")
+    assert b'"v":0.0' in model_bytes("-0.0") and b"-0.0" not in model_bytes("-0.0")
+    assert math.copysign(1.0, _record(target=-0.0).target) == 1.0
+
+
+def test_a_resolution_beyond_int64_trains_with_its_exact_log2():
+    huge = 99999999999999999999
+    text = TRAIN_CSV.splitlines(True)[0] + "".join(
+        f"s{i},{float(i)},0.3,120.0,{huge if i % 2 else 720},2.4,none,quality,{40.0 + i}\n" for i in range(6))
+    data = load_training_csv(text.splitlines(True))
+    assert data.x[1::2, 3].tolist() == [math.log2(huge)] * 3
+    model = fit(data, Hyperparams(n_trees=2), seed=1)
+    assert model.target_kind == "quality" and len(model.trees) == 2
 
 
 def test_fit_refuses_targets_whose_squared_sums_overflow():

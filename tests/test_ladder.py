@@ -662,6 +662,16 @@ def test_a_missing_lossless_cap_is_refused_as_a_ladder_error():
     with pytest.raises(LadderError, match=message):
         prune_jnd(_ladder_from_qualities([40.0, 50.0, 60.0]), 6.0, None)
 
+
+@pytest.mark.parametrize("v_j, v_t, message", [
+    (None, 94.0, "^the noticeable-difference step must be a number, got None$"),
+    ("6", 94.0, "^the noticeable-difference step must be a number, got '6'$"),
+    (6.0, "94", "^the perceptually-lossless cap must be a number, got 94$"),
+])
+def test_a_step_or_cap_that_is_not_a_number_is_refused_as_a_ladder_error(v_j, v_t, message):
+    with pytest.raises(LadderError, match=message):
+        prune_jnd(_ladder_from_qualities([40.0, 50.0, 60.0]), v_j, v_t)
+
 # ------------------------------------------------------- default_hls_ladder
 
 

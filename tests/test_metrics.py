@@ -5,7 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import bd_quality_oracle, bd_rate_oracle, random_rd_pairs
+from conftest import (bd_quality_oracle, bd_rate_oracle, random_rd_pairs, reference_load_evaluation_csv,
+                      table_segments)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -13,7 +14,6 @@ from ladderforge import metrics
 from ladderforge.config import DEFAULT_BITRATES_MBPS, RunConfig
 from ladderforge.ladder import EmptyLadder, Ladder, LadderParams, Representation
 from ladderforge.metrics import (
-    METRIC_KINDS,
     DegenerateFit,
     EvaluatedRep,
     EvaluatedSegment,
@@ -32,7 +32,6 @@ from ladderforge.metrics import (
     storage,
 )
 from ladderforge.metrics import _fit_cubics, _mean_poly_difference
-from ladderforge.table import finite_float, read_table
 
 CURVE = [(0.5, 34.0), (1.2, 38.5), (3.0, 42.0), (7.5, 45.0), (15.0, 46.5)]
 
@@ -890,20 +889,10 @@ s1,default,1.0,360,psnr,29.0,0.3
 """
 
 
-def _table_segments(table):
-    """Each segment id with its rows as (bitrate, resolution, time, qualities)."""
-    rows = zip(table.segment.tolist(), table.bitrate.tolist(), table.resolution.tolist(),
-               table.encode_time.tolist(), table.qualities.tolist(), table.present.tolist())
-    out = [(segment_id, []) for segment_id in table.segment_ids]
-    for i, b, r, t, qualities, present in rows:
-        out[i][1].append((b, r, t, {k: q for k, q, p in zip(METRIC_KINDS, qualities, present) if p}))
-    return out
-
-
 def test_load_evaluation_csv_makes_one_sorted_row_per_representation():
     table = load_evaluation_csv(EVAL_CSV.splitlines(True))
     assert table.scheme == "default" and table.segment_ids == ("s0", "s1")
-    assert _table_segments(table) == [
+    assert table_segments(table) == [
         ("s0", [(1.0, 360, 0.4, {"psnr": 30.5, "vmaf": 45.0}), (2.0, 720, 0.9, {"psnr": 33.0})]),
         ("s1", [(1.0, 360, 0.3, {"psnr": 29.0})]),
     ]
@@ -913,7 +902,7 @@ def test_load_evaluation_csv_makes_one_sorted_row_per_representation():
     text = "\n".join([EVAL_CSV.splitlines()[0],
                       "b,x,2.0,720,psnr,1,0.5", "a,x,2.0,360,psnr,2,0.5", "b,x,1.0,1080,vmaf,3,0.1",
                       "a,x,1.0,720,psnr,4,0.2", "a,x,2.0,360,vmaf,5,0.5", "b,x,1,360,vmaf,6,0.1"]) + "\n"
-    assert _table_segments(load_evaluation_csv(text)) == [
+    assert table_segments(load_evaluation_csv(text)) == [
         ("a", [(1.0, 720, 0.2, {"psnr": 4.0}), (2.0, 360, 0.5, {"psnr": 2.0, "vmaf": 5.0})]),
         ("b", [(1.0, 360, 0.1, {"vmaf": 6.0}), (1.0, 1080, 0.1, {"vmaf": 3.0}), (2.0, 720, 0.5, {"psnr": 1.0})]),
     ]
@@ -925,7 +914,7 @@ def test_load_evaluation_csv_builds_no_representation_object(monkeypatch):
 
     monkeypatch.setattr(metrics, "EvaluatedRep", refuse)
     monkeypatch.setattr(metrics, "EvaluatedSegment", refuse)
-    assert [len(reps) for _, reps in _table_segments(load_evaluation_csv(EVAL_CSV))] == [2, 1]
+    assert [len(reps) for _, reps in table_segments(load_evaluation_csv(EVAL_CSV))] == [2, 1]
 
 
 @pytest.mark.parametrize("row, message", [
@@ -953,42 +942,6 @@ def test_load_evaluation_csv_rejects_inconsistencies():
     contradictory = EVAL_CSV + "s0,default,1.0,360,psnr,30.5,0.7\n"
     with pytest.raises(SegmentMismatch):
         load_evaluation_csv(contradictory.splitlines(True))
-
-
-# load_evaluation_csv as it was before it read the table into arrays: one
-# EvaluatedRep per representation, grown row by row.
-
-
-def _reference_load(source):
-    schemes, segments = set(), {}
-    for lineno, row in read_table(source, metrics.EVALUATION_CSV_HEADER, SegmentMismatch):
-        segment_id, scheme, bitrate_s, resolution_s, metric, quality_s, time_s = row
-        schemes.add(scheme)
-        if metric not in METRIC_KINDS:
-            raise MetricKindMismatch(f"line {lineno}: unknown quality metric {metric!r}")
-        try:
-            bitrate, resolution = finite_float(bitrate_s), int(resolution_s)
-            time, quality = finite_float(time_s), finite_float(quality_s)
-            reps = segments.setdefault(segment_id, {})
-            known = reps.get((bitrate, resolution))
-            if known is None:
-                reps[bitrate, resolution] = EvaluatedRep(bitrate, resolution, time, {metric: quality})
-                continue
-            metrics._check_time(time)
-        except (ValueError, MetricsError) as exc:
-            raise SegmentMismatch(f"line {lineno}: {exc}") from None
-        if known.encode_time != time:
-            raise SegmentMismatch(f"line {lineno}: encode time {time} contradicts "
-                                  f"{known.encode_time} for the same representation")
-        if metric in known.qualities:
-            raise SegmentMismatch(f"line {lineno}: duplicate {metric} quality for one representation")
-        known.qualities[metric] = quality
-    if len(schemes) != 1:
-        raise SegmentMismatch(f"evaluation CSV must hold exactly one scheme, got {sorted(schemes)}")
-    return schemes.pop(), [(segment_id, [(rep.bitrate, rep.resolution, rep.encode_time,
-                                          dict(sorted(rep.qualities.items())))
-                                         for _, rep in sorted(reps.items())])
-                           for segment_id, reps in sorted(segments.items())]
 
 
 # Valid fields from small pools, so that rows meet on one representation and
@@ -1031,7 +984,7 @@ _LINES = st.one_of(
 @given(st.lists(_LINES, max_size=12), st.sampled_from([",".join(metrics.EVALUATION_CSV_HEADER)] * 9 + ["bad,header"]))
 def test_the_evaluation_reader_equals_the_row_by_row_reference(lines, header):
     """The same table, or the same error with the same text and line, as the
-    reader that grew one EvaluatedRep per representation."""
+    reader that grew one EvaluatedRep per representation (``conftest``)."""
     text = "\n".join([header, *lines]) + "\n"
 
     def outcome(read):
@@ -1042,9 +995,9 @@ def test_the_evaluation_reader_equals_the_row_by_row_reference(lines, header):
 
     def new():
         table = load_evaluation_csv(text.splitlines(True))
-        return table.scheme, _table_segments(table)
+        return table.scheme, table_segments(table)
 
-    assert outcome(new) == outcome(lambda: _reference_load(text.splitlines(True)))
+    assert outcome(new) == outcome(lambda: reference_load_evaluation_csv(text.splitlines(True)))
 
 
 def test_a_value_error_on_an_earlier_line_comes_before_a_later_structural_error():
