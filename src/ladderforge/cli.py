@@ -28,7 +28,6 @@ import os
 import sys
 import traceback
 from concurrent.futures import ThreadPoolExecutor
-from fractions import Fraction
 from functools import partial
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -40,10 +39,11 @@ from .config import ConfigError, RunConfig, parse_tau
 from .errors import LadderforgeError
 from .media import (
     InvalidSpec,
-    SYNTHETIC_PATTERNS,
+    SYNTHETIC_PREFIX,
     SyntheticSpec,
     generate_synthetic,
     parse_y4m,
+    read_framerate,
     read_raw_luma,
 )
 from .rng import SplitMix64
@@ -167,59 +167,10 @@ def _safe_filename(segment_id: str) -> str:
 
 # ----------------------------------------------------------------- analyze
 
-_SYNTH_PREFIX = "synth:"
-
-
-def parse_synth_spec(text: str, default_seed: int) -> tuple[str | None, SyntheticSpec]:
-    """Parse ``synth:<pattern>:<W>x<H>x<N>@<FPS>[:key=value...]``.
-
-    FPS is an integer or ``num/den``.  Optional keys: seed, level, period,
-    sigma, velocity, id.
-    """
-    body = text[len(_SYNTH_PREFIX):]
-    parts = body.split(":")
-    if len(parts) < 2:
-        raise InvalidSpec(f"synthetic spec needs a pattern and geometry: {text!r}")
-    pattern = parts[0]
-    if pattern not in SYNTHETIC_PATTERNS:
-        raise InvalidSpec(f"unknown pattern {pattern!r}; expected one of {SYNTHETIC_PATTERNS}")
-    geometry, _, fps_text = parts[1].partition("@")
-    dims = geometry.split("x")
-    if len(dims) != 3:
-        raise InvalidSpec(f"geometry must be WxHxN, got {geometry!r}")
-    try:
-        width, height, frames = (int(d) for d in dims)
-        framerate = Fraction(fps_text) if fps_text else Fraction(30)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InvalidSpec(f"bad geometry in {text!r}: {exc}") from None
-    kwargs: dict = {"seed": default_seed}
-    segment_id: str | None = None
-    for item in parts[2:]:
-        key, sep, value = item.partition("=")
-        if not sep:
-            raise InvalidSpec(f"expected key=value, got {item!r}")
-        try:
-            if key == "id":
-                segment_id = value
-            elif key in ("seed", "level", "period"):
-                kwargs[key] = int(value)
-            elif key in ("sigma", "velocity"):
-                kwargs[key] = float(value)
-            else:
-                raise InvalidSpec(f"unknown synthetic parameter {key!r}")
-        except ValueError as exc:
-            raise InvalidSpec(f"bad value for {key!r}: {exc}") from None
-    spec = SyntheticSpec(
-        width=width, height=height, frames=frames, framerate=framerate,
-        pattern=pattern, **kwargs,
-    )
-    return segment_id, spec
-
-
 def _load_input(token: str, index: int, args, config: RunConfig):
     """Resolve one analyze input to (segment_id, VideoSequence)."""
-    if token.startswith(_SYNTH_PREFIX):
-        segment_id, spec = parse_synth_spec(token, config.seed)
+    if token.startswith(SYNTHETIC_PREFIX):
+        segment_id, spec = SyntheticSpec.parse(token, config.seed)
         if segment_id is None:
             segment_id = f"synth{index:03d}"
         return segment_id, generate_synthetic(spec)
@@ -234,11 +185,8 @@ def _load_input(token: str, index: int, args, config: RunConfig):
         raise LadderforgeError(f"cannot read {token}: {exc}") from None
     if path.suffix.lower() in (".yuv", ".raw"):
         if args.raw_width is None or args.raw_height is None:
-            raise InvalidSpec(f"{token}: raw input needs --raw-width and --raw-height")
-        try:
-            framerate = Fraction(args.raw_fps) if args.raw_fps else Fraction(30)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InvalidSpec(f"bad --raw-fps: {exc}") from None
+            raise InvalidSpec("raw input needs --raw-width and --raw-height")
+        framerate = read_framerate(args.raw_fps, "--raw-fps")
         return path.stem, read_raw_luma(data, args.raw_width, args.raw_height, framerate)
     return path.stem, parse_y4m(data)
 
@@ -337,7 +285,11 @@ def _load_model(models_dir: Path, target_kind: str, vsr_tag: str) -> forest.Fore
     path = models_dir / f"model_{target_kind}_{vsr_tag}.json"
     if not path.exists():
         raise MissingModel(f"model file not found: {path}")
-    return _read_text(path, lambda handle: forest.deserialize_model(handle.read()))
+    model = _read_text(path, lambda handle: forest.deserialize_model(handle.read()))
+    if (model.target_kind, model.vsr_tag) != (target_kind, vsr_tag):
+        raise ladder_mod.ModelMismatch(f"{path}: holds a {model.target_kind} model for vsr_tag "
+                                       f"{model.vsr_tag!r}, not a {target_kind} model for {vsr_tag!r}")
+    return model
 
 
 def cmd_ladder(args) -> int:
@@ -346,8 +298,6 @@ def cmd_ladder(args) -> int:
     models_dir = Path(args.models)
     quality_model = _load_model(models_dir, "quality", config.vsr_tag)
     time_model = _load_model(models_dir, "time", config.vsr_tag)
-    if quality_model.vsr_tag != config.vsr_tag or time_model.vsr_tag != config.vsr_tag:
-        raise ladder_mod.ModelMismatch(f"model files do not carry vsr_tag {config.vsr_tag!r}")
     catalog = _read_text(args.features_csv, complexity.read_features_csv)
     pairing = _read_text(args.pairing, ladder_mod.load_pairing_csv) if args.pairing else None
 
@@ -451,7 +401,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze)
     if command in (None, "analyze"):
         p.add_argument("inputs", nargs="+",
-                       help="Y4M/raw paths or synth:<pattern>:<WxHxN>@<FPS>[:k=v...] specs")
+                       help="Y4M/raw paths or synth:<pattern>:<WxHxN>[@<FPS>][:k=v...] specs")
         p.add_argument("--raw-width", type=int, help="width of headerless raw-luma inputs")
         p.add_argument("--raw-height", type=int, help="height of headerless raw-luma inputs")
         p.add_argument("--raw-fps", help="framerate of raw inputs, e.g. 30 or 30000/1001")

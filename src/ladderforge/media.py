@@ -19,13 +19,18 @@ Supported colorspaces: the 8-bit 4:2:0 family (``C420``, ``C420jpeg``,
 ``C420paldv``, ``C420mpeg2``), ``C422``, ``C444`` and ``Cmono``; a missing
 ``C`` tag defaults to 4:2:0.  Anything else (ten-bit tags, alpha planes)
 raises :class:`UnsupportedColorspace`.
+
+Synthetic specs (:meth:`SyntheticSpec.parse`) read
+``synth:<pattern>:<W>x<H>x<N>[@<FPS>][:<key>=<value>...]``; a key is ``id``
+or a keyword-only field of :class:`SyntheticSpec`, read as its default's
+type.  ``<FPS>`` and raw input's rate are read by :func:`read_framerate`.
 """
 
 from __future__ import annotations
 
 import math
 import mmap
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field, fields
 from fractions import Fraction
 from typing import IO, Callable, Iterator, Union
 
@@ -45,6 +50,7 @@ __all__ = [
     "ZeroFrames",
     "TrailingData",
     "InvalidSpec",
+    "read_framerate",
     "parse_y4m",
     "serialize_y4m",
     "read_raw_luma",
@@ -67,6 +73,7 @@ _CHROMA_SUBSAMPLING = {
 }
 
 SYNTHETIC_PATTERNS = ("constant", "checkerboard", "noise", "moving_gradient")
+SYNTHETIC_PREFIX = "synth:"
 MAX_SYNTHETIC_SAMPLES = 2**31
 
 
@@ -327,6 +334,17 @@ def serialize_y4m(seq: VideoSequence) -> bytes:
     return b"".join(parts)
 
 
+def read_framerate(value: Union[str, Fraction, int, None], name: str = "framerate") -> Fraction:
+    """A positive rate from a number or its text (``30``, ``29.97``, ``30000/1001``); 30 if absent."""
+    try:
+        rate = Fraction(30) if value is None or value == "" else Fraction(value)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise InvalidSpec(f"bad {name}: {exc}") from None
+    if rate <= 0:
+        raise InvalidSpec("framerate must be positive")
+    return rate
+
+
 def read_raw_luma(
     stream: Union[bytes, bytearray, memoryview, mmap.mmap, IO[bytes]],
     width: int,
@@ -370,8 +388,9 @@ class SyntheticSpec:
     width: int
     height: int
     frames: int
-    framerate: Union[Fraction, int] = 30
+    framerate: Union[Fraction, int, str, None] = None  # held as read_framerate reads it: 30 if None
     pattern: str = "noise"
+    _: KW_ONLY  # the optional keys of a spec's text, each read as its default's type
     seed: int = 0
     level: int = 128
     period: int = 8
@@ -390,8 +409,7 @@ class SyntheticSpec:
             raise InvalidSpec(
                 f"unknown pattern {self.pattern!r}; expected one of {SYNTHETIC_PATTERNS}"
             )
-        if Fraction(self.framerate) <= 0:
-            raise InvalidSpec("framerate must be positive")
+        object.__setattr__(self, "framerate", read_framerate(self.framerate))
         if not 0 <= self.level <= 255:
             raise InvalidSpec(f"level must be in [0, 255], got {self.level}")
         if self.period <= 0:
@@ -400,6 +418,35 @@ class SyntheticSpec:
             raise InvalidSpec(f"sigma must be nonnegative and finite, got {self.sigma}")
         if not math.isfinite(self.velocity * (self.frames - 1)):
             raise InvalidSpec(f"velocity must keep the last frame's shift finite, got {self.velocity}")
+
+    @classmethod
+    def parse(cls, text: str, seed: int = 0) -> tuple[Union[str, None], "SyntheticSpec"]:
+        """A spec's text as (its ``id=``, or None; the spec), seeded by ``seed`` without ``seed=``."""
+        parts = text[len(SYNTHETIC_PREFIX):].split(":")
+        if len(parts) < 2:
+            raise InvalidSpec(f"synthetic spec needs a pattern and geometry: {text!r}")
+        geometry, _, fps_text = parts[1].partition("@")
+        dims = geometry.split("x")
+        if len(dims) != 3:
+            raise InvalidSpec(f"geometry must be WxHxN, got {geometry!r}")
+        try:
+            width, height, frames = (int(d) for d in dims)
+        except ValueError as exc:
+            raise InvalidSpec(f"bad geometry in {text!r}: {exc}") from None
+        framerate = read_framerate(fps_text, f"geometry in {text!r}")
+        kinds = {"id": str, **{f.name: type(f.default) for f in fields(cls) if f.kw_only}}
+        keys = {"seed": seed}
+        for item in parts[2:]:
+            key, sep, value = item.partition("=")
+            if not sep:
+                raise InvalidSpec(f"expected key=value, got {item!r}")
+            if key not in kinds:
+                raise InvalidSpec(f"unknown synthetic parameter {key!r}")
+            try:
+                keys[key] = kinds[key](value)
+            except ValueError as exc:
+                raise InvalidSpec(f"bad value for {key!r}: {exc}") from None
+        return keys.pop("id", None), cls(width, height, frames, framerate, parts[0], **keys)
 
 
 def generate_synthetic(spec: SyntheticSpec) -> VideoSequence:
@@ -418,7 +465,8 @@ def generate_synthetic(spec: SyntheticSpec) -> VideoSequence:
     elif spec.pattern == "noise":
         rng = SplitMix64(spec.seed)
         for _ in range(spec.frames):
-            noise = 128.0 + rng.normals(w * h, sigma=spec.sigma)
+            with np.errstate(over="ignore"):  # a huge sigma draws +-inf, clipped to 255 or 0
+                noise = 128.0 + rng.normals(w * h, sigma=spec.sigma)
             plane = np.clip(np.rint(noise), 0, 255).astype(np.uint8)
             planes.append(plane.reshape(h, w))
     else:  # moving_gradient
@@ -427,4 +475,4 @@ def generate_synthetic(spec: SyntheticSpec) -> VideoSequence:
             shift = int(round(spec.velocity * t)) % 256
             planes.append(((base + shift) % 256).astype(np.uint8))
     frames = tuple(LumaFrame(w, h, plane) for plane in planes)
-    return VideoSequence(frames, Fraction(spec.framerate))
+    return VideoSequence(frames, spec.framerate)

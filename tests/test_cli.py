@@ -1,5 +1,7 @@
+import contextlib
 import dataclasses
 import errno
+import io
 import json
 import math
 import mmap
@@ -15,6 +17,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import write_reference_y4m
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ladderforge import cli
 from ladderforge.complexity import read_features_csv, segment_features
@@ -132,6 +136,93 @@ def test_analyze_rejects_a_synthetic_spec_too_large_to_hold(tmp_path, capsys, to
     assert run("analyze", token, "--out", str(tmp_path)) == 2
     assert capsys.readouterr().err == (f"error: {token}: sample count must be at most 2147483648, "
                                        "got 99999999x99999999x1\n")
+
+
+@pytest.mark.parametrize("token, message", [
+    ("synth:noise", "synthetic spec needs a pattern and geometry: 'synth:noise'"),
+    ("synth:blur:4x4x1@30", "unknown pattern 'blur'; expected one of "
+                            "('constant', 'checkerboard', 'noise', 'moving_gradient')"),
+    ("synth:noise:4x4@30", "geometry must be WxHxN, got '4x4'"),
+    ("synth:noise:4xAx1@30", "bad geometry in 'synth:noise:4xAx1@30': "
+                             "invalid literal for int() with base 10: 'A'"),
+    ("synth:noise:4x4x1@abc", "bad geometry in 'synth:noise:4x4x1@abc': "
+                              "Invalid literal for Fraction: 'abc'"),
+    ("synth:noise:4x4x1@1/0", "bad geometry in 'synth:noise:4x4x1@1/0': Fraction(1, 0)"),
+    ("synth:noise:4x4x1@0", "framerate must be positive"),
+    ("synth:noise:4x4x1@-30", "framerate must be positive"),
+    ("synth:noise:4x4x1@30:seed", "expected key=value, got 'seed'"),
+    ("synth:noise:4x4x1@30:foo=1", "unknown synthetic parameter 'foo'"),
+    ("synth:noise:4x4x1@30:pattern=noise", "unknown synthetic parameter 'pattern'"),
+    ("synth:noise:4x4x1@30:seed=abc", "bad value for 'seed': "
+                                      "invalid literal for int() with base 10: 'abc'"),
+    ("synth:noise:4x4x1@30:sigma=x", "bad value for 'sigma': could not convert string to float: 'x'"),
+])
+def test_each_synthetic_spec_fault_is_one_error_line_naming_the_spec(tmp_path, capsys, token,
+                                                                       message):
+    assert run("analyze", token, "--out", str(tmp_path)) == 2
+    assert capsys.readouterr().err == f"error: {token}: {message}\n"
+
+
+@pytest.mark.parametrize("fps", ["0", "-30"])
+def test_a_raw_frame_rate_that_is_not_positive_is_one_error_line(tmp_path, monkeypatch, capsys, fps):
+    monkeypatch.chdir(tmp_path)
+    Path("z.yuv").write_bytes(bytes(32))
+    assert run("analyze", "z.yuv", "synth:constant:4x4x1", "--raw-width", "4", "--raw-height", "4",
+               "--raw-fps", fps, "--out", "out") == 2
+    assert capsys.readouterr().err == "error: z.yuv: framerate must be positive\n"
+    with open("out/features.csv") as handle:
+        assert [sid for sid, _ in read_features_csv(handle)] == ["synth001"]
+
+
+def test_a_raw_input_without_its_sides_is_named_once(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("z.yuv").write_bytes(bytes(16))
+    assert run("analyze", "z.yuv", "--raw-width", "4", "--out", "out") == 2
+    assert capsys.readouterr().err == "error: z.yuv: raw input needs --raw-width and --raw-height\n"
+
+
+_FUZZ_NUMBERS = st.sampled_from(["0", "1", "7", "2.5", "1e308", "-1", "256", "1e999", "nan", "-inf", "x", "",
+                                  "99999999999999999999999"]) | st.integers().map(str)
+_FUZZ_RATES = st.sampled_from(["", "30", "25", "30000/1001", "2.5", "1e999", "1e-999", "0", "-30", "0/5", "1/0",
+                               "abc", "nan", "inf"]) | st.integers(1, 60).map(str)
+_FUZZ_SPECS = st.builds(
+    lambda pattern, geometry, rate, items: f"synth:{pattern}:{geometry}{rate}{''.join(items)}",
+    st.sampled_from(["constant", "checkerboard", "noise", "moving_gradient", "blur"]),
+    st.sampled_from(["4x4x2", "8x3x1", "1x1x1", "16x16x3", "2x9x2", "3x3x3", "5x1x4", "7x2x1", "6x6x1", "9x9x2",
+                     "4x4", "4x4x2x1", "0x4x1", "-1x2x2", "4294967296x65536x1", "Ax1x1", "x1x1", ""]),
+    st.just("") | _FUZZ_RATES.map("@".__add__),
+    st.lists(st.builds(":{}={}".format, st.sampled_from(["seed", "level", "period", "sigma", "velocity", "id",
+                                                         "pattern", "foo", ""]), _FUZZ_NUMBERS)
+             | st.sampled_from([":seed", ":x=1=2", ":"]), max_size=2),
+) | st.text("0123456789x@:=/.-e abcdinorstz", max_size=12).map("synth:".__add__)  # room for a small geometry only
+_FUZZ_RAW_SIDES = (st.sampled_from([1, 2, 3, 4, 6, 8, 12, 16, 24, 48])  # each divides the raw file's 48 bytes
+                   | st.sampled_from([None, -1, 0, 5, 7, 2**32, 10**30]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(spec=_FUZZ_SPECS, width=_FUZZ_RAW_SIDES, height=_FUZZ_RAW_SIDES,
+       rate=st.none() | _FUZZ_RATES | st.integers(-60, 60).map(str))
+def test_analyze_exits_0_or_2_and_names_each_input_it_refuses(tmp_path, spec, width, height, rate):
+    """A synthetic spec and a 48-byte raw file: each refused input is one
+    error line naming it, the others are analyzed, and nothing else is printed."""
+    raw = tmp_path / "rawluma.yuv"
+    raw.write_bytes(bytes(range(48)))
+    tokens = (spec, str(raw))
+    flags = [f"--{name}={value}" for name, value in (("raw-width", width), ("raw-height", height),
+                                                       ("raw-fps", rate)) if value is not None]
+    out = tmp_path / "out"
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("always")
+        code = run("analyze", *tokens, *flags, f"--out={out}")
+    lines = err.getvalue().splitlines()
+    refused = [t for t in tokens if any(line.startswith(f"error: {t}: ") for line in lines)]
+    assert (code, len(lines)) == (2 if refused else 0, len(refused)), err.getvalue()
+    assert not caught, [str(w.message) for w in caught]
+    with open(out / "features.csv") as handle:
+        assert len(list(read_features_csv(handle))) == len(tokens) - len(refused)
 
 
 def test_analyze_reads_y4m_and_raw_files(tmp_path):
@@ -401,6 +492,23 @@ def test_ladder_respects_vsr_tag(tmp_path, capsys):
     assert run("ladder", str(features), "--models", str(models), "--out", str(out)) == 2
 
 
+@pytest.mark.parametrize("name, kind, vsr, message", [
+    ("model_time_none.json", "time", "fsrcnn",
+     "holds a time model for vsr_tag 'fsrcnn', not a time model for 'none'"),
+    ("model_quality_none.json", "time", "none",
+     "holds a time model for vsr_tag 'none', not a quality model for 'none'"),
+])
+def test_ladder_names_a_model_file_that_holds_another_model(tmp_path, capsys, name, kind, vsr,
+                                                             message):
+    features = _analyze_two_segments(tmp_path)
+    models = _write_models(tmp_path / "models")
+    model = ForestModel.from_trees(({"v": 1.0},), Hyperparams(n_trees=1), 0, kind, vsr)
+    (models / name).write_bytes(serialize_model(model))
+    assert run("ladder", str(features), "--models", str(models), "--out", str(tmp_path / "l")) == 2
+    assert capsys.readouterr().err == f"error: {models / name}: {message}\n"
+    assert not (tmp_path / "l").exists() or not any((tmp_path / "l").iterdir())
+
+
 # ---------------------------------------------------------------- evaluate
 
 
@@ -528,6 +636,29 @@ def test_thread_env_validation(tmp_path, monkeypatch):
     assert not (tmp_path / "models" / "model_quality_none.json").exists()
     monkeypatch.setenv(cli.THREADS_ENV, "2")
     assert run("analyze", "synth:constant:4x4x1@30", "--out", str(tmp_path)) == 0
+
+
+def test_a_thread_cap_of_zero_is_a_data_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv(cli.THREADS_ENV, "0")
+    assert run("analyze", "synth:constant:4x4x1", "--out", str(tmp_path)) == 2
+    assert capsys.readouterr().err == f"error: {cli.THREADS_ENV} must be >= 1, got 0\n"
+
+
+def test_a_holdout_of_one_or_more_is_a_data_error(tmp_path, capsys):
+    csv_path = _training_csv(tmp_path / "train.csv")
+    assert run("train", str(csv_path), "--holdout", "1.5", "--out", str(tmp_path / "models")) == 2
+    assert capsys.readouterr().err == "error: --holdout must be in [0, 1), got 1.5\n"
+
+
+def test_an_unexpected_error_in_a_command_exits_3_with_a_traceback(monkeypatch, capsys):
+    def broken(args):
+        raise RuntimeError("an invariant broke")
+
+    monkeypatch.setattr(cli, "cmd_evaluate", broken)
+    assert run("evaluate", "base.csv", "cand.csv") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback (most recent call last):\n")
+    assert err.endswith("RuntimeError: an invariant broke\n")
 
 
 @pytest.mark.parametrize("size", ["257", "100000"])  # 100000's transform basis needs 74.5 GiB

@@ -1,6 +1,8 @@
 import math
 import mmap
+import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -25,9 +27,11 @@ from ladderforge.media import (
     ZeroFrames,
     generate_synthetic,
     parse_y4m,
+    read_framerate,
     read_raw_luma,
     serialize_y4m,
 )
+from ladderforge.rng import SplitMix64
 
 
 def test_minimal_well_formed_stream():
@@ -151,6 +155,46 @@ def test_noise_is_deterministic_for_seed():
     assert a == b
     c = generate_synthetic(SyntheticSpec(16, 16, 5, 30, "noise", seed=43, sigma=20.0))
     assert a != c
+
+
+def test_a_huge_sigma_clips_every_sample_with_no_overflow_warning():
+    """sigma * draw overflows to an infinity for all but a zero draw."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        seq = generate_synthetic(SyntheticSpec(64, 64, 3, 30, "noise", seed=4, sigma=1e308))
+    rng = SplitMix64(4)
+    for frame in seq.frames:
+        draws = rng.normals(64 * 64).reshape(64, 64)
+        assert np.array_equal(frame.samples, np.where(draws > 0, 255, np.where(draws < 0, 0, 128)))
+
+
+def test_synthetic_spec_text_reads_its_keys_as_the_fields_types():
+    assert SyntheticSpec.parse("synth:noise:8x4x2@30000/1001:sigma=3:seed=5:id=a", 9) == (
+        "a", SyntheticSpec(8, 4, 2, Fraction(30000, 1001), "noise", seed=5, sigma=3.0))
+    segment_id, spec = SyntheticSpec.parse("synth:moving_gradient:8x4x2:velocity=2:level=7", 9)
+    assert segment_id is None
+    assert spec == SyntheticSpec(8, 4, 2, 30, "moving_gradient", seed=9, level=7, velocity=2.0)
+    assert (type(spec.level), type(spec.velocity)) == (int, float)
+    with pytest.raises(InvalidSpec, match="^bad value for 'level': "):
+        SyntheticSpec.parse("synth:constant:8x4x2:level=7.5")
+
+
+@pytest.mark.parametrize("text, rate", [(None, 30), ("", 30), ("25", 25), ("29.97", Fraction(2997, 100)),
+                                        ("30000/1001", Fraction(30000, 1001)), (Fraction(1, 2), Fraction(1, 2))])
+def test_read_framerate_defaults_to_30(text, rate):
+    assert read_framerate(text) == rate
+
+
+@pytest.mark.parametrize("text, message", [
+    ("0", "framerate must be positive"), ("-30", "framerate must be positive"),
+    ("0/7", "framerate must be positive"), (0, "framerate must be positive"),
+    ("abc", "bad framerate: Invalid literal for Fraction: 'abc'"),
+    ("1/0", "bad framerate: Fraction(1, 0)"),
+    (math.inf, "bad framerate: cannot convert Infinity to integer ratio"),
+])
+def test_read_framerate_refuses_what_is_no_positive_number(text, message):
+    with pytest.raises(InvalidSpec, match=f"^{re.escape(message)}$"):
+        read_framerate(text)
 
 
 def test_checkerboard_matches_pattern_formula():
