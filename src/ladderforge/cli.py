@@ -252,8 +252,8 @@ def cmd_train(args) -> int:
         try:  # every group is checked, then all their trees queue at this one call
             models = forest.fit_groups([train for train, _ in splits], config.hyperparams(),
                                        seed=config.seed, map=grow)
-        except forest.InvalidRecord as exc:
-            raise forest.InvalidRecord(f"{args.training_csv}: {exc}") from None
+        except forest.ForestError as exc:
+            raise type(exc)(f"{args.training_csv}: {exc}") from None
         # Each model is written and scored while later groups' trees still grow.
         for (train_set, test_set), model in zip(splits, models):
             target_kind, vsr_tag = model.target_kind, model.vsr_tag
@@ -299,7 +299,11 @@ def cmd_ladder(args) -> int:
     quality_model = _load_model(models_dir, "quality", config.vsr_tag)
     time_model = _load_model(models_dir, "time", config.vsr_tag)
     catalog = _read_text(args.features_csv, complexity.read_features_csv)
-    pairing = _read_text(args.pairing, ladder_mod.load_pairing_csv) if args.pairing else None
+    hls = partial(ladder_mod.default_hls_ladder, config.bitrates_mbps, vsr_tag=config.vsr_tag)
+    if args.pairing:  # built as the file is read, so that a bitrate it lacks names the file
+        baseline = _read_text(args.pairing, lambda handle: hls(ladder_mod.load_pairing_csv(handle)))
+    else:
+        baseline = hls() if args.emit_baseline else None
 
     # One grid and one set of decisions for the whole catalog, so each model
     # predicts once and no segment is a Python object of its own.
@@ -309,8 +313,7 @@ def cmd_ladder(args) -> int:
                                 config.v_j, config.v_t)
     segment_ids = [segment_id for segment_id, _ in catalog]
     texts = ladder_mod.manifest_texts(segment_ids, decided, config.to_dict())
-    if pairing is not None or args.emit_baseline:
-        baseline = ladder_mod.default_hls_ladder(config.bitrates_mbps, pairing, config.vsr_tag)
+    if baseline is not None:
         segment_ids.append("baseline")
         texts += ladder_mod.manifest_texts(["baseline"], ladder_mod.Decisions.of(baseline),
                                            config.to_dict())

@@ -273,7 +273,7 @@ def read_features_csv(source: Union[str, IO[str]]) -> list[tuple[str, SegmentFea
     :mod:`.table` conventions.  Raises ComplexityError on a missing or
     incorrect header or a bad row; the message carries the line number.
     """
-    linenos, columns, _, error = read_columns(source, FEATURES_CSV_HEADER, ComplexityError)
+    linenos, columns, late = read_columns(source, FEATURES_CSV_HEADER, ComplexityError)
     out: list[tuple[str, SegmentFeatures]] = []
     seen: set[str] = set()
     for lineno, *row in zip(linenos, *columns):
@@ -287,6 +287,6 @@ def read_features_csv(source: Union[str, IO[str]]) -> list[tuple[str, SegmentFea
         except ValueError as exc:
             raise ComplexityError(f"line {lineno}: {exc}") from None
         out.append((segment_id, features))
-    if error is not None:
-        raise error
+    if late is not None:
+        raise late
     return out

@@ -59,10 +59,10 @@ class RunConfig:
     vsr_tag: str = "none"
     seed: int = 0
     block_size: int = 32
-    n_trees: int = 100
-    max_depth: int = 12
-    min_samples_leaf: int = 2
-    features_per_split: int = 3
+    n_trees: int = Hyperparams.n_trees
+    max_depth: int = Hyperparams.max_depth
+    min_samples_leaf: int = Hyperparams.min_samples_leaf
+    features_per_split: int = Hyperparams.features_per_split
     kappa: float = 1.0
     segment_duration_s: float = 4.0
 

@@ -66,7 +66,7 @@ import numpy as np
 from .complexity import SegmentFeatures
 from .errors import LadderforgeError
 from .rng import SplitMix64, partial_shuffle
-from .table import finite_float, finite_floats, ints, read_columns
+from .table import finite_floats, ints, read_columns
 
 __all__ = [
     "TARGET_KINDS",
@@ -508,8 +508,9 @@ def _names(indexes: np.ndarray, names: Sequence[str]) -> list[str]:
 
 def _training_matrix(data: TrainingSet) -> tuple[np.ndarray, np.ndarray]:
     """``data``'s feature rows and targets, checked to train one forest."""
-    if len(data) < 2:
-        raise EmptyDataset(f"training needs at least 2 records, got {len(data)}")
+    if len(data) < 2:  # one record still names the group that is too small
+        group = f"{TARGET_KINDS[data.kind[0]]}/{VSR_TAGS[data.tag[0]]}: " if len(data) else ""
+        raise EmptyDataset(f"{group}training needs at least 2 records, got {len(data)}")
     kinds, tags = _names(data.kind, TARGET_KINDS), _names(data.tag, VSR_TAGS)
     if len(kinds) != 1 or len(tags) != 1:
         raise MixedTargets(f"records mix target kinds {kinds} / vsr tags {tags}")
@@ -854,7 +855,7 @@ def load_training_csv(
     """
     # In the order a row's numbers are parsed: the first that does not parse is the row's fault.
     parsers = {4: ints, 1: finite_floats, 2: finite_floats, 3: finite_floats, 5: finite_floats, 8: finite_floats}
-    linenos, columns, failed, error = read_columns(source, TRAINING_CSV_HEADER, SchemaError, parsers)
+    linenos, columns, late = read_columns(source, TRAINING_CSV_HEADER, SchemaError, parsers)
     _, e, h, l, resolution, bitrate, tag, kind, target = columns
     inside = list(map(set(resolutions).__contains__, resolution.tolist())) if resolutions is not None else []
     outside = inside.index(False) if False in inside else len(linenos)
@@ -867,15 +868,8 @@ def load_training_csv(
     if outside < len(linenos):
         raise SchemaError(f"line {linenos[outside]}: resolution {resolution[outside]} "
                           f"not in configured set {sorted(set(resolutions))}")
-    if failed is not None:
-        lineno, row = failed
-        for k, parse in zip(parsers, (int, *[finite_float] * 5)):
-            try:
-                parse(row[k])
-            except ValueError as exc:
-                raise SchemaError(f"line {lineno}: {exc}") from None
-    if error is not None:
-        raise error
+    if late is not None:
+        raise late
     if not linenos:
         raise SchemaError("training CSV has a header but no data rows")
     return data

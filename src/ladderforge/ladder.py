@@ -34,7 +34,7 @@ import numpy as np
 from .complexity import SegmentFeatures
 from .errors import LadderforgeError
 from .forest import ForestModel, feature_rows, predict
-from .table import finite_float, read_columns
+from .table import finite_floats, ints, read_columns
 
 __all__ = [
     "DEFAULT_HLS_PAIRING",
@@ -135,18 +135,20 @@ class Ladder:
 
     def __post_init__(self):
         reps = tuple(self.reps)
-        if not reps:
-            raise EmptyLadder("a ladder needs at least one representation")
-        for a, b in zip(reps, reps[1:]):
-            if not a.bitrate < b.bitrate:
-                raise UnsortedLadder(
-                    f"bitrates must strictly increase, got {a.bitrate} then {b.bitrate}"
-                )
+        _check_bitrates([rep.bitrate for rep in reps])
         object.__setattr__(self, "reps", reps)
 
     @property
     def bitrates(self) -> tuple[float, ...]:
         return tuple(rep.bitrate for rep in self.reps)
+
+
+def _check_bitrates(bitrates: Sequence[float]) -> None:
+    if not bitrates:
+        raise EmptyLadder("a ladder needs at least one representation")
+    for a, b in zip(bitrates, bitrates[1:]):
+        if not a < b:
+            raise UnsortedLadder(f"bitrates must strictly increase, got {a} then {b}")
 
 
 class ResolutionChoice(NamedTuple):
@@ -309,11 +311,7 @@ def decide(grid: PredictionGrid, bitrates: Sequence[float] | None = None, tau_l:
     for b in targets:
         if b not in grid.bitrates:
             raise UnknownBitrate(f"bitrate {b} is not in the grid")
-    if not targets:
-        raise EmptyLadder("a ladder needs at least one representation")
-    for a, b in zip(targets, targets[1:]):
-        if not a < b:
-            raise UnsortedLadder(f"bitrates must strictly increase, got {a} then {b}")
+    _check_bitrates(targets)
     if not tau_l > 0:
         raise LadderError(f"latency budget must be positive, got {tau_l}")
     if v_j is not None:
@@ -404,21 +402,18 @@ def load_pairing_csv(source: Iterable[str]) -> tuple[tuple[float, int], ...]:
 
     Both values must be positive and each bitrate may appear only once.
     """
-    linenos, columns, _, error = read_columns(source, ("bitrate_mbps", "resolution"), PairingMissing)
+    linenos, (bitrates, resolutions), late = read_columns(source, ("bitrate_mbps", "resolution"), PairingMissing,
+                                                          {0: finite_floats, 1: ints})
     table: dict[float, int] = {}
-    for lineno, bitrate_s, resolution_s in zip(linenos, *columns):
-        try:
-            bitrate, resolution = finite_float(bitrate_s), int(resolution_s)
-        except ValueError as exc:
-            raise PairingMissing(f"line {lineno}: {exc}") from None
+    for lineno, bitrate, resolution in zip(linenos, bitrates.tolist(), resolutions.tolist()):
         if bitrate <= 0 or resolution <= 0:
             raise PairingMissing(f"line {lineno}: bitrate and resolution must be positive, "
                                  f"got {bitrate}, {resolution}")
         if bitrate in table:
             raise PairingMissing(f"line {lineno}: duplicate bitrate {bitrate}")
         table[bitrate] = resolution
-    if error is not None:
-        raise error
+    if late is not None:
+        raise late
     return tuple(table.items())
 
 

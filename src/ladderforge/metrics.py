@@ -52,7 +52,7 @@ from numpy.linalg import _umath_linalg
 
 from .errors import LadderforgeError
 from .ladder import EmptyLadder, Ladder
-from .table import finite_float, finite_floats, int_array, ints, read_columns
+from .table import finite_floats, int_array, ints, read_columns
 
 __all__ = [
     "METRIC_KINDS",
@@ -556,20 +556,13 @@ def compare_schemes(
     )
 
 
-def _line_error(lineno: int, row: Sequence, first_time: float | None) -> MetricsError:
-    """The first check that the row on line ``lineno`` fails, every earlier row
-    being valid, in the order a row-by-row reader runs them: ``row`` holds its
-    bitrate, resolution, metric, quality and encode time, as texts or as the
-    values they parse to, and ``first_time`` is the encode time of its
-    representation's first row, None on that row or where a number does not parse."""
-    bitrate_s, resolution_s, metric, quality_s, time_s = row
-    if metric not in METRIC_KINDS:
-        return MetricKindMismatch(f"line {lineno}: unknown quality metric {metric!r}")
+def _line_error(lineno: int, bitrate: float, metric: str, time: float, first_time: float | None) -> MetricsError:
+    """The first check after parsing that the row on line ``lineno`` fails, every earlier
+    row being valid, in the order a row-by-row reader runs them; ``first_time`` is the
+    encode time of its representation's first row, None on that row."""
     try:
-        bitrate, _ = finite_float(bitrate_s), int(resolution_s)
-        time, _ = finite_float(time_s), finite_float(quality_s)
         _check_rep(bitrate, time) if first_time is None else _check_time(time)
-    except (ValueError, MetricsError) as exc:
+    except MetricsError as exc:
         return SegmentMismatch(f"line {lineno}: {exc}")
     if time != first_time:
         return SegmentMismatch(f"line {lineno}: encode time {time} contradicts "
@@ -577,10 +570,13 @@ def _line_error(lineno: int, row: Sequence, first_time: float | None) -> Metrics
     return SegmentMismatch(f"line {lineno}: duplicate {metric} quality for one representation")
 
 
-def _kinds(texts: Sequence[str]) -> np.ndarray:
-    """The ``METRIC_KINDS`` index of each text, up to the first that names none."""
+def _kinds(texts: Sequence[str]) -> tuple[np.ndarray, MetricKindMismatch | None]:
+    """The ``METRIC_KINDS`` index of each text, up to the first that names none, and its error."""
     kinds = np.fromiter(map(_KIND_INDEX.get, texts, repeat(-1)), np.intp, len(texts))
-    return kinds[:kinds.argmin()] if kinds.size and kinds.min() < 0 else kinds
+    if kinds.size and kinds.min() < 0:
+        at = int(kinds.argmin())
+        return kinds[:at], MetricKindMismatch(f"unknown quality metric {texts[at]!r}")
+    return kinds, None
 
 
 def load_evaluation_csv(source: Iterable[str]) -> EvaluationTable:
@@ -596,8 +592,9 @@ def load_evaluation_csv(source: Iterable[str]) -> EvaluationTable:
     a mask over the rows, and one stable sort groups them; the first bad
     row's error is the one that a row-by-row reader meets first.
     """
-    parsers = {2: finite_floats, 3: ints, 4: _kinds, 5: finite_floats, 6: finite_floats}
-    linenos, columns, failed, error = read_columns(source, EVALUATION_CSV_HEADER, SegmentMismatch, parsers)
+    # In the order a row is read: metric, bitrate, resolution, time, quality.
+    parsers = {4: _kinds, 2: finite_floats, 3: ints, 6: finite_floats, 5: finite_floats}
+    linenos, columns, late = read_columns(source, EVALUATION_CSV_HEADER, SegmentMismatch, parsers)
     ids, schemes, bitrate, resolution, kind, quality, time = columns
     n = len(linenos)
     segment_ids = sorted(set(ids))
@@ -618,12 +615,10 @@ def load_evaluation_csv(source: Iterable[str]) -> EvaluationTable:
     bad = (time < 0) | np.where(repeated, (time != time[first]) | duplicate, bitrate <= 0)
     if bad.any():
         at = int(bad.argmax())
-        values = bitrate[at].item(), resolution[at], METRIC_KINDS[kind[at]], quality[at].item(), time[at].item()
-        raise _line_error(linenos[at], values, time[first[at]].item() if repeated[at] else None)
-    if failed is not None:
-        raise _line_error(failed[0], failed[1][2:], None)
-    if error is not None:
-        raise error
+        raise _line_error(linenos[at], bitrate[at].item(), METRIC_KINDS[kind[at]], time[at].item(),
+                          time[first[at]].item() if repeated[at] else None)
+    if late is not None:
+        raise late
     if len(set(schemes)) != 1:
         raise SegmentMismatch(f"evaluation CSV must hold exactly one scheme, got {sorted(set(schemes))}")
     one = order[new]  # one row of each representation, in table order

@@ -8,8 +8,10 @@ import mmap
 import multiprocessing
 import os
 import re
+import shutil
 import subprocess
 import sys
+import tempfile
 import threading
 import warnings
 from pathlib import Path
@@ -26,6 +28,9 @@ from ladderforge.config import DEFAULT_BITRATES_MBPS, RunConfig
 from ladderforge.errors import LadderforgeError
 from ladderforge.forest import ForestModel, Hyperparams, serialize_model
 from ladderforge.media import SyntheticSpec, generate_synthetic, serialize_y4m
+
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(*argv):
@@ -401,6 +406,18 @@ def test_train_schema_error_exits_with_data_code(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_train_names_the_file_and_the_group_left_too_small_to_train(tmp_path, capsys):
+    rows = (GOLDEN / "train.csv").read_text().splitlines(True)
+    csv_path = tmp_path / "train.csv"
+    csv_path.write_text("".join([rows[0], *(r for r in rows if r.startswith("quality-")),
+                                 *[r for r in rows if r.startswith("time-")][:3]]))
+    out = tmp_path / "models"
+    # 3 time/none rows at a 0.9 holdout leave one to train on
+    assert run("train", str(csv_path), "--holdout", "0.9", "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"error: {csv_path}: time/none: training needs at least 2 records, got 1\n"
+    assert not list(out.iterdir())
+
+
 # ------------------------------------------------------------------ ladder
 
 
@@ -478,6 +495,18 @@ def test_ladder_custom_pairing_round_trip(tmp_path):
                "--pairing", str(pairing)) == 0
     doc = json.loads((out / "ladder_baseline.json").read_text())
     assert [rep["resolution"] for rep in doc["reps"]] == [720] * 12
+
+
+def test_a_pairing_file_without_a_configured_bitrate_is_named(tmp_path, capsys):
+    features = _analyze_two_segments(tmp_path)
+    models = _write_models(tmp_path / "models")
+    pairing = tmp_path / "pairing.csv"
+    pairing.write_text("bitrate_mbps,resolution\n" + "".join(f"{b!r},720\n" for b in DEFAULT_BITRATES_MBPS
+                                                             if b != 8.1))
+    out = tmp_path / "ladders"
+    assert run("ladder", str(features), "--models", str(models), "--out", str(out), "--pairing", str(pairing)) == 2
+    assert capsys.readouterr().err == f"error: {pairing}: no resolution is paired with bitrate 8.1 Mbps\n"
+    assert not list(out.iterdir())
 
 
 def test_ladder_respects_vsr_tag(tmp_path, capsys):
@@ -1088,3 +1117,111 @@ def test_the_parser_of_one_command_prints_what_the_full_parser_prints(argv, caps
     monkeypatch.setattr(cli, "build_parser", lambda command=None: built.append(command) or narrow)
     assert cli.main(argv) == code and capsys.readouterr() == printed
     assert built == [command if command in cli._COMMANDS else None]
+
+
+# ------------------------------------------------------- file-input fuzz
+
+
+@pytest.fixture(scope="module")
+def golden_models(tmp_path_factory):
+    """Models trained once from the golden training CSV."""
+    models = tmp_path_factory.mktemp("golden-models")
+    with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(io.StringIO()):
+        patch.setenv(cli.THREADS_ENV, "1")
+        assert run("train", str(GOLDEN / "train.csv"), "--n-trees", "4", "--out", str(models)) == 0
+    return models
+
+
+_FUZZ_FILES = ["train.csv", "features.csv", "pairing.csv", "baseline.csv", "candidate.csv",
+               "model_quality_none.json", "model_time_none.json"]
+_FUZZ_BYTES = st.sampled_from([
+    b"", b",", b"\n", b"\r\n", b'"', b"#", b" ", b"\x00", b"\xff", b"nan", b"inf", b"-1", b"0", b"1e999", b"x",
+    b"99999999999999999999", b"-0.0", b"8.1", b"720", b"none", b"time", b"vmaf", b"psnr", b"{", b"}", b"[",
+    b"]", b":", b"true", b"null",
+])
+# compare_schemes' faults, which come from both tables and name neither
+_TWO_FILE_FAULTS = ("error: segment sets differ ", "error: baseline energy/storage must be nonzero")
+
+
+@st.composite
+def _mutated(draw, data: bytes) -> bytes:
+    """``data`` with one to three edits, each at a uniformly drawn place: a
+    short span replaced, a line dropped or a line repeated."""
+    rng = draw(st.randoms(use_true_random=True))  # seeded from the draw; integers() would favour the header
+    for _ in range(draw(st.integers(1, 3))):
+        edit = draw(st.sampled_from(["span", "span", "drop", "repeat"]))
+        if edit == "span":
+            at = rng.randint(0, len(data))
+            data = data[:at] + draw(_FUZZ_BYTES) + data[rng.randint(at, min(len(data), at + 12)):]
+        else:
+            lines = data.splitlines(True)
+            k = rng.randrange(max(len(lines), 1))
+            data = b"".join(lines[:k] + lines[k:k + 1] * (edit == "repeat") + lines[k + 1:])
+    return data
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_file_inputs_exit_0_or_2_and_name_the_file_they_refuse(golden_models, data):
+    """One golden CSV or trained model file, mutated, through the command that
+    reads it: exit 0 or 2, no traceback, no temp file left, and a refusal is
+    one error line naming the mutated file."""
+    name = data.draw(st.sampled_from(_FUZZ_FILES))
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        patch.setenv(cli.THREADS_ENV, "1")
+        models = Path(tmp) / "models"
+        shutil.copytree(golden_models, models)
+        paths = {p.name: p for p in [*GOLDEN.glob("*.csv"), *models.iterdir()]}
+        mutated = (models if name.endswith(".json") else Path(tmp)) / name
+        mutated.write_bytes(data.draw(_mutated(paths[name].read_bytes()), label="mutated"))
+        paths[name] = mutated
+        if name == "train.csv":
+            argv = ["train", paths["train.csv"], "--n-trees", "2"]
+        elif name in ("baseline.csv", "candidate.csv"):
+            argv = ["evaluate", paths["baseline.csv"], paths["candidate.csv"]]
+        else:
+            argv = ["ladder", paths["features.csv"], "--models", models, "--pairing", paths["pairing.csv"]]
+        out = Path(tmp) / "out"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = run(*map(str, argv), "--out", str(out))
+        lines = err.getvalue().splitlines()
+        assert code in (0, 2) and "Traceback" not in err.getvalue(), err.getvalue()
+        assert not [p for p in out.rglob("*") if p.name.endswith(".tmp")]
+        if code == 2:
+            assert len(lines) == 1 and lines[0].startswith("error: "), lines
+            assert str(mutated) in lines[0] or lines[0].startswith(_TWO_FILE_FAULTS), lines
+
+
+# -------------------------------------------------------------- call counts
+
+
+def _ladder_calls(tmp_path, models, segments):
+    """Python calls that one ``ladder`` call over ``segments`` catalog segments makes."""
+    rows = (GOLDEN / "features.csv").read_text().splitlines(True)
+    features = tmp_path / f"features{segments}.csv"
+    features.write_text(rows[0] + "".join(f"seg{k:04d}," + rows[1 + k % 3].split(",", 1)[1]
+                                          for k in range(segments)))
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    argv = ["ladder", str(features), "--models", str(models), "--out", str(tmp_path / f"out{segments}")]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(*argv) == 0  # warms lazy imports and caches
+        sys.setprofile(count)
+        try:
+            code = run(*argv)
+        finally:
+            sys.setprofile(None)
+    assert code == 0
+    return calls
+
+
+def test_a_ladder_call_grows_by_at_most_13_python_calls_per_segment(tmp_path, golden_models):
+    """Only reading a features row and writing a manifest grow with the
+    catalog; prediction, selection and pruning run once over all segments."""
+    small, large = _ladder_calls(tmp_path, golden_models, 1), _ladder_calls(tmp_path, golden_models, 51)
+    assert (large - small) / 50 <= 13, (small, large)

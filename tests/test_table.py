@@ -29,7 +29,7 @@ class TableError(LadderforgeError):
 def test_read_columns_gives_physical_line_numbers():
     text = '# comment\n\na,b\n1,2\n\n# another\n"multi\nline",3\n4,5\n'
     assert read_columns(text, ("a", "b"), TableError) == (
-        [4, 7, 9], [["1", "multi\nline", "4"], ["2", "3", "5"]], None, None)
+        [4, 7, 9], [["1", "multi\nline", "4"], ["2", "3", "5"]], None)
 
 
 def test_read_columns_raises_header_errors_and_hands_back_table_errors():
@@ -38,26 +38,26 @@ def test_read_columns_raises_header_errors_and_hands_back_table_errors():
     with pytest.raises(TableError, match="line 2: header must be a,b"):
         read_columns("\na,c\n", ("a", "b"), TableError)
     # A table error ends the table; the rows before it come with it.
-    linenos, columns, _, error = read_columns("a,b\n1,2\n#\n1,2,3\n4,5\n", ("a", "b"), TableError)
-    assert (linenos, columns, str(error)) == ([2], [["1"], ["2"]], "line 4: expected 2 fields, got 3")
-    linenos, columns, _, error = read_columns("a,b\n1,2\n" + "x" * 200_000 + ",1\n", ("a", "b"), TableError)
+    linenos, columns, late = read_columns("a,b\n1,2\n#\n1,2,3\n4,5\n", ("a", "b"), TableError)
+    assert (linenos, columns, str(late)) == ([2], [["1"], ["2"]], "line 4: expected 2 fields, got 3")
+    linenos, columns, late = read_columns("a,b\n1,2\n" + "x" * 200_000 + ",1\n", ("a", "b"), TableError)
     assert (linenos, columns) == ([2], [["1"], ["2"]])
-    assert str(error).startswith("line 3: field larger than field limit")
-    assert read_columns("a,b\n", ("a", "b"), TableError) == ([], [[], []], None, None)
+    assert str(late).startswith("line 3: field larger than field limit")
+    assert read_columns("a,b\n", ("a", "b"), TableError) == ([], [[], []], None)
 
 
 @pytest.mark.parametrize("block_rows", [1, 2, table.BLOCK_ROWS])
 def test_read_columns_parses_up_to_the_first_row_that_does_not_parse(monkeypatch, block_rows):
     monkeypatch.setattr(table, "BLOCK_ROWS", block_rows)
     text = "a,b\n1,x\n\n2.5,y\n3,x\nnan,z\n4,w\n"
-    linenos, columns, failed, error = read_columns(text, ("a", "b"), TableError, {0: finite_floats})
-    assert (linenos, columns[0].tolist(), columns[1], failed, error) == (
-        [2, 4, 5], [1.0, 2.5, 3.0], ["x", "y", "x"], (6, ["nan", "z"]), None)
-    linenos, columns, failed, error = read_columns(text.replace("nan", "6"), ("a", "b"), TableError, {0: ints})
-    assert (linenos, columns[0].tolist(), failed, str(error)) == (
-        [2], [1], (4, ["2.5", "y"]), "None")
-    linenos, columns, failed, error = read_columns("a,b\n1,x\n2,y,z\n", ("a", "b"), TableError, {0: ints})
-    assert (linenos, columns[0].tolist(), failed, str(error)) == ([2], [1], None, "line 3: expected 2 fields, got 3")
+    linenos, columns, late = read_columns(text, ("a", "b"), TableError, {0: finite_floats})
+    assert (linenos, columns[0].tolist(), columns[1], type(late), str(late)) == (
+        [2, 4, 5], [1.0, 2.5, 3.0], ["x", "y", "x"], TableError, "line 6: not a finite number: 'nan'")
+    linenos, columns, late = read_columns(text.replace("nan", "6"), ("a", "b"), TableError, {0: ints})
+    assert (linenos, columns[0].tolist(), type(late), str(late)) == (
+        [2], [1], TableError, "line 4: invalid literal for int() with base 10: '2.5'")
+    linenos, columns, late = read_columns("a,b\n1,x\n2,y,z\n", ("a", "b"), TableError, {0: ints})
+    assert (linenos, columns[0].tolist(), str(late)) == ([2], [1], "line 3: expected 2 fields, got 3")
 
 
 def test_a_source_that_fails_ends_the_table_with_its_own_error():
@@ -66,8 +66,29 @@ def test_a_source_that_fails_ends_the_table_with_its_own_error():
         yield "1,2\n"
         raise UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")
 
-    linenos, columns, _, error = read_columns(lines(), ("a", "b"), TableError)
-    assert (linenos, columns) == ([2], [["1"], ["2"]]) and isinstance(error, UnicodeDecodeError)
+    linenos, columns, late = read_columns(lines(), ("a", "b"), TableError)
+    assert (linenos, columns) == ([2], [["1"], ["2"]]) and isinstance(late, UnicodeDecodeError)
+
+
+def test_the_first_parser_in_the_mappings_order_names_the_row_it_stops_at():
+    class Named(LadderforgeError):
+        pass
+
+    def named(texts):
+        bad = [k for k, text in enumerate(texts) if text == "?"]
+        return (list(texts[:bad[0]]), Named(f"what is {texts[bad[0]]!r}")) if bad else (list(texts), None)
+
+    text = "a,b\n1,ok\n2,?\n"
+    for parsers, want in (({1: named, 0: ints}, "Named: line 3: what is '?'"),
+                          ({0: finite_floats, 1: named}, "Named: line 3: what is '?'")):
+        linenos, _, late = read_columns(text, ("a", "b"), TableError, parsers)
+        assert (linenos, f"{type(late).__name__}: {late}") == ([2], want)
+    text = "a,b\nx,?\n"
+    for parsers, want in (({1: named, 0: ints}, "Named: line 2: what is '?'"),
+                          ({0: ints, 1: named}, "TableError: line 2: invalid literal for int() with base 10: 'x'"),
+                          ({0: finite_floats}, "TableError: line 2: could not convert string to float: 'x'")):
+        linenos, _, late = read_columns(text, ("a", "b"), TableError, parsers)
+        assert (linenos, f"{type(late).__name__}: {late}") == ([], want)
 
 
 def test_finite_float_rejects_nan_and_infinities():
@@ -195,9 +216,9 @@ def test_read_columns_equals_the_row_by_row_reader_at_any_block_size(block_rows,
     try:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(table, "BLOCK_ROWS", block_rows)
-            linenos, columns, _, error = read_columns(text.splitlines(True), ("a", "b"), TableError)
+            linenos, columns, late = read_columns(text.splitlines(True), ("a", "b"), TableError)
     except TableError as exc:
         assert reference() == ([], str(exc))
         return
     rows = [(lineno, list(row)) for lineno, row in zip(linenos, zip(*columns))]
-    assert reference() == (rows, None if error is None else str(error))
+    assert reference() == (rows, None if late is None else str(late))
