@@ -55,6 +55,7 @@ from __future__ import annotations
 import json
 import math
 from array import array
+from collections import deque
 from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property, lru_cache
 from itertools import repeat
@@ -101,6 +102,10 @@ TARGET_KINDS = ("quality", "time")
 VSR_TAGS = ("none", "fsrcnn")
 N_FEATURES = 5
 MODEL_FORMAT_VERSION = 1
+# How fit draws each split's feature subset, written into hyperparams: "level"
+# draws them in level order.  Files without the key, which drew them in
+# preorder, still load.
+GROWTH = "level"
 # Rows that predict walks at once: small enough that the (trees, rows) node
 # indices of a block stay in cache, large enough to amortise numpy's calls.
 PREDICT_BLOCK_ROWS = 1024
@@ -366,10 +371,11 @@ def _grow_tree(x: np.ndarray, y: np.ndarray, hp: Hyperparams, seed: int) -> tupl
     in bootstrap order.  A split partitions every row stably, so the
     children stay sorted and no node sorts anything; the split search reads
     its features' x, y and y * y in their sorted orders with one ``take``
-    from a table of the sample, and sums them with one ``cumsum``.  Each
-    node is appended as it is grown, left subtree first, to the tree's
-    preorder ``(feature, threshold, right)`` arrays laid out as ``_compile``
-    lays them out; those and the deepest leaf's depth are returned.  A
+    from a table of the sample, and sums them with one ``cumsum``.  Nodes
+    are grown in level order (by depth, then left to right), so each split
+    candidate takes the next feature subset in that order; the tree is then
+    laid out as ``_compile`` lays it out, in preorder ``(feature, threshold,
+    right)`` arrays, which are returned with the deepest leaf's depth.  A
     module-level function, so a process pool can run it."""
     n, k, rng = x.shape[0], hp.features_per_split, SplitMix64(seed)
     idx = rng.integers_below(n, n) if hp.bootstrap else np.arange(n, dtype=np.intp)
@@ -377,22 +383,25 @@ def _grow_tree(x: np.ndarray, y: np.ndarray, hp: Hyperparams, seed: int) -> tupl
     table = np.concatenate([xb.ravel(), yb, yb * yb])  # cell r * n + p holds row r at position p
     counts = np.arange(1.0, n + 1.0)  # counts[c] = c + 1, as float64 like the sums
     subsets = _feature_subsets(rng, k, n)
-    feature, threshold, right = array("b"), array("d"), array("i")
+    feature, threshold, left = [], [], []  # in level order; left[i] is -1 for a leaf
     boot, by_y = N_FEATURES, N_FEATURES + 1  # the position rows after the features'
 
-    def leaf(positions: np.ndarray, depth: int) -> int:
-        right.append(len(feature))  # a leaf links to itself
+    def leaf(positions: np.ndarray) -> None:
+        left.append(-1)
         feature.append(0)
         yv = yb.take(positions)  # in bootstrap order, as the sum's bytes depend on it
         threshold.append(float(yv.sum() / yv.size))  # equals yv.mean(), without its overhead
-        return depth
 
-    def grow(rows: np.ndarray, depth: int) -> int:
-        """Append the subtree of ``rows``; return its deepest leaf's depth."""
+    rows = np.vstack([np.argsort(xb, axis=1, kind="stable"), np.arange(n),
+                      np.argsort(yb, kind="stable")])
+    queue = deque([(rows, 0)])
+    while queue:
+        rows, depth = queue.popleft()
         m = rows.shape[1]
         if (depth >= hp.max_depth or m < 2 * hp.min_samples_leaf
                 or yb[rows[by_y, 0]] == yb[rows[by_y, -1]]):  # the least and greatest target
-            return leaf(rows[boot], depth)
+            leaf(rows[boot])
+            continue
         features, at, base = next(subsets)
         # Each chosen feature's x, then its y, then its y * y, in its sorted order.
         cells = table.take(rows.take(at, axis=0) + base)
@@ -413,24 +422,27 @@ def _grow_tree(x: np.ndarray, y: np.ndarray, hp: Hyperparams, seed: int) -> tupl
         sse[~(xs[:, lo:hi] < xs[:, lo + 1:hi + 1])] = np.inf
         j, cut = divmod(int(sse.argmin()), hi - lo)
         if sse[j, cut] == np.inf:
-            return leaf(rows[boot], depth)
+            leaf(rows[boot])
+            continue
         n_left = lo + cut + 1  # the positions sorted below the cut go left
         a, b = float(xs[j, n_left - 1]), float(xs[j, n_left])
         mid = (a + b) / 2.0
-        index = len(feature)
         feature.append(features[j])
         threshold.append(mid if a <= mid < b else a)  # a where the midpoint rounds up or overflows
-        right.append(-1)  # linked once the left subtree is grown
-        left = xb[features[j]].take(rows) <= a  # exactly the positions sorted below the cut
-        deepest = grow(rows[left].reshape(-1, n_left), depth + 1)
-        right[index] = len(feature)
-        np.logical_not(left, out=left)
-        return max(deepest, grow(rows[left].reshape(-1, m - n_left), depth + 1))
-
-    rows = np.vstack([np.argsort(xb, axis=1, kind="stable"), np.arange(n),
-                      np.argsort(yb, kind="stable")])
-    deepest = grow(rows, 0)
-    return feature, threshold, right, deepest
+        left.append(len(feature) + len(queue))  # the children join the queue behind it
+        goes_left = xb[features[j]].take(rows) <= a  # exactly the positions sorted below the cut
+        queue.append((rows[goes_left].reshape(-1, n_left), depth + 1))
+        np.logical_not(goes_left, out=goes_left)
+        queue.append((rows[goes_left].reshape(-1, m - n_left), depth + 1))
+    order, stack = [], [0]  # the level-order indexes in preorder
+    while stack:
+        i = stack.pop()
+        order.append(i)
+        if left[i] >= 0:
+            stack += (left[i] + 1, left[i])
+    rank = {i: r for r, i in enumerate(order)}
+    right = array("i", (rank[left[i] + 1] if left[i] >= 0 else r for r, i in enumerate(order)))
+    return array("b", (feature[i] for i in order)), array("d", (threshold[i] for i in order)), right, depth
 
 
 def _feature_subsets(rng: SplitMix64, k: int, n: int):
@@ -569,7 +581,7 @@ def serialize_model(model: ForestModel, provenance: Mapping[str, object] | None 
         "version": MODEL_FORMAT_VERSION,
         "target_kind": model.target_kind,
         "vsr_tag": model.vsr_tag,
-        "hyperparams": {**asdict(model.hyperparams), "seed": model.seed},
+        "hyperparams": {**asdict(model.hyperparams), "seed": model.seed, "growth": GROWTH},
         "trees": None,  # holds the place of the trees, written apart below
         **(provenance or {}),
     }
@@ -790,7 +802,9 @@ def _read_canonical(data: Union[bytes, str]) -> ForestModel | None:
 
 def _model_fields(doc: object) -> tuple[list, Hyperparams, int, str, str]:
     """A parsed model document's trees, hyperparams, seed, target kind and
-    vsr tag, checked in this order; building the model checks the trees."""
+    vsr tag, checked in this order; building the model checks the trees.
+    ``hyperparams.growth``, which files written before it lack, must be
+    :data:`GROWTH`."""
     if not isinstance(doc, dict):
         raise CorruptModel("model document must be a JSON object")
     version = doc.get("version")
@@ -801,12 +815,15 @@ def _model_fields(doc: object) -> tuple[list, Hyperparams, int, str, str]:
     try:
         hp_doc = dict(doc["hyperparams"])
         seed = hp_doc.pop("seed")
+        growth = hp_doc.pop("growth", GROWTH)
         hp = Hyperparams(**hp_doc)
         target_kind = doc["target_kind"]
         vsr_tag = doc["vsr_tag"]
         trees = doc["trees"]
     except (KeyError, TypeError, ValueError, InvalidHyperparams) as exc:  # ValueError: dict("ab")
         raise CorruptModel(f"bad model structure: {exc}") from None
+    if growth != GROWTH:
+        raise CorruptModel(f"hyperparams.growth must be {GROWTH!r} or absent, got {growth!r}")
     if target_kind not in TARGET_KINDS or vsr_tag not in VSR_TAGS:
         raise CorruptModel(f"unknown target_kind/vsr_tag: {target_kind!r}/{vsr_tag!r}")
     if not isinstance(trees, list) or not trees:

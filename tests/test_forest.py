@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 from functools import partial
@@ -583,8 +584,8 @@ def _flat_bytes(model):
     return [(a.dtype.str, a.tobytes()) if isinstance(a, np.ndarray) else a for a in model._flat]
 
 
-# The per-feature recursive builder that fit used before it presorted, kept
-# as the reference its models must equal byte for byte.
+# The per-feature builder that fit used before it presorted, kept as the
+# reference its models must equal byte for byte.
 
 def _reference_best_split(xv, yv, min_samples_leaf):
     n = xv.size
@@ -614,22 +615,29 @@ def _reference_best_split(xv, yv, min_samples_leaf):
     return float(sse[best]), mid if a <= mid < b else a
 
 
-def _reference_node(x, y, idx, depth, hp, rng):
-    yv = y[idx]
-    if depth >= hp.max_depth or idx.size < 2 * hp.min_samples_leaf or yv.min() == yv.max():
-        return {"v": float(yv.mean())}
-    best = None
-    for f in sorted(rng.subset(hp.features_per_split, 5)):
-        found = _reference_best_split(x[idx, f], yv, hp.min_samples_leaf)
-        if found is not None and (best is None or found[0] < best[0]):
-            best = (found[0], f, found[1])
-    if best is None:
-        return {"v": float(yv.mean())}
-    _, feature, threshold = best
-    go_left = x[idx, feature] <= threshold
-    return {"f": feature, "t": threshold,
-            "l": _reference_node(x, y, idx[go_left], depth + 1, hp, rng),
-            "r": _reference_node(x, y, idx[~go_left], depth + 1, hp, rng)}
+def _reference_tree(x, y, idx, hp, rng):
+    """The tree grown in level order, each split candidate drawing its subset in that order."""
+    root = {}
+    queue = deque([(root, idx, 0)])
+    while queue:
+        node, idx, depth = queue.popleft()
+        yv = y[idx]
+        if depth >= hp.max_depth or idx.size < 2 * hp.min_samples_leaf or yv.min() == yv.max():
+            node["v"] = float(yv.mean())
+            continue
+        best = None
+        for f in sorted(rng.subset(hp.features_per_split, 5)):
+            found = _reference_best_split(x[idx, f], yv, hp.min_samples_leaf)
+            if found is not None and (best is None or found[0] < best[0]):
+                best = (found[0], f, found[1])
+        if best is None:
+            node["v"] = float(yv.mean())
+            continue
+        _, feature, threshold = best
+        go_left = x[idx, feature] <= threshold
+        node.update(f=feature, t=threshold, l={}, r={})
+        queue += [(node["l"], idx[go_left], depth + 1), (node["r"], idx[~go_left], depth + 1)]
+    return root
 
 
 def _reference_fit_bytes(records, hp, seed):
@@ -640,7 +648,7 @@ def _reference_fit_bytes(records, hp, seed):
     for tree_seed in [master.next_u64() for _ in range(hp.n_trees)]:
         rng = SplitMix64(tree_seed)
         idx = rng.integers_below(len(records), len(records)) if hp.bootstrap else np.arange(len(records))
-        trees.append(_reference_node(x, y, idx, 0, hp, rng))
+        trees.append(_reference_tree(x, y, idx, hp, rng))
     rec = records[0]
     return serialize_model(ForestModel.from_trees(tuple(trees), hp, seed, rec.target_kind, rec.vsr_tag))
 
@@ -686,14 +694,15 @@ def test_presorted_fit_equals_the_per_feature_builder(
 
 
 # serialize_model as it was before it wrote the arrays: the dict view, merged
-# with the provenance, through json.dumps.  Its bytes are the format's.
+# with the provenance, through json.dumps.  Its bytes are the format's.  With
+# training={} it writes the hyperparams as files made before the growth key.
 
-def _reference_model_bytes(model, provenance):
+def _reference_model_bytes(model, provenance, training={"growth": "level"}):
     doc = {
         "version": 1,
         "target_kind": model.target_kind,
         "vsr_tag": model.vsr_tag,
-        "hyperparams": {**asdict(model.hyperparams), "seed": model.seed},
+        "hyperparams": {**asdict(model.hyperparams), "seed": model.seed, **training},
         "trees": list(model.trees),
         **(provenance or {}),
     }
