@@ -12,10 +12,10 @@ earlier file whole, and is a data error naming the file.
 Exit codes: 0 success, 1 usage error, 2 data error, 3 internal invariant
 violation.  ``LADDERFORGE_THREADS`` caps the number of ``analyze`` threads
 and of ``train`` worker processes (default: the CPUs this process may run
-on).  ``train`` checks every model group, then queues all their trees in
-one pool, one run of consecutive tree seeds per worker and group, and
-writes each model while later groups grow.  Features are gathered in input
-order and trees in seed order, so the cap never changes output.
+on).  ``train`` checks every model group, then queues their trees in one
+pool, one run of tree seeds per worker and group, each grown a level at a
+time, and writes each model while later groups grow.  Features are gathered
+in input order and trees in seed order, so the cap never changes output.
 """
 
 from __future__ import annotations
@@ -242,16 +242,15 @@ def cmd_train(args) -> int:
         n_test = int(rows.size * args.holdout) if rows.size >= 3 else 0
         splits.append((data.take(shuffled[n_test:]), data.take(shuffled[:n_test])))
     # Trees grow in worker processes, since their split search holds the GIL.
-    # One task per worker per group: a group's rows are pickled once a task.
+    # One run of trees per worker per group: a group's rows are pickled once a run.
     workers = _worker_count(config.n_trees)
     if workers > 1:  # only here, so that other commands do not load multiprocessing
         from concurrent.futures import ProcessPoolExecutor
     pool = ProcessPoolExecutor(workers) if workers > 1 else None
     try:
-        grow = partial(pool.map, chunksize=-(-config.n_trees // workers)) if pool else map
-        try:  # every group is checked, then all their trees queue at this one call
-            models = forest.fit_groups([train for train, _ in splits], config.hyperparams(),
-                                       seed=config.seed, map=grow)
+        try:  # every group is checked, then all their runs of trees queue at this one call
+            models = forest.fit_groups([train for train, _ in splits], config.hyperparams(), seed=config.seed,
+                                       map=pool.map if pool else map, run_length=-(-config.n_trees // workers))
         except forest.ForestError as exc:
             raise type(exc)(f"{args.training_csv}: {exc}") from None
         # Each model is written and scored while later groups' trees still grow.

@@ -12,20 +12,20 @@ with the log2 substitutions applied at the model boundary by
 and a :class:`TrainingSet` its rows laid out.
 
 Training is fully deterministic for a fixed (record order, hyperparams,
-seed): every tree gets a bootstrap sample (u64 mod n draws) and per-node
-feature subsets from its own splitmix stream, seeded from a master stream in
-tree order.  A tree depends on nothing else, so ``fit_groups`` may grow
-several forests' trees in worker processes at once (``train`` uses up to
-``LADDERFORGE_THREADS``), and the bytes never depend on how many.  Splits
-minimise the summed child squared error (equivalently, maximise variance
-reduction) over the midpoints of sorted unique values of each candidate
-feature, or the lower value where the midpoint would round up to the upper
-one or overflow; ties go to the lowest feature index, then the lowest
-threshold.  Growth stops at ``max_depth``, ``min_samples_leaf`` or zero
-target variance.  Each tree sorts every feature once, over its bootstrap
-sample, and each split partitions those orders stably (the presorted CART
-of SLIQ), so a node scores all its candidate features in one 2-D pass
-without sorting.  ``fit`` refuses targets whose squared sums would overflow.
+seed): every tree gets a bootstrap sample (u64 mod n draws), then feature
+subsets for its split candidates in level order (by depth, then left to
+right), from its own splitmix stream, seeded from a master stream in tree
+order.  A tree depends on nothing else, so ``fit_groups`` grows runs of a
+forest's trees together and may grow several runs in worker processes at
+once (``train`` uses up to ``LADDERFORGE_THREADS``); the bytes depend on
+neither.  Splits minimise the summed child squared error over the
+midpoints of sorted unique values of each candidate feature, or the lower
+value where the midpoint would round up to the upper one or overflow; ties
+go to the lowest feature index, then the lowest threshold.  Growth stops at
+``max_depth``, ``min_samples_leaf`` or zero target variance.  Each tree
+sorts every feature once, and each split partitions those orders stably
+(the presorted CART of SLIQ); a run grows one level at a time, with no
+Python per node.  ``fit`` refuses targets whose squared sums would overflow.
 
 A model is one form: its trees as flat preorder arrays, which ``fit`` grows
 directly and ``predict`` walks (see :func:`_linked`).  The wire format is a
@@ -55,10 +55,9 @@ from __future__ import annotations
 import json
 import math
 from array import array
-from collections import deque
 from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property, lru_cache
-from itertools import repeat
+from itertools import product, repeat
 from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -66,7 +65,7 @@ import numpy as np
 
 from .complexity import SegmentFeatures
 from .errors import LadderforgeError
-from .rng import SplitMix64, partial_shuffle
+from .rng import SplitMix64, blocks, partial_shuffle
 from .table import finite_floats, ints, read_columns
 
 __all__ = [
@@ -102,10 +101,12 @@ TARGET_KINDS = ("quality", "time")
 VSR_TAGS = ("none", "fsrcnn")
 N_FEATURES = 5
 MODEL_FORMAT_VERSION = 1
-# How fit draws each split's feature subset, written into hyperparams: "level"
-# draws them in level order.  Files without the key, which drew them in
-# preorder, still load.
+# hyperparams.growth: each split draws its feature subset in level order.
+# Files without the key drew them in preorder, and still load.
 GROWTH = "level"
+# Cells in a slice of a level's split search, and positions in a run of
+# trees: either's arrays then take about 1 MiB.
+SLICE_CELLS, RUN_POSITIONS = 1 << 14, 1 << 12
 # Rows that predict walks at once: small enough that the (trees, rows) node
 # indices of a block stay in cache, large enough to amortise numpy's calls.
 PREDICT_BLOCK_ROWS = 1024
@@ -363,109 +364,138 @@ def _rows(content: np.ndarray, log_resolution: np.ndarray, log_bitrate: np.ndarr
     return rows
 
 
-def _grow_tree(x: np.ndarray, y: np.ndarray, hp: Hyperparams, seed: int) -> tuple:
-    """Grow one tree, drawing from the stream of its own seed, on a bootstrap
-    sample of n positions, presorted as in SLIQ (Mehta et al., EDBT 1996).  A
-    node is a ``(N_FEATURES + 2, m)`` matrix of its positions: row f sorted by
-    feature f, then a row in bootstrap order and one sorted by target, ties
-    in bootstrap order.  A split partitions every row stably, so the
-    children stay sorted and no node sorts anything; the split search reads
-    its features' x, y and y * y in their sorted orders with one ``take``
-    from a table of the sample, and sums them with one ``cumsum``.  Nodes
-    are grown in level order (by depth, then left to right), so each split
-    candidate takes the next feature subset in that order; the tree is then
-    laid out as ``_compile`` lays it out, in preorder ``(feature, threshold,
-    right)`` arrays, which are returned with the deepest leaf's depth.  A
-    module-level function, so a process pool can run it."""
-    n, k, rng = x.shape[0], hp.features_per_split, SplitMix64(seed)
-    idx = rng.integers_below(n, n) if hp.bootstrap else np.arange(n, dtype=np.intp)
-    xb, yb = np.ascontiguousarray(x[idx].T), y[idx]
-    table = np.concatenate([xb.ravel(), yb, yb * yb])  # cell r * n + p holds row r at position p
-    counts = np.arange(1.0, n + 1.0)  # counts[c] = c + 1, as float64 like the sums
-    subsets = _feature_subsets(rng, k, n)
-    feature, threshold, left = [], [], []  # in level order; left[i] is -1 for a leaf
-    boot, by_y = N_FEATURES, N_FEATURES + 1  # the position rows after the features'
-
-    def leaf(positions: np.ndarray) -> None:
-        left.append(-1)
-        feature.append(0)
-        yv = yb.take(positions)  # in bootstrap order, as the sum's bytes depend on it
-        threshold.append(float(yv.sum() / yv.size))  # equals yv.mean(), without its overhead
-
-    rows = np.vstack([np.argsort(xb, axis=1, kind="stable"), np.arange(n),
-                      np.argsort(yb, kind="stable")])
-    queue = deque([(rows, 0)])
-    while queue:
-        rows, depth = queue.popleft()
-        m = rows.shape[1]
-        if (depth >= hp.max_depth or m < 2 * hp.min_samples_leaf
-                or yb[rows[by_y, 0]] == yb[rows[by_y, -1]]):  # the least and greatest target
-            leaf(rows[boot])
-            continue
-        features, at, base = next(subsets)
-        # Each chosen feature's x, then its y, then its y * y, in its sorted order.
-        cells = table.take(rows.take(at, axis=0) + base)
-        xs = cells[:k]
-        sums = cells[k:].cumsum(1)
-        csum, csum2 = sums[:k], sums[k:]
-        # Cut c sends the c + 1 lowest positions left; each side keeps min_samples_leaf.
-        lo, hi = hp.min_samples_leaf - 1, m - hp.min_samples_leaf
-        left_n = counts[lo:hi]
-        right_n = left_n[::-1]  # cut c leaves m - (lo + c + 1) = hi - c positions right
-        left_sum, left_sum2 = csum[:, lo:hi], csum2[:, lo:hi]
-        sse = (
-            (left_sum2 - left_sum * left_sum / left_n)
-            + ((csum2[:, -1:] - left_sum2) - (csum[:, -1:] - left_sum) ** 2 / right_n)
-        )
-        # Only cuts between distinct values count.  The first minimum in row-major
-        # order is the lowest feature, then the lowest threshold, among equal SSEs.
-        sse[~(xs[:, lo:hi] < xs[:, lo + 1:hi + 1])] = np.inf
-        j, cut = divmod(int(sse.argmin()), hi - lo)
-        if sse[j, cut] == np.inf:
-            leaf(rows[boot])
-            continue
-        n_left = lo + cut + 1  # the positions sorted below the cut go left
-        a, b = float(xs[j, n_left - 1]), float(xs[j, n_left])
-        mid = (a + b) / 2.0
-        feature.append(features[j])
-        threshold.append(mid if a <= mid < b else a)  # a where the midpoint rounds up or overflows
-        left.append(len(feature) + len(queue))  # the children join the queue behind it
-        goes_left = xb[features[j]].take(rows) <= a  # exactly the positions sorted below the cut
-        queue.append((rows[goes_left].reshape(-1, n_left), depth + 1))
-        np.logical_not(goes_left, out=goes_left)
-        queue.append((rows[goes_left].reshape(-1, m - n_left), depth + 1))
-    order, stack = [], [0]  # the level-order indexes in preorder
-    while stack:
-        i = stack.pop()
-        order.append(i)
-        if left[i] >= 0:
-            stack += (left[i] + 1, left[i])
-    rank = {i: r for r, i in enumerate(order)}
-    right = array("i", (rank[left[i] + 1] if left[i] >= 0 else r for r, i in enumerate(order)))
-    return array("b", (feature[i] for i in order)), array("d", (threshold[i] for i in order)), right, depth
-
-
-def _feature_subsets(rng: SplitMix64, k: int, n: int):
-    """The endless run of ``rng.subset(k, N_FEATURES)`` draws, made from
-    blocks of raw draws, each as :func:`_subset_cells` gives it."""
-    moduli = np.arange(N_FEATURES, N_FEATURES - k, -1, dtype=np.uint64)  # below(5), below(4), ...
+def _grow_trees(x: np.ndarray, y: np.ndarray, hp: Hyperparams, seeds: Sequence[int]) -> tuple:
+    """Grow the trees of ``seeds`` one level at a time, each on a bootstrap
+    sample of n positions from its own seed's stream, presorted as in SLIQ
+    (Mehta et al., EDBT 1996): tree i's position p is column ``i * n + p``.
+    A level's nodes hold runs of columns of ``rows`` in level order, row f
+    sorted by feature f, then a row in bootstrap order, which each split
+    partitions stably.  Returns :func:`_preorder`'s arrays; a process pool
+    can run it."""
+    t, n, k, few = len(seeds), x.shape[0], hp.features_per_split, hp.min_samples_leaf
+    states = np.array(seeds, np.uint64)  # each tree's stream, as SplitMix64 holds it
+    idx = (blocks(states, np.full(t, n)) % np.uint64(n)).astype(np.intp) if hp.bootstrap else np.tile(np.arange(n), t)
+    pad = t * n  # a position past the last, whose cells are zeros
+    xb, ys, yb = np.zeros((N_FEATURES, pad + 1)), np.zeros((2, pad + 1)), y[idx]
+    xb[:, :-1], ys[0, :-1], ys[1, :-1] = x[idx].T, yb, yb * yb  # ys: y and y * y
+    rows = np.full((N_FEATURES + 1, pad + 1), pad)  # a last column, past the last node's, holds the pad
+    rows[:N_FEATURES, :-1] = (np.argsort(xb[:, :-1].reshape(N_FEATURES, t, n), axis=2, kind="stable")
+                              + n * np.arange(t)[:, None]).reshape(N_FEATURES, -1)
+    rows[N_FEATURES, :-1] = np.arange(pad)
+    start, size, tree = n * np.arange(t), np.full(t, n), np.arange(t)
+    moduli = tuple(range(N_FEATURES, N_FEATURES - k, -1))  # below(5), below(4), ...
+    goes_left = np.empty(pad + 1, bool)
+    levels = []  # per level: which nodes split, their features and thresholds, the leaves' positions and sizes
     while True:
-        draws = (rng.block(64 * k).reshape(64, k) % moduli).tolist()
-        yield from (_subset_cells(tuple(offsets), n) for offsets in draws)
+        yv = yb[rows[N_FEATURES, :-1]]
+        # The leaf test: depth, size, or one target value (the least equals the greatest).
+        candidates = np.flatnonzero((len(levels) < hp.max_depth) & (size >= 2 * few)
+                                    & (np.minimum.reduceat(yv, start) < np.maximum.reduceat(yv, start)))
+        # Each tree's candidates take a subset each from one block, in level order.
+        draws = blocks(states, k * np.bincount(tree[candidates], minlength=t))
+        offsets = (draws.reshape(-1, k) % np.array(moduli, np.uint64)).astype(np.intp)
+        feats = _subsets(k)[np.ravel_multi_index(tuple(offsets.T), moduli)]
+        cuts = split, feature, n_left, a, threshold = [np.zeros(size.size, kind) for kind in "?ppdd"]  # per node
+        widths = np.frexp(size[candidates] - 1)[1]  # width 2**e holds a node of up to 2**e positions
+        for e in np.bincount(widths).nonzero()[0].tolist():  # np.unique would import numpy.ma
+            same = (widths == e).nonzero()[0]
+            step = max(1, SLICE_CELLS // (k << e))
+            for part in (same[first:first + step] for first in range(0, same.size, step)):
+                nodes = candidates[part]
+                for out, value in zip(cuts, _best_cuts(rows, xb, ys, start[nodes], size[nodes], feats[part], e, few)):
+                    out[nodes] = value
+        kept = np.repeat(split, size)
+        feature, n_left, a = feature[split], n_left[split], a[split]
+        levels.append((split, feature, threshold[split], rows[N_FEATURES, :-1][~kept], size[~split]))
+        if not kept.any():
+            break
+        # The split nodes' columns, partitioned: the positions sorted below the cut go left.
+        rows, sizes = rows[:, :-1].compress(kept, axis=1), size[split]
+        which = np.repeat(np.arange(sizes.size), sizes)
+        firsts, before = np.cumsum(sizes) - sizes, (np.cumsum(n_left) - n_left)[which]  # lefts of earlier nodes
+        goes_left[rows[N_FEATURES]] = xb[feature[which], rows[N_FEATURES]] <= a[which]
+        moving = goes_left[rows]
+        # Each column moves to its rank among its node's columns that go its way, the right-going after the
+        # left-going; the cumsum counts the left-going up to each column, from the first node's on.
+        to = (np.arange(which.size) + n_left[which] + before) - np.cumsum(moving, axis=1)
+        np.subtract(firsts[which] + n_left[which] + np.arange(which.size) - 1, to, out=to, where=moving)
+        to += (which.size + 1) * np.arange(N_FEATURES + 1)[:, None]
+        np.put(grown := np.full((N_FEATURES + 1, which.size + 1), pad), to, rows)
+        rows = grown
+        start = np.column_stack([firsts, firsts + n_left]).ravel()
+        size = np.column_stack([n_left, sizes - n_left]).ravel()
+        tree = np.repeat(tree[split], 2)
+    split, feature, threshold, leaf_rows, leaf_sizes = (np.concatenate(column) for column in zip(*levels))
+    firsts, means = np.cumsum(leaf_sizes) - leaf_sizes, np.empty(leaf_sizes.size)
+    for m in np.bincount(leaf_sizes).nonzero()[0].tolist():  # equal sizes as the rows of one matrix, each summed alone
+        same = (leaf_sizes == m).nonzero()[0]
+        means[same] = np.add.reduce(yb[leaf_rows[firsts[same, None] + np.arange(m)]], 1) / m
+    return _preorder(split, feature, threshold, means, [level[0].sum() for level in levels], t)
 
 
-@lru_cache(maxsize=1024)
-def _subset_cells(offsets: tuple, n: int) -> tuple:
-    """The subset that ``partial_shuffle(offsets, N_FEATURES)`` draws, sorted,
-    with what ``_grow_tree`` reads for it on n positions: the position rows
-    of its x, y and y * y cells, and as a column where each of those rows
-    starts in the table, ``n`` times the table's row."""
-    features = tuple(sorted(partial_shuffle(offsets, N_FEATURES)))
-    k = len(features)
-    rows = np.array(features * 3, np.intp)
-    base = n * np.array(features + (N_FEATURES,) * k + (N_FEATURES + 1,) * k, np.intp)[:, None]
-    rows.flags.writeable = base.flags.writeable = False  # shared by every caller
-    return features, rows, base
+def _best_cuts(rows: np.ndarray, xb: np.ndarray, ys: np.ndarray, start: np.ndarray, size: np.ndarray,
+               feats: np.ndarray, e: int, few: int) -> tuple:
+    """For nodes of up to 2**e positions, padded on the right with zero cells
+    so that each cumsum sums as the node's own would: whether each splits, on
+    which feature, how many positions go left, the value ``a`` below the cut
+    and the threshold.  Each side keeps ``few``, only cuts between distinct
+    values count, and the least summed child squared error wins."""
+    cols = np.arange(1 << e)
+    at = np.where(cols < size[:, None], start[:, None] + cols, rows.shape[1] - 1)  # past its end, the pad column
+    pos = rows.take(feats[..., None] * rows.shape[1] + at[:, None])  # each feature's positions, sorted by it
+    xs = xb.take(feats[..., None] * xb.shape[1] + pos)
+    csum, csum2 = ys[0].take(pos).cumsum(2), ys[1].take(pos).cumsum(2)
+    lo, hi = few - 1, cols.size - few  # cut c sends the c + 1 lowest positions left
+    left_n = np.arange(lo + 1.0, hi + 1.0)
+    right_n = np.maximum(size[:, None, None] - left_n, 1.0)  # padded cuts leave none; they are dropped below
+    left_sum, left_sum2 = csum[..., lo:hi], csum2[..., lo:hi]
+    # The last cells are the totals: adding 0.0 changes no sum of targets, which are never negative.
+    sse = (
+        (left_sum2 - left_sum * left_sum / left_n)
+        + ((csum2[..., -1:] - left_sum2) - (csum[..., -1:] - left_sum) ** 2 / right_n)
+    )
+    np.copyto(sse, np.inf, where=(xs[..., lo:hi] >= xs[..., lo + 1:hi + 1]) | (left_n > size[:, None, None] - few))
+    sse = sse.reshape(size.size, -1)
+    best = sse.argmin(1)  # the first least in row-major order
+    nodes = np.arange(size.size)
+    j, cut = np.divmod(best, hi - lo)
+    n_left = lo + cut + 1
+    a, b = xs[nodes, j, n_left - 1], xs[nodes, j, n_left]
+    with np.errstate(over="ignore"):  # where a + b overflows, the split keeps a
+        mid = (a + b) / 2.0
+    return sse[nodes, best] < np.inf, feats[nodes, j], n_left, a, np.where((a <= mid) & (mid < b), mid, a)
+
+
+@lru_cache(maxsize=N_FEATURES)
+def _subsets(k: int) -> np.ndarray:
+    """Row r: the subset, sorted, that ``partial_shuffle`` draws with the k
+    offsets whose ``ravel_multi_index`` over ``(5, 4, ...)`` is r."""
+    moduli = range(N_FEATURES, N_FEATURES - k, -1)
+    table = np.array([sorted(partial_shuffle(offsets, N_FEATURES)) for offsets in product(*map(range, moduli))])
+    table.flags.writeable = False  # shared by every caller
+    return table
+
+
+def _preorder(split: np.ndarray, feature: np.ndarray, threshold: np.ndarray, leaf_means: np.ndarray,
+              level_splits: list, t: int) -> tuple:
+    """Nodes given in level order, t roots first, as ``_compile``'s preorder
+    ``(feature, threshold, right)`` arrays, right links counted from the
+    first node; each tree's node count; and the deepest leaf's depth."""
+    parent = np.flatnonzero(split)
+    left = t + 2 * np.arange(parent.size)  # each level's children follow it, in pairs, in the order of the splits
+    levels = [slice(end - count, end) for end, count in zip(np.cumsum(level_splits), level_splits)]
+    nodes = np.ones(split.size, np.intp)  # each node's subtree size, from the deepest level up
+    for at in levels[::-1]:
+        nodes[parent[at]] += nodes[left[at]] + nodes[left[at] + 1]
+    pre = np.empty(split.size, np.intp)  # each node's preorder index, from the roots down
+    pre[:t] = np.cumsum(nodes[:t]) - nodes[:t]
+    for at in levels:
+        pre[left[at]] = pre[parent[at]] + 1
+        pre[left[at] + 1] = pre[left[at]] + nodes[left[at]]
+    out = np.zeros(split.size, np.intp), np.empty(split.size), np.arange(split.size)  # a leaf links to itself
+    out[0][pre[parent]], out[1][pre[parent]], out[2][pre[parent]] = feature, threshold, pre[left + 1]
+    out[1][pre[~split]] = leaf_means
+    return (*out, nodes[:t], len(level_splits) - 1)
 
 
 def fit(
@@ -473,37 +503,42 @@ def fit(
     hyperparams: Hyperparams | None = None,
     seed: int = 0,
     map=map,
+    run_length: int | None = None,
 ) -> ForestModel:
     """Train a forest; deterministic in (record order, hyperparams, seed).
 
-    ``map`` grows the trees, one call per tree seed, and must yield them in
-    seed order, as the built-in and ``Executor.map`` do; a process pool's
-    ``map``, with any ``chunksize``, grows them in parallel, to the same
-    bytes.  An eager ``map`` such as ``Executor.map`` lets the groups of
-    :func:`fit_groups`, whose one-group case this is, grow together; the
-    built-in grows them one after another, to the same bytes."""
-    (model,) = fit_groups([records], hyperparams, seed, map)
+    ``map`` grows the trees, one call per run of ``run_length`` tree seeds
+    (all by default, within RUN_POSITIONS), and must yield the runs in seed
+    order, as the built-in and ``Executor.map`` do; a process pool's ``map``
+    grows them in parallel, to the same bytes.  An eager ``map`` lets the
+    groups of :func:`fit_groups`, whose one-group case this is, grow together."""
+    (model,) = fit_groups([records], hyperparams, seed, map, run_length)
     return model
 
 
 def fit_groups(groups: Sequence[Union[TrainingSet, Sequence[TrainingRecord]]],
-               hyperparams: Hyperparams | None = None, seed: int = 0, map=map) -> Iterator[ForestModel]:
+               hyperparams: Hyperparams | None = None, seed: int = 0, map=map,
+               run_length: int | None = None) -> Iterator[ForestModel]:
     """The forest :func:`fit` trains on each group, in order: every group is checked, then
-    ``map`` called once for each, then each forest assembled as the iterator reaches it."""
+    ``map`` called once for each, over its runs, then each forest assembled as reached."""
     hp = hyperparams if hyperparams is not None else Hyperparams()
     sets = [_training_set(records) for records in groups]
     matrices = [_training_matrix(data) for data in sets]
     tree_seeds = SplitMix64(seed).block(hp.n_trees).tolist()  # as many next_u64() calls
-    grown = [map(_grow_tree, repeat(x), repeat(y), repeat(hp), tree_seeds) for x, y in matrices]
+    grown = []
+    for x, y in matrices:  # runs of at most RUN_POSITIONS positions, unless one tree has more
+        step = max(1, min(run_length or hp.n_trees, RUN_POSITIONS // y.size))
+        runs = [tree_seeds[first:first + step] for first in range(0, hp.n_trees, step)]
+        grown.append(map(_grow_trees, repeat(x), repeat(y), repeat(hp), runs))
 
     def assembled():
         for data, trees in zip(sets, grown):
-            features, thresholds, rights, depths = zip(*trees)
-            sizes = np.array([len(tree) for tree in features], np.intp)
-            roots = np.cumsum(sizes) - sizes  # each tree's right links count from its root
-            right = np.concatenate(rights).astype(np.intp) + np.repeat(roots, sizes)
-            flat = _linked(np.concatenate(features).astype(np.intp), np.concatenate(thresholds),
-                           right, roots, max(depths))
+            features, thresholds, rights, sizes, depths = zip(*trees)
+            nodes = [feature.size for feature in features]
+            right = np.concatenate(rights) + np.repeat(np.cumsum(nodes) - nodes, nodes)  # from each run's first
+            sizes = np.concatenate(sizes)
+            flat = _linked(np.concatenate(features), np.concatenate(thresholds), right,
+                           np.cumsum(sizes) - sizes, max(depths))
             yield ForestModel(hp, seed, TARGET_KINDS[data.kind[0]], VSR_TAGS[data.tag[0]], flat)
 
     return assembled()

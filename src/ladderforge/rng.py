@@ -54,13 +54,10 @@ class SplitMix64:
 
     def block(self, count: int) -> np.ndarray:
         """`count` raw outputs as uint64, equal to that many next_u64() calls."""
-        steps = np.arange(1, count + 1, dtype=np.uint64)
-        z = np.uint64(self._state) + steps * np.uint64(_GAMMA)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        z = z ^ (z >> np.uint64(31))
-        self._state = (self._state + count * _GAMMA) & _MASK64
-        return z
+        state = np.array([self._state], np.uint64)
+        draws = blocks(state, np.array([count]))
+        self._state = int(state[0])
+        return draws
 
     def integers_below(self, bound: int, count: int) -> np.ndarray:
         """Vectorised ``below``: `count` integers in ``[0, bound)``."""
@@ -95,6 +92,18 @@ class SplitMix64:
         if not 0 <= k <= n:
             raise ValueError(f"cannot draw {k} distinct items from {n}")
         return partial_shuffle([self.below(n - i) for i in range(k)], n)
+
+
+def blocks(states: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The next ``counts[i]`` raw outputs of the stream at ``states[i]``
+    (uint64, as ``SplitMix64`` holds it), for each i in turn, in one pass;
+    ``states`` advance past them in place."""
+    steps = np.arange(1, counts.sum() + 1) - np.repeat(np.cumsum(counts) - counts, counts)
+    z = np.repeat(states, counts) + steps.astype(np.uint64) * np.uint64(_GAMMA)
+    states += counts.astype(np.uint64) * np.uint64(_GAMMA)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+    return z ^ (z >> np.uint64(31))
 
 
 def partial_shuffle(offsets: Sequence[int], n: int) -> list[int]:

@@ -1024,6 +1024,7 @@ _STUMP = serialize_model(ForestModel.from_trees(
     pytest.param("model", _STUMP.replace(b'"bootstrap":true', b'"bootstrap":7'), id="model-bootstrap-7"),
     pytest.param("model", b" " + _STUMP.replace(b'"bootstrap":true', b'"bootstrap":7'),
                  id="model-bootstrap-7-not-canonical"),
+    pytest.param("model", _STUMP.replace(b'"growth":"level"', b'"growth":"preorder"'), id="model-growth-preorder"),
     pytest.param("config", b"\xff\xfe", id="config-not-utf8"),
     pytest.param("config", b"[" * 3000 + b"]" * 3000, id="config-3000-levels"),
     pytest.param("config", b'{"bitrates_mbps": ["x"]}', id="config-bitrate-not-a-number"),

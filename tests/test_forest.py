@@ -1,10 +1,11 @@
 import json
 import math
 import re
+import sys
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
-from functools import partial
+from array import array
 
 import numpy as np
 import pytest
@@ -566,18 +567,57 @@ def test_split_threshold_separates_the_values_it_was_scored_on(low, high, thresh
 
 
 def test_fit_through_a_process_pool_gives_the_same_bytes():
+    """The bytes depend neither on how the seeds are split into runs nor on
+    where the runs grow: runs of 1, 3 and 7 trees (the last of them 3) and
+    all 10 trees in one run, serial and through a pool."""
     records = _random_records(np.random.default_rng(3), 80)
-    hp = Hyperparams(n_trees=6, max_depth=6)
+    hp = Hyperparams(n_trees=10, max_depth=6)
     serial = fit(records, hp, seed=11)
-    # one tree per task, runs of 3 trees, and all the trees in one task
+    runs = (1, 3, 7, hp.n_trees)
+    models = [fit(records, hp, seed=11, run_length=size) for size in runs]
     with ProcessPoolExecutor(2) as pool:
-        pooled = [fit(records, hp, seed=11, map=partial(pool.map, chunksize=size))
-                  for size in (1, 3, hp.n_trees)]
+        models += [fit(records, hp, seed=11, map=pool.map, run_length=size) for size in runs]
     compiled = ForestModel.from_trees(serial.trees, hp, 11, serial.target_kind, serial.vsr_tag)
-    for model in pooled:
+    for model in models:
         assert serialize_model(model) == serialize_model(serial)
         # fit's own arrays, laid out bit for bit as _compile lays out the same trees
-        assert _flat_bytes(model) == _flat_bytes(serial) == _flat_bytes(compiled)
+        assert _flat_bytes(model) == _flat_bytes(compiled)
+
+
+def _fit_calls(records, hp):
+    """The Python calls that one fit of ``records`` makes, and its model."""
+    fit(records, hp, seed=1)  # warms lazy imports and caches
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(count)
+    try:
+        model = fit(records, hp, seed=1)
+    finally:
+        sys.setprofile(None)
+    return calls, model
+
+
+def test_fit_calls_are_bounded_per_level_and_width_not_per_node():
+    """fit grows its trees a level at a time: each level makes at most 100
+    Python calls, and at most 10 more for each power-of-two width its split
+    search may pad a node to, so a forest with 4 times the nodes and more
+    makes not even twice the calls.  A grower with Python per node makes
+    several calls a node."""
+    hp = Hyperparams(n_trees=8, max_depth=12)
+    rng = np.random.default_rng(30)
+    grown = []
+    for n in (40, 320):
+        calls, model = _fit_calls(_random_records(rng, n), hp)
+        levels, widths = model._flat[5] + 1, (n - 1).bit_length()
+        assert calls <= 300 + levels * (100 + 10 * widths), (n, calls, levels)
+        grown.append((calls, model._flat[0].size))
+    (small, small_nodes), (large, large_nodes) = grown
+    assert large_nodes >= 4 * small_nodes
+    assert large < 2 * small, grown
 
 
 def _flat_bytes(model):
@@ -653,6 +693,93 @@ def _reference_fit_bytes(records, hp, seed):
     return serialize_model(ForestModel.from_trees(tuple(trees), hp, seed, rec.target_kind, rec.vsr_tag))
 
 
+# The grower that fit used before it grew a level at a time: one node at a
+# time, from a queue, in level order.  fit's models must equal its byte for
+# byte, however the seeds are split into runs.
+
+def _one_node_grower(x, y, hp, seed):
+    n, k, rng = x.shape[0], hp.features_per_split, SplitMix64(seed)
+    idx = rng.integers_below(n, n) if hp.bootstrap else np.arange(n, dtype=np.intp)
+    xb, yb = np.ascontiguousarray(x[idx].T), y[idx]
+    table = np.concatenate([xb.ravel(), yb, yb * yb])  # cell r * n + p holds row r at position p
+    counts = np.arange(1.0, n + 1.0)  # counts[c] = c + 1, as float64 like the sums
+    feature, threshold, left = [], [], []  # in level order; left[i] is -1 for a leaf
+    boot, by_y = 5, 6  # the position rows after the features'
+
+    def leaf(positions):
+        left.append(-1)
+        feature.append(0)
+        yv = yb.take(positions)  # in bootstrap order, as the sum's bytes depend on it
+        threshold.append(float(yv.sum() / yv.size))
+
+    rows = np.vstack([np.argsort(xb, axis=1, kind="stable"), np.arange(n), np.argsort(yb, kind="stable")])
+    queue = deque([(rows, 0)])
+    while queue:
+        rows, depth = queue.popleft()
+        m = rows.shape[1]
+        if (depth >= hp.max_depth or m < 2 * hp.min_samples_leaf
+                or yb[rows[by_y, 0]] == yb[rows[by_y, -1]]):  # the least and greatest target
+            leaf(rows[boot])
+            continue
+        features = tuple(sorted(rng.subset(k, 5)))
+        at = np.array(features * 3, np.intp)
+        base = n * np.array(features + (5,) * k + (6,) * k, np.intp)[:, None]
+        # Each chosen feature's x, then its y, then its y * y, in its sorted order.
+        cells = table.take(rows.take(at, axis=0) + base)
+        xs = cells[:k]
+        sums = cells[k:].cumsum(1)
+        csum, csum2 = sums[:k], sums[k:]
+        # Cut c sends the c + 1 lowest positions left; each side keeps min_samples_leaf.
+        lo, hi = hp.min_samples_leaf - 1, m - hp.min_samples_leaf
+        left_n = counts[lo:hi]
+        right_n = left_n[::-1]  # cut c leaves m - (lo + c + 1) = hi - c positions right
+        left_sum, left_sum2 = csum[:, lo:hi], csum2[:, lo:hi]
+        sse = (
+            (left_sum2 - left_sum * left_sum / left_n)
+            + ((csum2[:, -1:] - left_sum2) - (csum[:, -1:] - left_sum) ** 2 / right_n)
+        )
+        # Only cuts between distinct values count.  The first minimum in row-major
+        # order is the lowest feature, then the lowest threshold, among equal SSEs.
+        sse[~(xs[:, lo:hi] < xs[:, lo + 1:hi + 1])] = np.inf
+        j, cut = divmod(int(sse.argmin()), hi - lo)
+        if sse[j, cut] == np.inf:
+            leaf(rows[boot])
+            continue
+        n_left = lo + cut + 1  # the positions sorted below the cut go left
+        a, b = float(xs[j, n_left - 1]), float(xs[j, n_left])
+        mid = (a + b) / 2.0
+        feature.append(features[j])
+        threshold.append(mid if a <= mid < b else a)  # a where the midpoint rounds up or overflows
+        left.append(len(feature) + len(queue))  # the children join the queue behind it
+        goes_left = xb[features[j]].take(rows) <= a  # exactly the positions sorted below the cut
+        queue.append((rows[goes_left].reshape(-1, n_left), depth + 1))
+        np.logical_not(goes_left, out=goes_left)
+        queue.append((rows[goes_left].reshape(-1, m - n_left), depth + 1))
+    order, stack = [], [0]  # the level-order indexes in preorder
+    while stack:
+        i = stack.pop()
+        order.append(i)
+        if left[i] >= 0:
+            stack += (left[i] + 1, left[i])
+    rank = {i: r for r, i in enumerate(order)}
+    right = array("i", (rank[left[i] + 1] if left[i] >= 0 else r for r, i in enumerate(order)))
+    return array("b", (feature[i] for i in order)), array("d", (threshold[i] for i in order)), right, depth
+
+
+def _one_node_fit(records, hp, seed):
+    """fit's model, its trees grown by _one_node_grower and linked as fit linked them."""
+    data = TrainingSet.from_records(records)
+    trees = [_one_node_grower(data.x, data.target, hp, tree_seed)
+             for tree_seed in SplitMix64(seed).block(hp.n_trees).tolist()]
+    features, thresholds, rights, depths = zip(*trees)
+    sizes = np.array([len(tree) for tree in features], np.intp)
+    roots = np.cumsum(sizes) - sizes  # each tree's right links count from its root
+    right = np.concatenate(rights).astype(np.intp) + np.repeat(roots, sizes)
+    flat = forest._linked(np.concatenate(features).astype(np.intp), np.concatenate(thresholds), right, roots,
+                          max(depths))
+    return ForestModel(hp, seed, records[0].target_kind, records[0].vsr_tag, flat)
+
+
 @st.composite
 def _training_sets(draw):
     n = draw(st.integers(2, 40))
@@ -693,6 +820,29 @@ def test_presorted_fit_equals_the_per_feature_builder(
     assert serialize_model(fit(records, hp, seed)) == _reference_fit_bytes(records, hp, seed)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    records=_training_sets(),
+    n_trees=st.integers(1, 12),
+    max_depth=st.one_of(st.integers(1, 8), st.just(64)),
+    min_samples_leaf=st.integers(1, 12),
+    features_per_split=st.integers(1, 5),
+    bootstrap=st.booleans(),
+    seed=st.integers(0, 2**64 - 1),
+    data=st.data(),
+)
+def test_level_wise_fit_equals_the_one_node_grower(
+    records, n_trees, max_depth, min_samples_leaf, features_per_split, bootstrap, seed, data
+):
+    """Ties, constant columns and targets (one-value pools), both sides of
+    2 * min_samples_leaf, the depth cap, and runs of any length."""
+    hp = Hyperparams(n_trees, max_depth, min_samples_leaf, features_per_split, bootstrap)
+    model = fit(records, hp, seed, run_length=data.draw(st.integers(1, n_trees), label="run_length"))
+    reference = _one_node_fit(records, hp, seed)
+    assert serialize_model(model) == serialize_model(reference)
+    assert _flat_bytes(model) == _flat_bytes(reference)
+
+
 # serialize_model as it was before it wrote the arrays: the dict view, merged
 # with the provenance, through json.dumps.  Its bytes are the format's.  With
 # training={} it writes the hyperparams as files made before the growth key.
@@ -707,6 +857,25 @@ def _reference_model_bytes(model, provenance, training={"growth": "level"}):
         **(provenance or {}),
     }
     return json.dumps(doc, separators=(",", ":"), allow_nan=False).encode("ascii")
+
+
+def test_a_model_file_without_the_growth_key_still_loads_bit_for_bit():
+    """Files written before hyperparams.growth, by the preorder grower, lack
+    the key: both readers load such text to the arrays it was written from.
+    Any other value of the key is corrupt."""
+    model = fit(_random_records(np.random.default_rng(4), 60), Hyperparams(n_trees=4, max_depth=6), seed=8)
+    text = _reference_model_bytes(model, {"config": {"seed": 8}}, training={})
+    assert b'"growth"' not in text and b'"seed":8,"growth":"level"}' in serialize_model(model)
+    trees, hp, seed, kind, tag = forest._model_fields(json.loads(text))
+    for loaded in (forest._read_canonical(text), ForestModel.from_trees(trees, hp, seed, kind, tag)):
+        assert _flat_bytes(loaded) == _flat_bytes(model)
+        assert (loaded.hyperparams, loaded.seed, loaded.target_kind, loaded.vsr_tag) == (
+            model.hyperparams, model.seed, model.target_kind, model.vsr_tag)
+    for value in (b'"preorder"', b'null', b'["level"]'):
+        wrong = text.replace(b'"seed":8', b'"seed":8,"growth":' + value)
+        assert forest._read_canonical(wrong) is None
+        with pytest.raises(CorruptModel, match=r"^hyperparams\.growth must be 'level' or absent, got "):
+            deserialize_model(wrong)
 
 
 # Integers as well as floats, and -0.0, which _compile stores as float64.

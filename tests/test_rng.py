@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ladderforge.rng import SplitMix64, partial_shuffle
+from ladderforge.rng import SplitMix64, blocks, partial_shuffle
 
 
 def test_known_reference_outputs():
@@ -36,6 +36,18 @@ def test_raw_block_equals_next_u64_calls_and_advances_the_stream_as_far():
         assert block.dtype == np.uint64
         assert block.tolist() == [b.next_u64() for _ in range(count)]
     assert a.next_u64() == b.next_u64()
+
+
+def test_blocks_of_several_streams_are_each_streams_block():
+    seeds = [0, 2**64 - 1, 77, 77]
+    states = np.array(seeds, np.uint64)
+    streams = [SplitMix64(seed) for seed in seeds]
+    for counts in ([3, 0, 5, 1], [0, 0, 0, 0], [2, 9, 0, 4]):
+        draws = blocks(states, np.array(counts))
+        assert draws.dtype == np.uint64
+        assert draws.tolist() == [u for stream, count in zip(streams, counts) for u in stream.block(count).tolist()]
+    # each state advanced as far as its stream
+    assert [int(state) for state in states] == [stream._state for stream in streams]
 
 
 def test_subset_is_partial_shuffle_of_its_below_draws():
