@@ -843,6 +843,19 @@ def test_level_wise_fit_equals_the_one_node_grower(
     assert _flat_bytes(model) == _flat_bytes(reference)
 
 
+
+def test_wide_levels_and_long_runs_are_split_to_the_same_bytes():
+    """600 rows and all 5 features per split: the roots' split search spans
+    several slices, and a forest of 8 trees spans two runs."""
+    records = _random_records(np.random.default_rng(31), 600, kind="time",
+                              target_fn=lambda e, h, l, r, b: 0.1 + e * r / 1e4 + h)
+    hp = Hyperparams(n_trees=8, max_depth=9, features_per_split=5)
+    assert forest.RUN_POSITIONS // 600 < hp.n_trees  # runs of 6 and 2 trees
+    assert forest.SLICE_CELLS // (5 * 1024) < min(hp.n_trees, forest.RUN_POSITIONS // 600)  # 6 roots of width 1024
+    model, reference = fit(records, hp, seed=12), _one_node_fit(records, hp, 12)
+    assert serialize_model(model) == serialize_model(reference)
+    assert _flat_bytes(model) == _flat_bytes(reference)
+
 # serialize_model as it was before it wrote the arrays: the dict view, merged
 # with the provenance, through json.dumps.  Its bytes are the format's.  With
 # training={} it writes the hyperparams as files made before the growth key.
